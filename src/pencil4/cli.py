@@ -102,6 +102,19 @@ class Scene:
     vranceanu_radius: ex.Expr | None = None
 
 
+def _finite_number(text: str, kind: type):
+    """A JSON number that converts to a finite double, else ConfigError:
+    NaN or an overflowing value would pass every ``x <= tol`` test."""
+    try:
+        value = kind(text)
+        if math.isfinite(float(value)):
+            return value
+    except (OverflowError, ValueError):
+        pass
+    raise ConfigError(f"config number {text[:20]}{'...' * (len(text) > 20)} "
+                      "is not a finite double")
+
+
 def _need(cfg: dict, key: str, where: str):
     if key not in cfg:
         raise ConfigError(f"missing {where}.{key}")
@@ -160,7 +173,9 @@ def load_scene(path: str | Path, grid_override: str | None = None) -> Scene:
     except OSError as err:
         raise ConfigError(f"cannot read config: {err}") from err
     try:
-        cfg = json.loads(raw)
+        cfg = json.loads(raw, parse_constant=lambda text: _finite_number(text, float),
+                         parse_float=lambda text: _finite_number(text, float),
+                         parse_int=lambda text: _finite_number(text, int))
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
     if not isinstance(cfg, dict):
@@ -262,8 +277,11 @@ def load_scene(path: str | Path, grid_override: str | None = None) -> Scene:
 
 def _projection_from_flag(flag: str) -> dict:
     if flag.startswith("drop:"):
-        return {"kind": "drop_axis", "axis": int(flag.split(":", 1)[1])}
-    if flag == "stereo":
+        try:
+            return {"kind": "drop_axis", "axis": int(flag.split(":", 1)[1])}
+        except ValueError:
+            pass
+    elif flag == "stereo":
         return {"kind": "stereographic"}
     raise ConfigError(f"unknown --projection {flag!r} (use drop:K or stereo)")
 
@@ -353,54 +371,40 @@ def run_frenet(scene: Scene) -> str:
     return _rows_to_csv(header, rows)
 
 
+def _columns(sweep: pc.Sweep, *fields):
+    """s, t and the given per-point fields of a sweep, one list of floats
+    per grid point, t-major; produced one t-row at a time."""
+    fields = (sweep.s, sweep.t[:, None], *fields)
+    for t_row in np.stack(np.broadcast_arrays(*fields), axis=-1):
+        yield from t_row.tolist()
+
+
+def _rows(sweep: pc.Sweep, *fields):
+    """CSV rows ``s, t, fields..., status`` for every grid point, lazily."""
+    names = ["ok"] + [f"regularity:{c}" for c in pc.CONDITIONS[1:]]
+    return ([*map(_fmt, v), names[code]]
+            for v, code in zip(_columns(sweep, *fields), sweep.status.ravel().tolist()))
+
+
 def run_eval(scene: Scene) -> str:
-    ss, ts = _grid(scene)
+    sweep = scene.surface.sweep(*_grid(scene))
     header = ["s", "t", "x1", "x2", "x3", "x4", "status"]
-    rows = []
-    for t in ts:  # t-major, then s
-        for s in ss:
-            point = scene.surface.point_array(float(s), float(t))
-            status = _point_status(scene.surface, float(s), float(t))
-            rows.append([_fmt(s), _fmt(t), *(_fmt(x) for x in point), status])
-    return _rows_to_csv(header, rows)
-
-
-def _point_status(surface: pc.PencilSurface, s: float, t: float) -> str:
-    try:
-        surface.point(s, t)
-        return "ok"
-    except RegularityViolationError as err:
-        return f"regularity:{err.condition}"
+    return _rows_to_csv(header, _rows(sweep, *np.moveaxis(sweep.points, -1, 0)))
 
 
 def run_curvature(scene: Scene) -> str:
-    ss, ts = _grid(scene)
+    sweep = scene.surface.sweep(*_grid(scene))
+    f = sweep.forms
+    rep = cu.invariants_from_forms(f)
     header = ["s", "t", "E", "G", "K", "K_N", "Hnormsq", "status"]
-    rows = []
-    nan = float("nan")
-    for t in ts:
-        for s in ss:
-            try:
-                forms = scene.surface.fundamental_forms(float(s), float(t))
-                rep = cu.invariants_from_forms(forms)
-                rows.append([
-                    _fmt(s), _fmt(t), _fmt(forms.E), _fmt(forms.G),
-                    _fmt(rep.K), _fmt(rep.K_N), _fmt(rep.H_norm_sq), "ok",
-                ])
-            except RegularityViolationError as err:
-                rows.append([
-                    _fmt(s), _fmt(t), _fmt(nan), _fmt(nan),
-                    _fmt(nan), _fmt(nan), _fmt(nan),
-                    f"regularity:{err.condition}",
-                ])
-    return _rows_to_csv(header, rows)
+    return _rows_to_csv(header, _rows(sweep, f.E, f.G, rep.K, rep.K_N, rep.H_norm_sq))
 
 
 def run_verify(scene: Scene, tol: float, step: float | None):
     """Closed-form vs oracle comparison over the grid.
 
     Returns (text_report, csv_text, all_passed)."""
-    ss, ts = _grid(scene)
+    sweep = scene.surface.sweep(*_grid(scene))
     pad = 4 * (step if step is not None else 1e-3)
     immersion = orc.Immersion(
         scene.surface.point_array,
@@ -408,53 +412,36 @@ def run_verify(scene: Scene, tol: float, step: float | None):
         (scene.t_range[0] - pad, scene.t_range[1] + pad),
         step=step,
     )
-    pts, closed_k, closed_kn, closed_h = [], [], [], []
-    oracle_k, oracle_kn, oracle_h = [], [], []
-    skipped = 0
-    csv_rows = []
-    for t in ts:
-        for s in ss:
-            s_f, t_f = float(s), float(t)
-            try:
-                rep_c = cu.report(scene.surface, s_f, t_f)
-            except RegularityViolationError:
-                skipped += 1
-                csv_rows.append([_fmt(s_f), _fmt(t_f)] + ["nan"] * 6 + ["regularity"])
-                continue
-            rep_o = orc.numeric_forms(immersion, s_f, t_f)
-            pts.append((s_f, t_f))
-            closed_k.append(rep_c.K)
-            closed_kn.append(rep_c.K_N)
-            closed_h.append(rep_c.H_norm_sq)
-            oracle_k.append(rep_o.K)
-            # the orientation-adjusted value is comparable across the grid
-            # even when the oracle's basis choice flips between points
-            oracle_kn.append(rep_o.k_n_oriented)
-            oracle_h.append(rep_o.h_norm_sq)
-            csv_rows.append([
-                _fmt(s_f), _fmt(t_f),
-                _fmt(rep_c.K), _fmt(rep_o.K),
-                _fmt(rep_c.K_N), _fmt(rep_o.k_n_oriented),
-                _fmt(rep_c.H_norm_sq), _fmt(rep_o.h_norm_sq),
-                "ok",
-            ])
+    rep = cu.invariants_from_forms(sweep.forms)
+    closed = _columns(sweep, rep.K, rep.K_N, rep.H_norm_sq)
+    pts, compared, csv_rows = [], [], []
+    for (s, t, k, kn, h), status in zip(closed, sweep.status.ravel().tolist()):
+        if status != pc.OK:
+            csv_rows.append([_fmt(s), _fmt(t)] + ["nan"] * 6 + ["regularity"])
+            continue
+        rep_o = orc.numeric_forms(immersion, s, t)
+        # the orientation-adjusted K_N is comparable across the grid even
+        # when the oracle's basis choice flips between points
+        pairs = (k, rep_o.K, kn, rep_o.k_n_oriented, h, rep_o.h_norm_sq)
+        pts.append((s, t))
+        compared.append(pairs)
+        csv_rows.append([_fmt(s), _fmt(t), *map(_fmt, pairs), "ok"])
     if not pts:
         raise RegularityViolationError("spine")
-    reports = [
-        orc.compare("K", closed_k, oracle_k, pts, tol),
-        orc.compare("K_N", closed_kn, oracle_kn, pts, tol, match_sign=True),
-        orc.compare("H_norm_sq", closed_h, oracle_h, pts, tol),
-    ]
-    lines = ["verification: closed-form curvature vs finite-difference oracle"]
-    lines.append(
+    table = np.array(compared)  # closed, oracle column pairs per quantity
+    reports = [orc.compare(name, table[:, 2 * i], table[:, 2 * i + 1], pts, tol,
+                           match_sign=name == "K_N")
+               for i, name in enumerate(("K", "K_N", "H_norm_sq"))]
+    lines = [
+        "verification: closed-form curvature vs finite-difference oracle",
         f"grid {scene.ns}x{scene.nt}, compared {len(pts)} regular points, "
-        f"skipped {skipped}"
-    )
-    lines.extend(rep.summary() for rep in reports)
-    all_passed = all(rep.passed for rep in reports)
+        f"skipped {sweep.status.size - len(pts)}",
+        *(r.summary() for r in reports),
+    ]
+    all_passed = all(r.passed for r in reports)
 
     if scene.marching_kind == "ruled":
-        lines.extend(_ruled_adjudication(scene, ts))
+        lines.extend(_ruled_adjudication(scene, sweep.t))
 
     lines.append(f"overall: {'PASS' if all_passed else 'FAIL'}")
     header = ["s", "t", "K_closed", "K_oracle", "K_N_closed", "K_N_oracle",
@@ -519,8 +506,7 @@ def run_flat_design(scene: Scene, step: float | None) -> tuple[str, bool]:
             (scene.t_range[0] - pad, scene.t_range[1] + pad),
             step=flat_step,
         )
-        ss = np.linspace(scene.s_range[0], scene.s_range[1], scene.ns)
-        ts = np.linspace(scene.t_range[0], scene.t_range[1], scene.nt)
+        ss, ts = _grid(scene)
         max_k = orc.grid_max_abs_gaussian(im, ss, ts)
         res = cu.flatness_residuals(scene.surface, ts, ss, source="frame")
         flat = max_k <= fam.FLAT_GAUSSIAN_TOL
@@ -539,48 +525,24 @@ def run_flat_design(scene: Scene, step: float | None) -> tuple[str, bool]:
 
 
 def run_export(scene: Scene, out_base: Path, projection: dict) -> list[Path]:
-    ss, ts = _grid(scene)
-    points = np.empty((scene.nt * scene.ns, 4))
-    status = []
-    kappa = np.full(scene.nt * scene.ns, float("nan"))
-    idx = 0
-    for t in ts:
-        for s in ss:
-            s_f, t_f = float(s), float(t)
-            points[idx] = scene.surface.point_array(s_f, t_f)
-            st = _point_status(scene.surface, s_f, t_f)
-            status.append(st)
-            if st == "ok":
-                kappa[idx] = cu.gaussian(scene.surface, s_f, t_f)
-            idx += 1
-
+    sweep = scene.surface.sweep(*_grid(scene))
+    points = sweep.points.reshape(-1, 4)
     written = []
     if scene.output_format == "obj":
         projected = project_points(points, projection)
         obj_lines = [f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}" for p in projected]
-        for it in range(scene.nt - 1):
-            for i_s in range(scene.ns - 1):
-                a = it * scene.ns + i_s
-                b = a + 1
-                c = a + scene.ns + 1
-                d = a + scene.ns
-                if all(status[k] == "ok" for k in (a, b, c, d)):
-                    obj_lines.append(f"f {a + 1} {b + 1} {c + 1} {d + 1}")
+        ok = sweep.status == pc.OK
+        quads = ok[:-1, :-1] & ok[:-1, 1:] & ok[1:, 1:] & ok[1:, :-1]
+        for it, i_s in zip(*np.nonzero(quads)):
+            a = int(it) * scene.ns + int(i_s)
+            obj_lines.append(f"f {a + 1} {a + 2} {a + scene.ns + 2} {a + scene.ns + 1}")
         obj_path = out_base.with_suffix(".obj")
         obj_path.write_text("\n".join(obj_lines) + "\n", encoding="utf-8")
         written.append(obj_path)
 
     header = ["s", "t", "x1", "x2", "x3", "x4", "K", "status"]
-    rows = []
-    idx = 0
-    for t in ts:
-        for s in ss:
-            rows.append([
-                _fmt(float(s)), _fmt(float(t)),
-                *(_fmt(x) for x in points[idx]),
-                _fmt(kappa[idx]), status[idx],
-            ])
-            idx += 1
+    rows = _rows(sweep, *np.moveaxis(sweep.points, -1, 0),
+                 cu.invariants_from_forms(sweep.forms).K)
     csv_path = out_base.with_suffix(".csv")
     csv_path.write_text(_rows_to_csv(header, rows), encoding="utf-8")
     written.append(csv_path)

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pencil import FundamentalForms, PencilSurface
+from .pencil import FundamentalForms, PencilSurface, Sweep, form_numerators, metric
 
 __all__ = [
     "CurvatureReport",
@@ -29,7 +29,6 @@ __all__ = [
     "report",
     "gaussian",
     "normal_curvature",
-    "mean_vector",
     "flatness_residuals",
     "gaussian_closed_form",
     "normal_curvature_closed_form",
@@ -55,11 +54,12 @@ class CurvatureReport:
 
 
 def invariants_from_forms(f: FundamentalForms) -> CurvatureReport:
-    """Assemble the invariants from measured/closed-form coefficients."""
+    """Assemble the invariants from measured/closed-form coefficients,
+    scalars or (from a sweep) arrays."""
     w2 = f.W2
     K = (
-        (f.c1_11 * f.c1_22 - f.c1_12**2)
-        + (f.c2_11 * f.c2_22 - f.c2_12**2)
+        (f.c1_11 * f.c1_22 - f.c1_12 * f.c1_12)
+        + (f.c2_11 * f.c2_22 - f.c2_12 * f.c2_12)
     ) / w2
     K_N = (
         f.E * (f.c1_12 * f.c2_22 - f.c2_12 * f.c1_22)
@@ -83,12 +83,6 @@ def normal_curvature(p: PencilSurface, s: float, t: float, source: str = "frame"
     return report(p, s, t, source).K_N
 
 
-def mean_vector(p: PencilSurface, s: float, t: float,
-                source: str = "frame") -> tuple[float, float, float]:
-    r = report(p, s, t, source)
-    return (r.H1, r.H2, r.H_norm_sq)
-
-
 def mean_vector_ambient(p: PencilSurface, s: float, t: float,
                         source: str = "frame") -> np.ndarray:
     """The mean-curvature vector as an ambient E^4 vector (basis free)."""
@@ -103,15 +97,10 @@ def mean_vector_ambient(p: PencilSurface, s: float, t: float,
 
 
 def _shorthand(p: PencilSurface, s: float, t: float, source: str):
-    k1, k2, k3 = p._kappas(s, source)
     co = p.coefficients(s, t, source)
-    A, B, dA, dB, ddA, ddB = p.marching.values(t)
-    E = co.a**2 + co.b**2
-    G = dA**2 + dB**2
-    q1 = dA * co.b * k3 - dB * (k1 * co.a - k2 * co.b)  # <X_ss, N1> sqrt(G)
-    q2 = dA * ddB - dB * ddA                            # <X_tt, N1> sqrt(G)
-    rho2 = co.a * co.b_t - co.b * co.a_t                # <X_st, N2> sqrt(E)
-    sigma = co.a * co.b_s - co.b * co.a_s               # <X_ss, N2> sqrt(E)
+    _, _, dA, dB, ddA, ddB = p.marching.values(t)
+    E, G = metric(co, dA, dB)
+    q1, q2, sigma, rho2 = form_numerators(p._kappas(s, source), co, dA, dB, ddA, ddB)
     return E, G, q1, q2, rho2, sigma
 
 
@@ -156,6 +145,10 @@ class FlatnessResiduals:
     t_values: np.ndarray
     s_values: np.ndarray
 
+    @classmethod
+    def from_sweep(cls, sw: Sweep) -> "FlatnessResiduals":
+        return cls(rho1=sw.rho1[:, 0], rho2=sw.rho2.T, t_values=sw.t, s_values=sw.s)
+
     @property
     def max_rho1(self) -> float:
         return float(np.max(np.abs(self.rho1)))
@@ -180,15 +173,4 @@ def flatness_residuals(
     The default ``source="curve"`` evaluates rho2 with the curve's own
     curvature values (the convention under which a completed planar frame
     has b = 0 identically)."""
-    t_arr = np.asarray(list(t_values), dtype=float)
-    s_arr = np.asarray(list(s_values), dtype=float)
-    rho1 = np.empty(len(t_arr))
-    for j, t in enumerate(t_arr):
-        _, _, dA, dB, ddA, ddB = p.marching.values(float(t))
-        rho1[j] = dA * ddB - dB * ddA
-    rho2 = np.empty((len(s_arr), len(t_arr)))
-    for i, s in enumerate(s_arr):
-        for j, t in enumerate(t_arr):
-            co = p.coefficients(float(s), float(t), source)
-            rho2[i, j] = co.a * co.b_t - co.b * co.a_t
-    return FlatnessResiduals(rho1=rho1, rho2=rho2, t_values=t_arr, s_values=s_arr)
+    return FlatnessResiduals.from_sweep(p.sweep(list(s_values), list(t_values), source))

@@ -235,10 +235,6 @@ def derivatives(curve: CurveSpec, s: float, order: int = 4) -> list[Vec4]:
     return [Vec4.from_array(d) for d in curve.derivative_arrays(s, order)]
 
 
-def curve_point(curve: CurveSpec, s: float) -> Vec4:
-    return Vec4.from_array(curve.point(s))
-
-
 def frenet_apparatus(curve: CurveSpec, s: float) -> FrenetApparatus:
     """Frame and curvatures at ``s`` by Gram-Schmidt orthonormalization of
     the first four derivatives.

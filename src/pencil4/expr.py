@@ -47,6 +47,11 @@ CONSTANTS = {"pi": math.pi, "e": math.e}
 # at the pole and the result would be garbage, so it is a domain error.
 _POLE_TOL = 1e-14
 
+# Deepest nesting the parser accepts, counted both as parser recursion
+# (parentheses, calls, signs, exponents) and as depth of the parsed tree.
+# Evaluation and differentiation recurse once per tree level.
+MAX_DEPTH = 100
+
 
 # ---------------------------------------------------------------------------
 # AST
@@ -315,6 +320,7 @@ class _Parser:
         self.tokens = tokens
         self.k = 0
         self.var_name = var_name
+        self.nesting = 0  # active unary() calls: every recursion passes one
 
     def peek(self) -> _Token:
         return self.tokens[self.k]
@@ -351,13 +357,17 @@ class _Parser:
     # unary := '-' unary | power
     def unary(self) -> Expr:
         tok = self.peek()
-        if tok.kind == "OP" and tok.text == "-":
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", tok.pos)
+        if tok.kind == "OP" and tok.text in "+-":
             self.advance()
-            return Neg(self.unary(), tok.pos)
-        if tok.kind == "OP" and tok.text == "+":
-            self.advance()
-            return self.unary()
-        return self.power()
+            node = self.unary()
+            node = Neg(node, tok.pos) if tok.text == "-" else node
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     # power := atom ('^' unary)?   -- right-associative, exponent may be signed
     def power(self) -> Expr:
@@ -400,9 +410,9 @@ def parse(text: str, var_name: str) -> Expr:
     """Parse ``text`` into an expression tree over the free variable
     ``var_name``.
 
-    Raises ParseError (with byte offset) on malformed input and
-    UnknownIdentifierError for any symbol other than the variable, ``pi``,
-    ``e`` and the built-in functions.
+    Raises ParseError (with byte offset) on malformed input or nesting
+    deeper than MAX_DEPTH, and UnknownIdentifierError for any symbol other
+    than the variable, ``pi``, ``e`` and the built-in functions.
     """
     if not text or not text.strip():
         raise ParseError("empty expression", 0)
@@ -415,7 +425,29 @@ def parse(text: str, var_name: str) -> Expr:
     tail = parser.peek()
     if tail.kind != "EOF":
         raise ParseError("unexpected trailing input", tail.pos)
+    _check_depth(node)
     return node
+
+
+def _check_depth(root: Expr) -> None:
+    """Bound the tree depth, level by level: operator chains such as
+    t+t+...+t nest the tree without nesting the parser."""
+    level, depth = [root], 1
+    while level:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", level[0].pos)
+        level = [child for node in level for child in _children(node)]
+        depth += 1
+
+
+def _children(e: Expr) -> tuple[Expr, ...]:
+    if isinstance(e, BinOp):
+        return (e.left, e.right)
+    if isinstance(e, Neg):
+        return (e.operand,)
+    if isinstance(e, Call):
+        return (e.arg,)
+    return ()
 
 
 # ---------------------------------------------------------------------------

@@ -419,11 +419,10 @@ def flat_polar_solution(
     surface = PencilSurface(curve, marching, s_domain=s_domain)
 
     t_samples = np.linspace(t_domain[0], t_domain[1], nt)
-    res = cu.flatness_residuals(surface, t_samples, s_samples, source="curve")
-    max_k = 0.0
-    for t in t_samples:
-        for s in s_samples:
-            max_k = max(max_k, abs(cu.gaussian(surface, float(s), float(t), source="curve")))
+    sw = surface.sweep(s_samples, t_samples, source="curve")
+    res = cu.FlatnessResiduals.from_sweep(sw)
+    sw.require_regular()
+    max_k = float(np.max(np.abs(cu.invariants_from_forms(sw.forms).K)))
     ode_t = np.linspace(t_domain[0], t_domain[1], 64)
     eps1, eps2 = flat_ode_residuals(r, curve, ode_t, s_samples)
     verification = FlatPolarVerification(
@@ -459,28 +458,13 @@ def flat_ode_residuals(
     dr = ex.differentiate(r)
     ddr = ex.differentiate(dr)
     t_arr = np.asarray(list(t_samples), dtype=float)
-    s_arr = np.asarray(list(s_samples), dtype=float)
-    eps1 = np.empty(len(t_arr))
-    r_vals = np.empty(len(t_arr))
-    dr_vals = np.empty(len(t_arr))
-    for j, t in enumerate(t_arr):
-        rv = ex.evaluate(r, float(t))
-        dv = ex.evaluate(dr, float(t))
-        sv = ex.evaluate(ddr, float(t))
-        eps1[j] = 2.0 * dv * dv - rv * sv + rv * rv
-        r_vals[j] = rv
-        dr_vals[j] = dv
-    eps2 = np.empty((len(s_arr), len(t_arr)))
-    for i, s in enumerate(s_arr):
-        app = frenet_apparatus(curve, float(s))
-        k1, k2, k3 = app.kappas
-        for j, t in enumerate(t_arr):
-            rv, dv = r_vals[j], dr_vals[j]
-            eps2[i, j] = (
-                k1 * k3 * rv * rv
-                + (dv * k2 - rv * k3) * math.cos(float(t))
-                - (dv * k3 + rv * k2) * math.sin(float(t))
-            )
+    rv, dv, sv = (np.array([ex.evaluate(e, t) for t in t_arr.tolist()]) for e in (r, dr, ddr))
+    eps1 = 2.0 * dv * dv - rv * sv + rv * rv
+    # kappas per s as (ns, 1) columns against the (nt,) radius samples
+    k1, k2, k3 = np.array([frenet_apparatus(curve, float(s)).kappas
+                           for s in s_samples]).reshape(-1, 3).T[:, :, None]
+    eps2 = (k1 * k3 * rv * rv + (dv * k2 - rv * k3) * np.cos(t_arr)
+            - (dv * k3 + rv * k2) * np.sin(t_arr))
     return eps1, eps2
 
 

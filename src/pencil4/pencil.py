@@ -12,17 +12,15 @@ frame requires; for completed degenerate frames these differ from the
 curve's own curvatures (which are zero past kappa1).  Flatness bookkeeping
 that follows the curve-curvature convention passes ``source="curve"``.
 
-Everything is immutable and evaluation is pure; grid sweeps can run in
-parallel without coordination.  The per-surface frame cache is a plain
-dict keyed by the parameter value (idempotent writes, so concurrent reads
-under the GIL stay consistent).
+Each pencil formula is written once and accepts floats or broadcastable
+arrays: the scalar methods feed it one point, ``PencilSurface.sweep`` feeds
+it spine data per s as ``(1, ns)`` and marching values per t as ``(nt, 1)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -35,15 +33,15 @@ __all__ = [
     "PencilSurface",
     "PencilCoefficients",
     "FundamentalForms",
-    "coefficients",
-    "eval_surface",
-    "tangent_frame",
-    "normal_frame",
-    "fundamental_forms",
+    "Sweep",
 ]
 
 REGULARITY_TOL = 1e-12
 _KAPPA_FD_STEP = 1e-5  # central step for kappa'(s) on analytic curves
+
+# Regularity status codes of a grid point, and the condition each one names.
+OK, SPINE, MARCHING = 0, 1, 2
+CONDITIONS = ("ok", "spine", "marching")
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,8 @@ class PencilCoefficients:
 
 @dataclass(frozen=True)
 class FundamentalForms:
-    """First- and second-form coefficients of a pencil surface point.
+    """First- and second-form coefficients at a pencil surface point
+    (arrays of them on a grid from a sweep).
 
     F vanishes identically for pencils, as do c1_12 and c2_22; they are kept
     as explicit zeros so generic curvature formulas can consume this
@@ -122,18 +121,82 @@ class FundamentalForms:
     c1_12: float = 0.0
     c2_22: float = 0.0
 
-    def c(self, k: int, i: int, j: int) -> float:
-        """Second-form coefficient c^k_ij with 1-based indices."""
-        key = (k, min(i, j), max(i, j))
-        table = {
-            (1, 1, 1): self.c1_11,
-            (1, 1, 2): self.c1_12,
-            (1, 2, 2): self.c1_22,
-            (2, 1, 1): self.c2_11,
-            (2, 1, 2): self.c2_12,
-            (2, 2, 2): self.c2_22,
-        }
-        return table[key]
+
+@dataclass(frozen=True, eq=False)
+class Sweep:
+    """A pencil on the tensor grid ``t x s``, t-major: leading axes
+    ``(nt, ns)``.  ``forms`` is NaN where ``status`` is not OK.  ``rho1``
+    (``(nt, 1)``) and ``rho2`` are the unmasked flatness residuals
+    A' B'' - B' A'' = sqrt(G) c1_22 and a b_t - b a_t = sqrt(E) c2_12."""
+
+    s: np.ndarray       # (ns,)
+    t: np.ndarray       # (nt,)
+    points: np.ndarray  # (nt, ns, 4)
+    status: np.ndarray  # (nt, ns) int8: OK, SPINE or MARCHING
+    forms: FundamentalForms
+    rho1: np.ndarray
+    rho2: np.ndarray
+
+    def require_regular(self) -> None:
+        """Raise RegularityViolationError at the first irregular grid point
+        in t-major order."""
+        bad = np.flatnonzero(self.status)
+        if bad.size:
+            it, i_s = divmod(int(bad[0]), self.s.size)
+            raise RegularityViolationError(CONDITIONS[self.status[it, i_s]],
+                                           float(self.s[i_s]), float(self.t[it]))
+
+
+# ---------------------------------------------------------------------------
+# Pencil formulas: floats or broadcastable arrays
+# ---------------------------------------------------------------------------
+
+
+def _sqrt(x):
+    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
+
+
+def _coefficients(k, dk, A, B, dA, dB) -> PencilCoefficients:
+    k1, k2, k3 = k
+    dk1, dk2, dk3 = dk
+    return PencilCoefficients(a=1.0 - k1 * A, b=k2 * A - k3 * B,
+                              a_s=-dk1 * A, a_t=-k1 * dA,
+                              b_s=dk2 * A - dk3 * B, b_t=k2 * dA - k3 * dB)
+
+
+def metric(co: PencilCoefficients, dA, dB):
+    """(E, G) = (a^2 + b^2, A'^2 + B'^2)."""
+    return co.a * co.a + co.b * co.b, dA * dA + dB * dB
+
+
+def _regularity(E, G) -> np.ndarray:
+    """Status code per point; the spine condition is tested first."""
+    return np.where(E <= REGULARITY_TOL, SPINE,
+                    np.where(G <= REGULARITY_TOL, MARCHING, OK)).astype(np.int8)
+
+
+def _point(gamma, V2, V4, A, B):
+    return gamma + A * V2 + B * V4
+
+
+def form_numerators(k, co: PencilCoefficients, dA, dB, ddA, ddB):
+    """(q1, q2, sigma, rho2): the nonzero second-form coefficients before
+    normalization, sqrt(G) c1_11, sqrt(G) c1_22, sqrt(E) c2_11 and
+    sqrt(E) c2_12.  q2 and rho2 are the flatness residuals rho1 and rho2."""
+    k1, k2, k3 = k
+    return (
+        dA * co.b * k3 - dB * (k1 * co.a - k2 * co.b),  # <X_ss, N1> sqrt(G)
+        dA * ddB - dB * ddA,                            # <X_tt, N1> sqrt(G)
+        co.a * co.b_s - co.b * co.a_s,                  # <X_ss, N2> sqrt(E)
+        co.a * co.b_t - co.b * co.a_t,                  # <X_st, N2> sqrt(E)
+    )
+
+
+def _forms(E, G, q1, q2, sigma, rho2) -> FundamentalForms:
+    sqrt_e, sqrt_g = _sqrt(E), _sqrt(G)
+    return FundamentalForms(E=E, G=G, W2=E * G,
+                            c1_11=q1 / sqrt_g, c1_22=q2 / sqrt_g,
+                            c2_11=sigma / sqrt_e, c2_12=rho2 / sqrt_e)
 
 
 @dataclass(frozen=True)
@@ -192,27 +255,23 @@ class PencilSurface:
         rate = (plus - minus) / (2.0 * h)
         return tuple(float(v) for v in rate)
 
-    # -- geometry -------------------------------------------------------
+    # -- geometry at one point -------------------------------------------
 
     def coefficients(self, s: float, t: float, source: str = "frame") -> PencilCoefficients:
-        k1, k2, k3 = self._kappas(s, source)
-        dk1, dk2, dk3 = self._kappa_rates(s, source)
         A, B, dA, dB, _, _ = self.marching.values(t)
-        return PencilCoefficients(
-            a=1.0 - k1 * A,
-            b=k2 * A - k3 * B,
-            a_s=-dk1 * A,
-            a_t=-k1 * dA,
-            b_s=dk2 * A - dk3 * B,
-            b_t=k2 * dA - k3 * dB,
-        )
+        return _coefficients(self._kappas(s, source), self._kappa_rates(s, source),
+                             A, B, dA, dB)
 
-    def _check_regularity(self, s: float, t: float, co: PencilCoefficients,
-                          dA: float, dB: float) -> None:
-        if co.a * co.a + co.b * co.b <= REGULARITY_TOL:
-            raise RegularityViolationError("spine", s, t)
-        if dA * dA + dB * dB <= REGULARITY_TOL:
-            raise RegularityViolationError("marching", s, t)
+    def _regular(self, s: float, t: float, source: str = "frame"):
+        """(coefficients, marching values, E, G) at one point; raises
+        RegularityViolationError when either regularity condition fails."""
+        values = self.marching.values(t)
+        co = _coefficients(self._kappas(s, source), self._kappa_rates(s, source),
+                           *values[:4])
+        E, G = metric(co, values[2], values[3])
+        if (status := int(_regularity(E, G))) != OK:
+            raise RegularityViolationError(CONDITIONS[status], s, t)
+        return co, values, E, G
 
     def point_array(self, s: float, t: float) -> np.ndarray:
         """X(s,t) without regularity checks (the point itself is always
@@ -220,21 +279,17 @@ class PencilSurface:
         app = self.frame(s)
         A = ex.evaluate(self.marching.A, t)
         B = ex.evaluate(self.marching.B, t)
-        return self.curve.point(s) + A * app.frame[1] + B * app.frame[3]
+        return _point(self.curve.point(s), app.frame[1], app.frame[3], A, B)
 
     def point(self, s: float, t: float) -> Vec4:
         """X(s,t); raises RegularityViolationError when either regularity
         condition fails at the point."""
-        co = self.coefficients(s, t)
-        _, _, dA, dB, _, _ = self.marching.values(t)
-        self._check_regularity(s, t, co, dA, dB)
+        self._regular(s, t)
         return Vec4.from_array(self.point_array(s, t))
 
     def tangent_frame(self, s: float, t: float) -> tuple[Vec4, Vec4]:
         """(X_s, X_t) = (a V1 + b V3, A' V2 + B' V4)."""
-        co = self.coefficients(s, t)
-        _, _, dA, dB, _, _ = self.marching.values(t)
-        self._check_regularity(s, t, co, dA, dB)
+        co, (_, _, dA, dB, _, _), _, _ = self._regular(s, t)
         app = self.frame(s)
         x_s = co.a * app.frame[0] + co.b * app.frame[2]
         x_t = dA * app.frame[1] + dB * app.frame[3]
@@ -242,34 +297,15 @@ class PencilSurface:
 
     def normal_frame(self, s: float, t: float) -> tuple[Vec4, Vec4]:
         """(N1, N2) = ((-B' V2 + A' V4)/sqrt(G), (-b V1 + a V3)/sqrt(E))."""
-        co = self.coefficients(s, t)
-        _, _, dA, dB, _, _ = self.marching.values(t)
-        self._check_regularity(s, t, co, dA, dB)
+        co, (_, _, dA, dB, _, _), E, G = self._regular(s, t)
         app = self.frame(s)
-        g = math.sqrt(dA * dA + dB * dB)
-        e = math.sqrt(co.a * co.a + co.b * co.b)
-        n1 = (-dB * app.frame[1] + dA * app.frame[3]) / g
-        n2 = (-co.b * app.frame[0] + co.a * app.frame[2]) / e
+        n1 = (-dB * app.frame[1] + dA * app.frame[3]) / math.sqrt(G)
+        n2 = (-co.b * app.frame[0] + co.a * app.frame[2]) / math.sqrt(E)
         return Vec4.from_array(n1), Vec4.from_array(n2)
 
     def fundamental_forms(self, s: float, t: float, source: str = "frame") -> FundamentalForms:
-        k1, k2, k3 = self._kappas(s, source)
-        co = self.coefficients(s, t, source)
-        A, B, dA, dB, ddA, ddB = self.marching.values(t)
-        self._check_regularity(s, t, co, dA, dB)
-        E = co.a * co.a + co.b * co.b
-        G = dA * dA + dB * dB
-        sqrt_e = math.sqrt(E)
-        sqrt_g = math.sqrt(G)
-        return FundamentalForms(
-            E=E,
-            G=G,
-            W2=E * G,
-            c1_11=(dA * co.b * k3 - dB * (k1 * co.a - k2 * co.b)) / sqrt_g,
-            c1_22=(dA * ddB - dB * ddA) / sqrt_g,
-            c2_11=(co.a * co.b_s - co.b * co.a_s) / sqrt_e,
-            c2_12=(co.a * co.b_t - co.b * co.a_t) / sqrt_e,
-        )
+        co, values, E, G = self._regular(s, t, source)
+        return _forms(E, G, *form_numerators(self._kappas(s, source), co, *values[2:]))
 
     def second_derivative_s(self, s: float, t: float, source: str = "frame") -> Vec4:
         """X_ss assembled from the frame decomposition
@@ -283,28 +319,31 @@ class PencilSurface:
              + k3 * co.b * app.frame[3])
         return Vec4.from_array(v)
 
-    def as_point_function(self) -> Callable[[float, float], np.ndarray]:
-        return self.point_array
+    # -- geometry on a grid ----------------------------------------------
 
+    def sweep(self, ss, ts, source: str = "frame") -> Sweep:
+        """Points, forms and regularity status on the grid ``ts x ss``.
+        Reads spine data once per s and marching values once per t; an
+        irregular point gets a status code, never an exception."""
+        s_list = [float(s) for s in ss]
+        t_list = [float(t) for t in ts]
+        k = np.array([self._kappas(s, source) for s in s_list]).T[:, None, :]
+        dk = np.array([self._kappa_rates(s, source) for s in s_list]).T[:, None, :]
+        gamma = np.array([self.curve.point(s) for s in s_list])
+        frames = np.array([self.frame(s).frame for s in s_list])
+        A, B, dA, dB, ddA, ddB = np.array(
+            [self.marching.values(t) for t in t_list]).reshape(-1, 6).T[:, :, None]
 
-# Module-level aliases mirroring the operation names.
-
-def coefficients(p: PencilSurface, s: float, t: float, source: str = "frame") -> PencilCoefficients:
-    return p.coefficients(s, t, source)
-
-
-def eval_surface(p: PencilSurface, s: float, t: float) -> Vec4:
-    return p.point(s, t)
-
-
-def tangent_frame(p: PencilSurface, s: float, t: float) -> tuple[Vec4, Vec4]:
-    return p.tangent_frame(s, t)
-
-
-def normal_frame(p: PencilSurface, s: float, t: float) -> tuple[Vec4, Vec4]:
-    return p.normal_frame(s, t)
-
-
-def fundamental_forms(p: PencilSurface, s: float, t: float,
-                      source: str = "frame") -> FundamentalForms:
-    return p.fundamental_forms(s, t, source)
+        co = _coefficients(k, dk, A, B, dA, dB)
+        E, G = metric(co, dA, dB)
+        status = _regularity(E, G)
+        q1, q2, sigma, rho2 = form_numerators(k, co, dA, dB, ddA, ddB)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            raw = _forms(E, G, q1, q2, sigma, rho2)
+        irregular = status != OK
+        forms = FundamentalForms(
+            **{name: np.where(irregular, np.nan, getattr(raw, name))
+               for name in ("E", "G", "W2", "c1_11", "c1_22", "c2_11", "c2_12")})
+        points = _point(gamma, frames[:, 1], frames[:, 3], A[..., None], B[..., None])
+        return Sweep(s=np.array(s_list), t=np.array(t_list), points=points,
+                     status=status, forms=forms, rho1=q2, rho2=rho2)

@@ -28,6 +28,18 @@ def seed_scene(marching=None, domain=None, output=None):
     return cfg
 
 
+def analytic_scene():
+    """The seed double rotation written as four expressions in s."""
+    cfg = seed_scene()
+    cfg["curve"] = {
+        "kind": "analytic",
+        "components": ["0.8660254037844386*cos(s)", "0.8660254037844386*sin(s)",
+                       "0.25*cos(2*s)", "0.25*sin(2*s)"],
+        "domain": [0.0, 6.0],
+    }
+    return cfg
+
+
 def run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -65,6 +77,41 @@ class TestConfig:
         assert code == cli.EXIT_CONFIG
         assert "unit speed" in err
 
+    def test_nan_number_rejected(self, tmp_path, capsys):
+        cfg = seed_scene()
+        cfg["curve"]["a"] = float("nan")  # json.dumps writes NaN
+        code, out, err = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert "NaN is not a finite double" in err
+        assert out == ""
+
+    def test_overflowing_number_rejected(self, tmp_path, capsys):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(seed_scene()).replace("-0.25", "-1e999"), encoding="utf-8")
+        code, out, err = run(capsys, ["eval", "--config", str(path)])
+        assert code == cli.EXIT_CONFIG
+        assert "-1e999 is not a finite double" in err
+        assert out == ""
+
+    def test_infinity_rejected(self, tmp_path, capsys):
+        cfg = seed_scene(domain={"s": [0, float("inf")], "t": [-0.25, 0.25], "ns": 5, "nt": 4})
+        code, _, err = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert "Infinity is not a finite double" in err
+
+    def test_huge_integer_rejected(self, tmp_path, capsys):
+        cfg = seed_scene()
+        cfg["curve"]["a"] = 10**400
+        code, _, err = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert "is not a finite double" in err
+
+    def test_too_deep_expression_is_config_error(self, tmp_path, capsys):
+        cfg = seed_scene(marching={"kind": "expressions", "A": "t" + "+t" * 2000, "B": "t"})
+        code, _, err = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert "marching.A" in err and "deeper than" in err and "offset" in err
+
     def test_zero_marching_is_regularity_exit(self, tmp_path, capsys):
         cfg = seed_scene(marching={"kind": "expressions", "A": "0", "B": "0"})
         code, _, err = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
@@ -97,6 +144,16 @@ class TestFrenet:
         assert code == cli.EXIT_DEGENERATE
 
 
+def singular_ray_scene():
+    """Planar circle with A == 1, B == t: the spine condition fails on the
+    whole t = 0 row."""
+    return {
+        "curve": {"kind": "w_curve", "a": 1.0, "b": 0.0, "c": 1.0, "d": 1.0},
+        "marching": {"kind": "expressions", "A": "1 + 0*t", "B": "t"},
+        "domain": {"s": [0.0, 1.0], "t": [-0.1, 0.1], "ns": 2, "nt": 3},
+    }
+
+
 class TestEval:
     def test_grid_shape_and_spine(self, tmp_path, capsys):
         cfg = seed_scene(marching={"kind": "expressions", "A": "t", "B": "t"},
@@ -114,12 +171,7 @@ class TestEval:
             assert float(line.split(",")[1]) == 0.0
 
     def test_violation_markers(self, tmp_path, capsys):
-        # planar circle with A == 1, B == t: singular ray at t = 0
-        cfg = {
-            "curve": {"kind": "w_curve", "a": 1.0, "b": 0.0, "c": 1.0, "d": 1.0},
-            "marching": {"kind": "expressions", "A": "1 + 0*t", "B": "t"},
-            "domain": {"s": [0.0, 1.0], "t": [-0.1, 0.1], "ns": 2, "nt": 3},
-        }
+        cfg = singular_ray_scene()
         code, out, _ = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
         assert code == 0
         lines = out.strip().split("\n")
@@ -157,6 +209,49 @@ class TestCurvature:
             assert float(parts[4]) == pytest.approx(rep.K, rel=1e-12)
             assert float(parts[5]) == pytest.approx(rep.K_N, rel=1e-12)
             assert float(parts[6]) == pytest.approx(rep.H_norm_sq, rel=1e-12)
+
+    def test_marching_evaluated_once_per_t(self, tmp_path, monkeypatch):
+        from pencil4 import pencil as pc
+
+        for cfg in (seed_scene(), analytic_scene()):
+            scene = cli.load_scene(write_config(tmp_path, cfg), "7x5")
+            calls = []
+            values = pc.MarchingScale.values
+            monkeypatch.setattr(pc.MarchingScale, "values",
+                                lambda self, t: calls.append(t) or values(self, t))
+            cli.run_curvature(scene)
+            monkeypatch.undo()
+            assert len(calls) == 5
+
+
+class TestRegularityMarkers:
+    """Every grid command marks the singular row of the same scene alike."""
+
+    def test_status_and_nan_columns_agree(self, tmp_path, capsys):
+        path = write_config(tmp_path, singular_ray_scene())
+        outputs = {}
+        for command in ("eval", "curvature"):
+            out = tmp_path / f"{command}.csv"
+            assert cli.main([command, "--config", path, "--out", str(out)]) == 0
+            outputs[command] = out.read_text().strip().split("\n")[1:]
+        assert cli.main(["export", "--config", path, "--out", str(tmp_path / "mesh")]) == 0
+        outputs["export"] = (tmp_path / "mesh.csv").read_text().strip().split("\n")[1:]
+        code, out, _ = run(capsys, ["verify", "--config", path])
+
+        rows = {name: [line.split(",") for line in lines] for name, lines in outputs.items()}
+        status = [row[-1] for row in rows["eval"]]
+        assert status == ["ok"] * 2 + ["regularity:spine"] * 2 + ["ok"] * 2
+        for name in ("curvature", "export"):
+            assert [row[-1] for row in rows[name]] == status
+        for row, st in zip(rows["curvature"], status):
+            assert all((v == "nan") == (st != "ok") for v in row[2:-1])
+        for row, st in zip(rows["export"], status):
+            assert (row[-2] == "nan") == (st != "ok")
+            assert "nan" not in row[2:6]  # the point itself is always defined
+        for name in ("curvature", "export"):
+            assert [row[:2] for row in rows[name]] == [row[:2] for row in rows["eval"]]
+        assert code == 0
+        assert f"skipped {status.count('regularity:spine')}" in out
 
 
 class TestVerify:
@@ -309,6 +404,16 @@ class TestExport:
             capsys, ["export", "--config", write_config(tmp_path, cfg), "--out", str(base)]
         )
         assert code == 0
+
+    def test_bad_projection_flag_is_config_error(self, tmp_path, capsys):
+        cfg = seed_scene(output={"format": "obj"})
+        code, _, err = run(
+            capsys,
+            ["export", "--config", write_config(tmp_path, cfg), "--out",
+             str(tmp_path / "mesh"), "--projection", "drop:x"],
+        )
+        assert code == cli.EXIT_CONFIG
+        assert "drop:x" in err
 
     def test_projection_flag_override(self, tmp_path, capsys):
         cfg = seed_scene(

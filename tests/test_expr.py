@@ -119,6 +119,30 @@ class TestParseAndEvaluate:
         assert ei.value.position >= 0
 
 
+class TestDepthBound:
+    @pytest.mark.parametrize(
+        "deep",
+        [
+            "(" * 600 + "t" + ")" * 600,
+            "t" + "+t" * 2000,
+            "-" * 600 + "t",
+            "t^" * 600 + "t",
+            "sin(" * 600 + "t" + ")" * 600,
+        ],
+        ids=["parentheses", "sum-chain", "signs", "power-tower", "calls"],
+    )
+    def test_too_deep_is_parse_error_with_offset(self, deep):
+        with pytest.raises(ParseError) as ei:
+            expr.parse(deep, "t")
+        assert "deeper than" in str(ei.value)
+        assert 0 < ei.value.position < len(deep)
+
+    def test_depth_at_the_bound_evaluates(self):
+        n = expr.MAX_DEPTH - 1
+        assert ev("(" * n + "t" + ")" * n, 0.5) == 0.5
+        assert ev("t" + "+t" * n, 0.5) == 0.5 * (n + 1)
+
+
 class TestDifferentiate:
     def test_power_rule(self):
         d = expr.differentiate(expr.parse("t^2", "t"))

@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pencil4 import curvature as cu
 from pencil4 import curve as cv
 from pencil4 import pencil as pc
 from pencil4.errors import RegularityViolationError
@@ -12,6 +15,7 @@ from support import (
     fd_surface_first_derivatives,
     fd_surface_second_derivatives,
 )
+from test_curve import make_involute
 
 SQ3 = math.sqrt(3.0)
 SEED_CURVE = cv.WCurve(SQ3 / 2, 0.25, 1.0, 2.0)
@@ -266,3 +270,92 @@ class TestFundamentalForms:
             co_curve = p.coefficients(s, t, source="curve")
             assert co_curve.b == 0.0
             assert co_frame.b != 0.0
+
+
+def _num(v: float) -> str:
+    text = np.format_float_positional(v, trim="0")
+    return f"({text})" if v < 0 else text
+
+
+INVOLUTE = make_involute()
+
+
+class TestSweep:
+    """The grid sweep against the scalar route, point by point."""
+
+    @staticmethod
+    def assert_matches_scalar(make_surface, ss, ts, source):
+        sw = make_surface().sweep(ss, ts, source)
+        p = make_surface()  # its own frame cache
+        rep = cu.invariants_from_forms(sw.forms)
+        assert sw.points.shape == (len(ts), len(ss), 4)
+        assert sw.status.shape == sw.forms.E.shape == rep.K.shape == (len(ts), len(ss))
+        for it, t in enumerate(ts):
+            _, _, dA, dB, ddA, ddB = p.marching.values(t)
+            assert sw.rho1[it, 0] == dA * ddB - dB * ddA
+            for i_s, s in enumerate(ss):
+                assert np.array_equal(sw.points[it, i_s], p.point_array(s, t))
+                co = p.coefficients(s, t, source)
+                assert sw.rho2[it, i_s] == co.a * co.b_t - co.b * co.a_t
+                try:
+                    f = p.fundamental_forms(s, t, source)
+                except RegularityViolationError as err:
+                    assert pc.CONDITIONS[sw.status[it, i_s]] == err.condition
+                    assert math.isnan(sw.forms.E[it, i_s]) and math.isnan(rep.K[it, i_s])
+                    continue
+                assert sw.status[it, i_s] == pc.OK
+                assert sw.forms.E[it, i_s] == f.E
+                assert sw.forms.G[it, i_s] == f.G
+                want = cu.invariants_from_forms(f)
+                assert rep.K[it, i_s] == pytest.approx(want.K, rel=1e-12, abs=0)
+                assert rep.K_N[it, i_s] == pytest.approx(want.K_N, rel=1e-12, abs=0)
+                assert rep.H_norm_sq[it, i_s] == pytest.approx(want.H_norm_sq, rel=1e-12, abs=0)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        spine=st.sampled_from(["w_curve", "analytic_twin", "involute"]),
+        c=st.floats(0.7, 1.2), ratio=st.floats(1.6, 2.2), th=st.floats(0.45, 1.1),
+        s0=st.floats(0.6, 1.0), a1=st.floats(0.6, 1.0), a2=st.floats(-0.5, 0.5),
+        b1=st.floats(0.5, 1.5), b2=st.floats(-0.3, 0.3),
+        source=st.sampled_from(["frame", "curve"]),
+    )
+    def test_every_field_matches_scalar_route(self, spine, c, ratio, th, s0,
+                                              a1, a2, b1, b2, source):
+        d = c * ratio
+        a, b = math.cos(th) / c, math.sin(th) / d
+        s_dom = (s0, s0 + 1.5)
+        if spine == "w_curve":
+            curve = cv.WCurve(a, b, c, d)
+        elif spine == "analytic_twin":
+            curve = cv.AnalyticCurve.from_strings(
+                [f"{_num(a)}*cos({_num(c)}*s)", f"{_num(a)}*sin({_num(c)}*s)",
+                 f"{_num(b)}*cos({_num(d)}*s)", f"{_num(b)}*sin({_num(d)}*s)"], s_dom)
+        else:  # kappas vary with s, so the kappa rates are nonzero
+            curve = INVOLUTE
+        marching = pc.MarchingScale.from_expressions(
+            f"{_num(a1)}*t + {_num(a2)}*t^2", f"{_num(b1)}*t^2 + {_num(b2)}*sin(t)",
+            (-0.25, 0.25))
+        ss = np.linspace(*s_dom, 5).tolist()
+        ts = np.linspace(-0.25, 0.25, 4).tolist()
+        self.assert_matches_scalar(
+            lambda: pc.PencilSurface(curve, marching, s_domain=s_dom), ss, ts, source)
+
+    def test_singular_ray_is_a_status_not_an_error(self):
+        w = cv.WCurve(1.0, 0.0, 1.0, 1.0)
+        m = pc.MarchingScale.from_expressions("1 + 0*t", "t", (-0.5, 0.5))
+        ts = [-0.2, 0.0, 0.3]
+        self.assert_matches_scalar(lambda: pc.PencilSurface(w, m), [0.0, 0.3, 1.0], ts, "frame")
+        sw = pc.PencilSurface(w, m).sweep([0.0, 0.3, 1.0], ts)
+        assert sw.status.tolist() == [[0, 0, 0], [pc.SPINE] * 3, [0, 0, 0]]
+        with pytest.raises(RegularityViolationError) as ei:
+            sw.require_regular()
+        assert (ei.value.condition, ei.value.s, ei.value.t) == ("spine", 0.0, 0.0)
+
+    def test_stalled_marching_is_a_status_not_an_error(self):
+        # A' = B' = 0 at t = 0.3, which the 64 construction samples miss
+        m = pc.MarchingScale.from_expressions("(t - 0.3)^2", "(t - 0.3)^3", (0.0, 1.0))
+        ts = [0.1, 0.3, 0.5]
+        self.assert_matches_scalar(lambda: pc.PencilSurface(SEED_CURVE, m), [0.0, 2.0], ts,
+                                   "frame")
+        sw = pc.PencilSurface(SEED_CURVE, m).sweep([0.0, 2.0], ts)
+        assert sw.status.tolist() == [[0, 0], [pc.MARCHING] * 2, [0, 0]]
