@@ -73,6 +73,10 @@ _EXIT_CODES = """exit codes:
 """
 
 VERIFY_DEFAULT_TOL = 1e-6
+# Most grid points per axis (domain.ns, domain.nt, --grid): sweeps hold
+# O(ns nt) arrays and the oracle evaluates O(ns) stencils per batch.
+MAX_GRID = 1000
+_COMPARED = ("K", "K_N", "H_norm_sq")  # oracle error_estimate keys too
 ADJUDICATION_TOL = 1e-6
 
 
@@ -188,14 +192,16 @@ def load_scene(path: str | Path, grid_override: str | None = None) -> Scene:
     nt = _need(domain, "nt", "domain")
     if not isinstance(ns, int) or not isinstance(nt, int) or ns < 2 or nt < 2:
         raise ConfigError("domain.ns and domain.nt must be integers >= 2")
+    if max(ns, nt) > MAX_GRID:
+        raise ConfigError(f"domain.ns and domain.nt must be at most {MAX_GRID}")
     if grid_override:
         try:
             ns_text, nt_text = grid_override.lower().split("x")
             ns, nt = int(ns_text), int(nt_text)
         except ValueError as err:
             raise ConfigError(f"--grid must look like 50x50, got {grid_override!r}") from err
-        if ns < 2 or nt < 2:
-            raise ConfigError("--grid sizes must be >= 2")
+        if ns < 2 or nt < 2 or max(ns, nt) > MAX_GRID:
+            raise ConfigError(f"--grid sizes must be between 2 and {MAX_GRID}")
 
     marching_cfg = _need(cfg, "marching", "config")
     kind = _need(marching_cfg, "kind", "marching")
@@ -413,25 +419,28 @@ def run_verify(scene: Scene, tol: float, step: float | None):
         step=step,
     )
     rep = cu.invariants_from_forms(sweep.forms)
-    closed = _columns(sweep, rep.K, rep.K_N, rep.H_norm_sq)
-    pts, compared, csv_rows = [], [], []
-    for (s, t, k, kn, h), status in zip(closed, sweep.status.ravel().tolist()):
-        if status != pc.OK:
-            csv_rows.append([_fmt(s), _fmt(t)] + ["nan"] * 6 + ["regularity"])
-            continue
-        rep_o = orc.numeric_forms(immersion, s, t)
-        # the orientation-adjusted K_N is comparable across the grid even
-        # when the oracle's basis choice flips between points
-        pairs = (k, rep_o.K, kn, rep_o.k_n_oriented, h, rep_o.h_norm_sq)
-        pts.append((s, t))
-        compared.append(pairs)
-        csv_rows.append([_fmt(s), _fmt(t), *map(_fmt, pairs), "ok"])
-    if not pts:
+    ok = sweep.status == pc.OK
+    if not ok.any():
         raise RegularityViolationError("spine")
-    table = np.array(compared)  # closed, oracle column pairs per quantity
-    reports = [orc.compare(name, table[:, 2 * i], table[:, 2 * i + 1], pts, tol,
-                           match_sign=name == "K_N")
-               for i, name in enumerate(("K", "K_N", "H_norm_sq"))]
+    # per point: (closed, oracle) for K, K_N and |H|^2, and the oracle's
+    # truncation estimates; NaN where the point is irregular
+    table = np.full(ok.shape + (6,), np.nan)
+    table[..., 0::2] = np.stack([rep.K, rep.K_N, rep.H_norm_sq], axis=-1)
+    estimates = np.full(ok.shape + (3,), np.nan)
+    for it, t in enumerate(sweep.t.tolist()):
+        cols = np.flatnonzero(ok[it])
+        if cols.size:
+            rep_o = orc.numeric_forms(immersion, sweep.s[cols], t)
+            # the orientation-adjusted K_N is comparable across the grid even
+            # when the oracle's basis choice flips between points
+            table[it, cols, 1::2] = np.stack([rep_o.K, rep_o.k_n_oriented, rep_o.h_norm_sq], -1)
+            estimates[it, cols] = np.stack([rep_o.error_estimate[q] for q in _COMPARED], -1)
+    s_grid, t_grid = np.broadcast_arrays(sweep.s, sweep.t[:, None])
+    pts = list(zip(s_grid[ok].tolist(), t_grid[ok].tolist()))
+    compared, estimates = table[ok], estimates[ok]
+    reports = [orc.compare(name, compared[:, 2 * i], compared[:, 2 * i + 1], pts,
+                           estimates[:, i], tol, match_sign=name == "K_N")
+               for i, name in enumerate(_COMPARED)]
     lines = [
         "verification: closed-form curvature vs finite-difference oracle",
         f"grid {scene.ns}x{scene.nt}, compared {len(pts)} regular points, "
@@ -439,6 +448,9 @@ def run_verify(scene: Scene, tol: float, step: float | None):
         *(r.summary() for r in reports),
     ]
     all_passed = all(r.passed for r in reports)
+    statuses = ["ok" if good else "regularity" for good in ok.ravel().tolist()]
+    csv_rows = ([*map(_fmt, v), status] for v, status in
+                zip(_columns(sweep, *np.moveaxis(table, -1, 0)), statuses))
 
     if scene.marching_kind == "ruled":
         lines.extend(_ruled_adjudication(scene, sweep.t))

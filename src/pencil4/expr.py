@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from decimal import Decimal
 
+import numpy as np
+
 from .errors import EvalDomainError, ParseError, UnknownIdentifierError
 
 __all__ = [
@@ -33,6 +35,8 @@ __all__ = [
     "Call",
     "parse",
     "differentiate",
+    "derivatives",
+    "tree_size",
     "evaluate",
     "to_string",
     "constant",
@@ -51,6 +55,10 @@ _POLE_TOL = 1e-14
 # (parentheses, calls, signs, exponents) and as depth of the parsed tree.
 # Evaluation and differentiation recurse once per tree level.
 MAX_DEPTH = 100
+
+# Largest derivative tree, counted with shared subtrees expanded, that
+# ``derivatives`` returns: evaluation time grows with this count.
+MAX_NODES = 20_000
 
 
 # ---------------------------------------------------------------------------
@@ -455,32 +463,60 @@ def _children(e: Expr) -> tuple[Expr, ...]:
 # ---------------------------------------------------------------------------
 
 
+# Domain faults of each operator and function: (rule, message) pairs in the
+# order they are reported.  A rule takes the evaluator's math module (``math``
+# for floats, ``numpy`` for arrays) and the operands, and holds on floats and
+# on arrays alike, so both evaluators read this one table.
+_FAULTS = {
+    "/": ((lambda m, l, r: r == 0.0, "division by zero"),),
+    "^": ((lambda m, l, r: (l == 0.0) & (r < 0.0), "zero raised to a negative power"),
+          (lambda m, l, r: (l < 0.0) & (r % 1.0 != 0.0),
+           "negative base with non-integer exponent")),
+    **{fn: ((lambda m, v: m.isinf(v), f"{fn} of an infinite value"),) for fn in ("sin", "cos")},
+    **{fn: ((lambda m, v: m.isinf(v), f"{fn} of an infinite value"),
+            (lambda m, v: abs(m.cos(v)) < _POLE_TOL, f"{fn} evaluated at a pole"))
+       for fn in ("tan", "sec")},
+    "exp": (),  # it only overflows
+    "ln": ((lambda m, v: v <= 0.0, "ln of a non-positive value"),),
+    "sqrt": ((lambda m, v: v < 0.0, "sqrt of a negative value"),),
+}
+# Operations whose finite operands can give an infinite value: a fault.
+_OVERFLOW = {"^": "overflow in power", "exp": "overflow in exp"}
+
+
 def _pow_value(base: float, exponent: float, pos: int | None) -> float:
-    if base == 0.0 and exponent < 0.0:
-        raise EvalDomainError("zero raised to a negative power", pos)
-    if base < 0.0:
-        if float(exponent).is_integer():
-            return math.pow(base, exponent)
-        raise EvalDomainError("negative base with non-integer exponent", pos)
+    for holds, message in _FAULTS["^"]:
+        if holds(math, base, exponent):
+            raise EvalDomainError(message, pos)
     try:
         return math.pow(base, exponent)
     except OverflowError:
-        raise EvalDomainError("overflow in power", pos) from None
+        raise EvalDomainError(_OVERFLOW["^"], pos) from None
 
 
-def evaluate(e: Expr, x: float) -> float:
+def evaluate(e: Expr, x):
     """Evaluate ``e`` with the free variable bound to ``x`` in IEEE double
-    precision.  Domain faults raise EvalDomainError carrying the source
-    offset of the offending subtree."""
+    precision.  ``x`` is a float (evaluated with ``math``) or an ndarray
+    (numpy ufuncs; the result has the shape of ``x``).  Domain faults raise
+    EvalDomainError carrying the source offset of the offending subtree;
+    for an array the message also names the first faulting element."""
+    if isinstance(x, np.ndarray):
+        x = x.astype(float, copy=False)
+        with np.errstate(all="ignore"):
+            return np.array(np.broadcast_to(_evaluate_array(e, x), x.shape))
+    return _evaluate_float(e, x)
+
+
+def _evaluate_float(e: Expr, x: float) -> float:
     if isinstance(e, Literal):
         return e.value
     if isinstance(e, Variable):
         return x
     if isinstance(e, Neg):
-        return -evaluate(e.operand, x)
+        return -_evaluate_float(e.operand, x)
     if isinstance(e, BinOp):
-        l = evaluate(e.left, x)
-        r = evaluate(e.right, x)
+        l = _evaluate_float(e.left, x)
+        r = _evaluate_float(e.right, x)
         op = e.op
         if op == "+":
             return l + r
@@ -489,44 +525,106 @@ def evaluate(e: Expr, x: float) -> float:
         if op == "*":
             return l * r
         if op == "/":
-            if r == 0.0:
-                raise EvalDomainError("division by zero", e.pos)
+            for holds, message in _FAULTS[op]:
+                if holds(math, l, r):
+                    raise EvalDomainError(message, e.pos)
             return l / r
         if op == "^":
             return _pow_value(l, r, e.pos)
         raise AssertionError(f"bad operator {op!r}")
     if isinstance(e, Call):
-        v = evaluate(e.arg, x)
+        v = _evaluate_float(e.arg, x)
         fn = e.fn
+        for holds, message in _FAULTS[fn]:
+            if holds(math, v):
+                raise EvalDomainError(message, e.pos)
         if fn == "sin":
             return math.sin(v)
         if fn == "cos":
             return math.cos(v)
         if fn == "tan":
-            c = math.cos(v)
-            if abs(c) < _POLE_TOL:
-                raise EvalDomainError("tan evaluated at a pole", e.pos)
-            return math.sin(v) / c
+            return math.sin(v) / math.cos(v)
         if fn == "sec":
-            c = math.cos(v)
-            if abs(c) < _POLE_TOL:
-                raise EvalDomainError("sec evaluated at a pole", e.pos)
-            return 1.0 / c
+            return 1.0 / math.cos(v)
         if fn == "exp":
             try:
                 return math.exp(v)
             except OverflowError:
-                raise EvalDomainError("overflow in exp", e.pos) from None
+                raise EvalDomainError(_OVERFLOW[fn], e.pos) from None
         if fn == "ln":
-            if v <= 0.0:
-                raise EvalDomainError("ln of a non-positive value", e.pos)
             return math.log(v)
         if fn == "sqrt":
-            if v < 0.0:
-                raise EvalDomainError("sqrt of a negative value", e.pos)
             return math.sqrt(v)
         raise AssertionError(f"bad function {fn!r}")
     raise TypeError(f"not an expression node: {e!r}")
+
+
+_ARRAY_FUNCTIONS = {
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": lambda v: np.sin(v) / np.cos(v),
+    "sec": lambda v: 1.0 / np.cos(v),
+    "exp": np.exp,
+    "ln": np.log,
+    "sqrt": np.sqrt,
+}
+
+
+def _evaluate_array(e: Expr, x: np.ndarray):
+    """The float evaluator's twin over an array (float where a subtree does
+    not depend on the variable); the same faults, found by masks."""
+    if isinstance(e, Literal):
+        return e.value
+    if isinstance(e, Variable):
+        return x
+    if isinstance(e, Neg):
+        return -_evaluate_array(e.operand, x)
+    if isinstance(e, BinOp):
+        l = _evaluate_array(e.left, x)
+        r = _evaluate_array(e.right, x)
+        op = e.op
+        if op == "+":
+            return l + r
+        if op == "-":
+            return l - r
+        if op == "*":
+            return l * r
+        if op == "/":
+            out = l / r
+        elif op == "^":
+            out = np.power(l, r)
+        else:
+            raise AssertionError(f"bad operator {op!r}")
+        _raise_first(x, op, e.pos, out, l, r)
+        return out
+    if isinstance(e, Call):
+        v = _evaluate_array(e.arg, x)
+        if e.fn not in _ARRAY_FUNCTIONS:
+            raise AssertionError(f"bad function {e.fn!r}")
+        out = _ARRAY_FUNCTIONS[e.fn](v)
+        _raise_first(x, e.fn, e.pos, out, v)
+        return out
+    raise TypeError(f"not an expression node: {e!r}")
+
+
+def _raise_first(x: np.ndarray, name: str, pos: int | None, out, *operands) -> None:
+    """Raise EvalDomainError at the first element of ``x`` where one of
+    ``name``'s domain faults holds; at that element the earliest listed
+    fault is reported, as the float evaluator would."""
+    faults = [(holds(np, *operands), message) for holds, message in _FAULTS[name]]
+    if name in _OVERFLOW:
+        overflow = np.isinf(out)
+        for operand in operands:
+            overflow = overflow & np.isfinite(operand)
+        faults.append((overflow, _OVERFLOW[name]))
+    if not any(np.asarray(mask).any() for mask, _ in faults):
+        return
+    masks = [np.broadcast_to(mask, x.shape).ravel() for mask, _ in faults]
+    first = int(np.argmax(np.logical_or.reduce(masks)))
+    message = next(msg for mask, (_, msg) in zip(masks, faults) if mask[first])
+    where = np.unravel_index(first, x.shape)
+    raise EvalDomainError(f"{message} at element {list(map(int, where))} "
+                          f"(variable = {float(x[where])!r})", pos)
 
 
 # ---------------------------------------------------------------------------
@@ -538,17 +636,32 @@ def differentiate(e: Expr) -> Expr:
     """Exact symbolic derivative with respect to the free variable.
 
     The output stays inside the same grammar, so repeated application
-    yields higher-order derivatives.
+    yields higher-order derivatives.  Each node is differentiated once per
+    call, so a subtree shared by the input is shared by the output too.
     """
+    memo: dict[int, Expr] = {}
+
+    def d(node: Expr) -> Expr:
+        key = id(node)  # the input tree keeps its nodes, and so their ids, alive
+        if key not in memo:
+            memo[key] = _derivative(node, *map(d, _children(node)))
+        return memo[key]
+
+    return d(e)
+
+
+def _derivative(e: Expr, *d: Expr) -> Expr:
+    """The derivative of node ``e`` given the derivatives ``d`` of its
+    children."""
     if isinstance(e, Literal):
         return Literal(0.0)
     if isinstance(e, Variable):
         return Literal(1.0)
     if isinstance(e, Neg):
-        return _neg(differentiate(e.operand))
+        return _neg(d[0])
     if isinstance(e, BinOp):
         u, v = e.left, e.right
-        du, dv = differentiate(u), differentiate(v)
+        du, dv = d
         op = e.op
         if op == "+":
             return _add(du, dv)
@@ -571,7 +684,7 @@ def differentiate(e: Expr) -> Expr:
         raise AssertionError(f"bad operator {op!r}")
     if isinstance(e, Call):
         u = e.arg
-        du = differentiate(u)
+        (du,) = d
         fn = e.fn
         if fn == "sin":
             return _mul(Call("cos", u), du)
@@ -589,6 +702,34 @@ def differentiate(e: Expr) -> Expr:
             return _div(du, _mul(Literal(2.0), e))
         raise AssertionError(f"bad function {fn!r}")
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def tree_size(e: Expr) -> int:
+    """Node count of ``e`` with every shared subtree counted once per use:
+    the number of nodes an evaluation visits.  Costs one visit per
+    distinct node."""
+    memo: dict[int, int] = {}
+
+    def size(node: Expr) -> int:
+        key = id(node)
+        if key not in memo:
+            memo[key] = 1 + sum(map(size, _children(node)))
+        return memo[key]
+
+    return size(e)
+
+
+def derivatives(e: Expr, order: int) -> list[Expr]:
+    """``[e', e'', ..., e^(order)]``.  Raises ParseError at the offset of
+    ``e`` when a derivative would visit more than MAX_NODES nodes per
+    evaluation (nested functions multiply under the chain rule)."""
+    out = [e]
+    for k in range(1, order + 1):
+        out.append(differentiate(out[-1]))
+        if tree_size(out[-1]) > MAX_NODES:
+            raise ParseError(f"derivative {k} of the expression expands to more than "
+                             f"{MAX_NODES} nodes", e.pos or 0)
+    return out[1:]
 
 
 # ---------------------------------------------------------------------------

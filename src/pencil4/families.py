@@ -92,13 +92,15 @@ class RotationProfile:
     def generator(self) -> WCurve:
         return WCurve(self.a, self.b, self.c, self.d)
 
-    def point(self, s: float, t: float) -> np.ndarray:
+    def point(self, s, t) -> np.ndarray:
+        """The rotation surface at floats (shape (4,)) or broadcastable
+        arrays (shape (..., 4))."""
         f = ex.evaluate(self.f, t)
         g = ex.evaluate(self.g, t)
-        return np.array([
-            f * math.cos(self.c * s), f * math.sin(self.c * s),
-            g * math.cos(self.d * s), g * math.sin(self.d * s),
-        ])
+        return np.stack(np.broadcast_arrays(
+            f * np.cos(self.c * s), f * np.sin(self.c * s),
+            g * np.cos(self.d * s), g * np.sin(self.d * s),
+        ), axis=-1)
 
 
 def _frame_gauge_sign(curve: WCurve) -> float:
@@ -185,11 +187,12 @@ def vranceanu_immersion(r: ex.Expr | str,
     if isinstance(r, str):
         r = ex.parse(r, "t")
 
-    def fn(s: float, t: float) -> np.ndarray:
+    def fn(s, t) -> np.ndarray:
         rv = ex.evaluate(r, t)
-        ct, st = math.cos(t), math.sin(t)
-        cs, ss = math.cos(s), math.sin(s)
-        return np.array([rv * ct * cs, rv * ct * ss, rv * st * cs, rv * st * ss])
+        ct, st = np.cos(t), np.sin(t)
+        cs, ss = np.cos(s), np.sin(s)
+        return np.stack(np.broadcast_arrays(rv * ct * cs, rv * ct * ss,
+                                            rv * st * cs, rv * st * ss), axis=-1)
 
     return Immersion(fn, s_domain, t_domain)
 
@@ -455,10 +458,9 @@ def flat_ode_residuals(
     curvature values."""
     if isinstance(r, str):
         r = ex.parse(r, "t")
-    dr = ex.differentiate(r)
-    ddr = ex.differentiate(dr)
     t_arr = np.asarray(list(t_samples), dtype=float)
-    rv, dv, sv = (np.array([ex.evaluate(e, t) for t in t_arr.tolist()]) for e in (r, dr, ddr))
+    rv, dv, sv = (np.array([ex.evaluate(e, t) for t in t_arr.tolist()])
+                  for e in (r, *ex.derivatives(r, 2)))
     eps1 = 2.0 * dv * dv - rv * sv + rv * rv
     # kappas per s as (ns, 1) columns against the (nt,) radius samples
     k1, k2, k3 = np.array([frenet_apparatus(curve, float(s)).kappas

@@ -8,6 +8,10 @@ assembled from the measured fundamental-form coefficients.  Nothing here
 touches moving frames or symbolic derivatives, so it is a genuinely
 independent check of every closed form in the library.
 
+Points are measured in batches: every stencil point of a batch comes from
+one call of the immersion's evaluator, and every step after that is an
+array operation, so a single point is a batch of one.
+
 K and ||H||^2 (and the ambient mean-curvature vector) are basis
 independent.  The normal curvature depends on the orientation of the
 chosen bases; reports carry that orientation so callers can compare values
@@ -41,26 +45,33 @@ _SKIP_TOL = 0.25  # reject normal-candidate residuals shorter than this
 class Immersion:
     """A surface patch given by an evaluator and a rectangular domain.
 
+    ``fn(U, V)`` takes broadcastable arrays of parameters and returns the
+    points, shape ``(..., 4)`` over the broadcast shape (floats give one
+    point).  The oracle calls it once per ``numeric_forms`` call, with U of
+    shape (n, 5, 1) and V of shape (n, 1, 5), so an evaluator that reads
+    per-u or per-v data can read it once per stencil line.
+
     ``step`` overrides the differencing step; when None the policy
     h = 1e-4 * max(1, |u|, |v|) applies.  Larger steps (~4e-3) push the
     roundoff floor of second derivatives from ~1e-7 down to ~1e-10 and are
     used by flatness certifications.
     """
 
-    fn: Callable[[float, float], np.ndarray]
+    fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     u_domain: tuple[float, float]
     v_domain: tuple[float, float]
     step: float | None = None
 
-    def step_at(self, u: float, v: float) -> float:
+    def step_at(self, u, v):
         if self.step is not None:
-            return self.step
-        return 1e-4 * max(1.0, abs(u), abs(v))
+            return np.full(np.broadcast(u, v).shape, float(self.step))
+        return 1e-4 * np.maximum(np.maximum(1.0, np.abs(u)), np.abs(v))
 
 
 @dataclass(frozen=True, eq=False)
 class OracleReport:
-    """Measured fundamental forms and curvature invariants at one point.
+    """Measured fundamental forms and curvature invariants at one point,
+    or at each of n points (every field then gains a leading axis n).
 
     ``c`` has shape (2, 2, 2): c[k-1, i-1, j-1] is the projection of X_ij
     onto the k-th measured normal.  ``k_n`` follows the same index pattern
@@ -68,7 +79,8 @@ class OracleReport:
     F-term, and the two agree whenever F = 0.  ``orientation`` is the sign
     of det[T1 T2 N1 N2]; k_n * orientation is comparable across points and
     basis choices.  ``error_estimate`` maps quantity names to the observed
-    difference between the extrapolated and unextrapolated stencil values.
+    difference between the extrapolated and unextrapolated stencil values
+    (NaN where the unextrapolated tangents are degenerate).
     """
 
     E: float
@@ -89,163 +101,192 @@ class OracleReport:
         return self.k_n * self.orientation
 
 
-def _first_derivative(f, x: float, h: float):
-    lo = (f(x + h) - f(x - h)) / (2.0 * h)
-    wide = (f(x + 2.0 * h) - f(x - 2.0 * h)) / (4.0 * h)
-    hi = (4.0 * lo - wide) / 3.0
-    return hi, lo
+_OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])  # stencil nodes, in steps h
+_EYE = np.eye(4)
 
 
-def _second_derivative(f, x: float, h: float, center):
-    lo = (f(x + h) - 2.0 * center + f(x - h)) / (h * h)
-    wide = (f(x + 2.0 * h) - 2.0 * center + f(x - 2.0 * h)) / (4.0 * h * h)
-    hi = (4.0 * lo - wide) / 3.0
-    return hi, lo
-
-
-def numeric_forms(im: Immersion, u: float, v: float,
+def numeric_forms(im: Immersion, u, v,
                   seed_order: tuple[int, int, int, int] = (0, 1, 2, 3)) -> OracleReport:
     """Fundamental forms and invariants at (u, v) from differencing alone.
+
+    ``u`` and ``v`` are floats (one report of floats) or equal-length 1-D
+    arrays (one report of arrays); a float pairs with every element of the
+    other.  The 5 x 5 stencil grid of every point (u + i h, v + j h),
+    i, j in -2..2, is evaluated in one ``im.fn`` call.
 
     ``seed_order`` is the order in which standard basis vectors are offered
     to the normal-basis Gram-Schmidt (the defaults make the basis
     deterministic; a different order exercises basis independence).
 
     Raises StepUnderflowError when the 2-step stencil leaves the domain and
-    RankDeficiencyError when the measured tangents are dependent.
+    RankDeficiencyError when the measured tangents are dependent, at the
+    first such point.
     """
+    scalar = np.ndim(u) == 0 and np.ndim(v) == 0
+    u, v = np.broadcast_arrays(np.atleast_1d(np.asarray(u, dtype=float)),
+                               np.atleast_1d(np.asarray(v, dtype=float)))
     h = im.step_at(u, v)
     (u0, u1), (v0, v1) = im.u_domain, im.v_domain
-    if u - 2 * h < u0 or u + 2 * h > u1 or v - 2 * h < v0 or v + 2 * h > v1:
+    outside = (u - 2 * h < u0) | (u + 2 * h > u1) | (v - 2 * h < v0) | (v + 2 * h > v1)
+    if outside.any():
+        i = int(np.argmax(outside))
         raise StepUnderflowError(
-            f"stencil of half-width {2 * h!r} does not fit at ({u!r}, {v!r})"
+            f"stencil of half-width {float(2 * h[i])!r} does not fit at "
+            f"({float(u[i])!r}, {float(v[i])!r})"
         )
-    f = im.fn
-    center = f(u, v)
-
-    x_u, x_u_lo = _first_derivative(lambda uu: f(uu, v), u, h)
-    x_v, x_v_lo = _first_derivative(lambda vv: f(u, vv), v, h)
-    x_uu, x_uu_lo = _second_derivative(lambda uu: f(uu, v), u, h, center)
-    x_vv, x_vv_lo = _second_derivative(lambda vv: f(u, vv), v, h, center)
-
-    def dv_at(uu: float):
-        return _first_derivative(lambda vv: f(uu, vv), v, h)
-
-    x_uv, x_uv_lo = _mixed(dv_at, u, h)
-
-    return _report_from_derivatives(
-        x_u, x_v, x_uu, x_uv, x_vv,
-        low=(x_u_lo, x_v_lo, x_uu_lo, x_uv_lo, x_vv_lo),
-        seed_order=seed_order,
-    )
-
-
-def _mixed(dv_at, u: float, h: float):
-    hi_p1, lo_p1 = dv_at(u + h)
-    hi_m1, lo_m1 = dv_at(u - h)
-    hi_p2, lo_p2 = dv_at(u + 2 * h)
-    hi_m2, lo_m2 = dv_at(u - 2 * h)
-    lo = (hi_p1 - hi_m1) / (2.0 * h)
-    wide = (hi_p2 - hi_m2) / (4.0 * h)
-    hi = (4.0 * lo - wide) / 3.0
-    lo_both = (lo_p1 - lo_m1) / (2.0 * h)
-    return hi, lo_both
+    n = u.size
+    grid_u = u[:, None, None] + _OFFSETS[:, None] * h[:, None, None]
+    grid_v = v[:, None, None] + _OFFSETS * h[:, None, None]
+    # X[:, i, j] = X(u + (i-2) h, v + (j-2) h)
+    X = np.broadcast_to(im.fn(grid_u, grid_v), (n, 5, 5, 4))
+    h = h[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        center = X[:, 2, 2]
+        x_u, x_u_lo = _diff1(X[:, :, 2], h)
+        x_v, x_v_lo = _diff1(X[:, 2, :], h)
+        x_uu, x_uu_lo = _diff2(X[:, :, 2], center, h)
+        x_vv, x_vv_lo = _diff2(X[:, 2, :], center, h)
+        # d/dv along each u-line, then d/du of those (both levels)
+        dv_hi, dv_lo = _diff1(X.swapaxes(1, 2), h[:, None])
+        x_uv, _ = _diff1(dv_hi, h)
+        _, x_uv_lo = _diff1(dv_lo, h)
+        rep = _report_from_derivatives(
+            x_u, x_v, x_uu, x_uv, x_vv,
+            low=(x_u_lo, x_v_lo, x_uu_lo, x_uv_lo, x_vv_lo),
+            seed_order=seed_order, points=(u, v),
+        )
+    if scalar:
+        return OracleReport(**{name: _unbatch(getattr(rep, name))
+                               for name in OracleReport.__dataclass_fields__})
+    return rep
 
 
-def _normal_basis(x_u: np.ndarray, x_v: np.ndarray,
-                  seed_order=(0, 1, 2, 3)) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    t1 = x_u / np.linalg.norm(x_u)
-    r = x_v - (x_v @ t1) * t1
-    rn = np.linalg.norm(r)
-    if rn * rn < _GRAM_TOL:
-        raise RankDeficiencyError("tangent vectors are numerically dependent")
-    t2 = r / rn
-    normals = []
+def _diff1(line: np.ndarray, h: np.ndarray):
+    """(Richardson, plain) central first derivatives from the five values
+    f(x - 2h), ..., f(x + 2h) along axis 1 of ``line``."""
+    lo = (line[:, 3] - line[:, 1]) / (2.0 * h)
+    wide = (line[:, 4] - line[:, 0]) / (4.0 * h)
+    return (4.0 * lo - wide) / 3.0, lo
+
+
+def _diff2(line: np.ndarray, center: np.ndarray, h: np.ndarray):
+    """(Richardson, plain) central second derivatives, as ``_diff1``."""
+    lo = (line[:, 3] - 2.0 * center + line[:, 1]) / (h * h)
+    wide = (line[:, 4] - 2.0 * center + line[:, 0]) / (4.0 * h * h)
+    return (4.0 * lo - wide) / 3.0, lo
+
+
+def _unbatch(value):
+    """The first entry of a batched report field."""
+    if isinstance(value, dict):
+        return {k: _unbatch(v) for k, v in value.items()}
+    return float(value[0]) if value.ndim == 1 else value[0]
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product of (n, 4) arrays, summed in index order."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2] + a[:, 3] * b[:, 3]
+
+
+def _normal_basis(x_u: np.ndarray, x_v: np.ndarray, seed_order=(0, 1, 2, 3)):
+    """Orthonormal tangents t1, t2 and normals n1, n2 per point, plus the
+    rank fault per point: 1 where the tangents are dependent, 2 where no
+    normal basis could be assembled, else 0."""
+    t1 = x_u / np.sqrt(_dot(x_u, x_u))[:, None]
+    r = x_v - _dot(x_v, t1)[:, None] * t1
+    rn = np.sqrt(_dot(r, r))
+    t2 = r / rn[:, None]
+    normals = np.zeros((2,) + x_u.shape)
+    found = np.zeros(len(x_u), dtype=int)
     for i in seed_order:
-        e = np.zeros(4)
-        e[i] = 1.0
-        res = e - (e @ t1) * t1 - (e @ t2) * t2
-        for n in normals:
-            res = res - (res @ n) * n
-        ln = np.linalg.norm(res)
-        if ln > _SKIP_TOL:
-            normals.append(res / ln)
-            if len(normals) == 2:
-                break
-    if len(normals) != 2:
-        raise RankDeficiencyError("could not assemble a normal basis")
-    return t1, t2, normals[0], normals[1]
+        # e_i - (e_i . t1) t1 - (e_i . t2) t2, then minus its projection
+        # on the normal found so far (a zero row where there is none yet)
+        res = _EYE[i] - t1[:, i, None] * t1 - t2[:, i, None] * t2
+        res = res - _dot(res, normals[0])[:, None] * normals[0]
+        ln = np.sqrt(_dot(res, res))
+        take = (ln > _SKIP_TOL) & (found < 2)
+        slot = np.minimum(found, 1)
+        for k in (0, 1):
+            pick = take & (slot == k)
+            normals[k][pick] = res[pick] / ln[pick, None]
+        found += take
+    fault = np.where(rn * rn < _GRAM_TOL, 1, np.where(found != 2, 2, 0))
+    return t1, t2, normals[0], normals[1], fault
 
 
 def _invariants(E, F, G, c):
+    """W2, K, k_n, k_n_alt and the two mean-curvature coefficients from the
+    first-form coefficients and ``c`` (leading axes, then (2, 2, 2))."""
     w2 = E * G - F * F
-    if w2 <= _GRAM_TOL:
-        raise RankDeficiencyError(f"tangent Gram determinant too small: {w2!r}")
-    K = sum(c[k, 0, 0] * c[k, 1, 1] - c[k, 0, 1] ** 2 for k in range(2)) / w2
+    K = sum(c[..., k, 0, 0] * c[..., k, 1, 1] - c[..., k, 0, 1] ** 2 for k in range(2)) / w2
     # normal curvature, same index pattern as the closed-form route
     k_n = (
-        E * (c[0, 0, 1] * c[1, 1, 1] - c[1, 0, 1] * c[0, 1, 1])
-        - F * (c[0, 0, 0] * c[0, 1, 1] - c[1, 0, 0] * c[0, 1, 1])
-        + G * (c[0, 0, 0] * c[1, 0, 1] - c[1, 0, 0] * c[0, 0, 1])
+        E * (c[..., 0, 0, 1] * c[..., 1, 1, 1] - c[..., 1, 0, 1] * c[..., 0, 1, 1])
+        - F * (c[..., 0, 0, 0] * c[..., 0, 1, 1] - c[..., 1, 0, 0] * c[..., 0, 1, 1])
+        + G * (c[..., 0, 0, 0] * c[..., 1, 0, 1] - c[..., 1, 0, 0] * c[..., 0, 0, 1])
     ) / w2
     # standard commutator F-term variant (identical when F = 0)
     k_n_alt = (
-        E * (c[0, 0, 1] * c[1, 1, 1] - c[1, 0, 1] * c[0, 1, 1])
-        - F * (c[0, 0, 0] * c[1, 1, 1] - c[1, 0, 0] * c[0, 1, 1])
-        + G * (c[0, 0, 0] * c[1, 0, 1] - c[1, 0, 0] * c[0, 0, 1])
+        E * (c[..., 0, 0, 1] * c[..., 1, 1, 1] - c[..., 1, 0, 1] * c[..., 0, 1, 1])
+        - F * (c[..., 0, 0, 0] * c[..., 1, 1, 1] - c[..., 1, 0, 0] * c[..., 0, 1, 1])
+        + G * (c[..., 0, 0, 0] * c[..., 1, 0, 1] - c[..., 1, 0, 0] * c[..., 0, 0, 1])
     ) / w2
     h_coeff = [
-        (c[k, 0, 0] * G + c[k, 1, 1] * E - 2.0 * c[k, 0, 1] * F) / (2.0 * w2)
+        (c[..., k, 0, 0] * G + c[..., k, 1, 1] * E - 2.0 * c[..., k, 0, 1] * F) / (2.0 * w2)
         for k in range(2)
     ]
     return w2, K, k_n, k_n_alt, h_coeff
 
 
-def _report_from_derivatives(x_u, x_v, x_uu, x_uv, x_vv, low,
-                             seed_order=(0, 1, 2, 3)) -> OracleReport:
-    E = float(x_u @ x_u)
-    F = float(x_u @ x_v)
-    G = float(x_v @ x_v)
-    t1, t2, n1, n2 = _normal_basis(x_u, x_v, seed_order)
+def _report_from_derivatives(x_u, x_v, x_uu, x_uv, x_vv, low, seed_order,
+                             points) -> OracleReport:
+    E = _dot(x_u, x_u)
+    F = _dot(x_u, x_v)
+    G = _dot(x_v, x_v)
+    t1, t2, n1, n2, fault = _normal_basis(x_u, x_v, seed_order)
 
     def coeffs(d_uu, d_uv, d_vv):
-        c = np.empty((2, 2, 2))
-        for k, n in enumerate((n1, n2)):
-            c[k, 0, 0] = d_uu @ n
-            c[k, 0, 1] = c[k, 1, 0] = d_uv @ n
-            c[k, 1, 1] = d_vv @ n
-        return c
+        # c[:, k, i, j] = <X_ij, N_k>
+        return np.stack([np.stack([_dot(d, n) for d in (d_uu, d_uv, d_uv, d_vv)], axis=-1)
+                         for n in (n1, n2)], axis=1).reshape(-1, 2, 2, 2)
 
     c = coeffs(x_uu, x_uv, x_vv)
     w2, K, k_n, k_n_alt, h_coeff = _invariants(E, F, G, c)
-    mean_vector = h_coeff[0] * n1 + h_coeff[1] * n2
-    h_norm_sq = float(h_coeff[0] ** 2 + h_coeff[1] ** 2)
-    orientation = float(np.sign(np.linalg.det(np.column_stack([t1, t2, n1, n2]))))
+    fault = np.where(fault == 0, np.where(w2 <= _GRAM_TOL, 3, 0), fault)
+    if fault.any():
+        i = int(np.argmax(fault != 0))
+        raise RankDeficiencyError({
+            1: "tangent vectors are numerically dependent",
+            2: "could not assemble a normal basis",
+            3: f"tangent Gram determinant too small: {float(w2[i])!r}",
+        }[int(fault[i])] + f" at ({float(points[0][i])!r}, {float(points[1][i])!r})")
+    mean_vector = h_coeff[0][:, None] * n1 + h_coeff[1][:, None] * n2
+    h_norm_sq = h_coeff[0] ** 2 + h_coeff[1] ** 2
+    orientation = np.sign(np.linalg.det(np.stack([t1, t2, n1, n2], axis=-1)))
 
     # truncation estimates: same assembly from the unextrapolated stencils
     x_u_lo, x_v_lo, x_uu_lo, x_uv_lo, x_vv_lo = low
-    E_lo = float(x_u_lo @ x_u_lo)
-    F_lo = float(x_u_lo @ x_v_lo)
-    G_lo = float(x_v_lo @ x_v_lo)
-    c_lo = coeffs(x_uu_lo, x_uv_lo, x_vv_lo)
-    try:
-        _, K_lo, k_n_lo, _, h_lo = _invariants(E_lo, F_lo, G_lo, c_lo)
-        est = {
-            "E": abs(E - E_lo),
-            "F": abs(F - F_lo),
-            "G": abs(G - G_lo),
-            "K": abs(K - K_lo),
-            "K_N": abs(k_n - k_n_lo),
-            "H_norm_sq": abs(h_norm_sq - (h_lo[0] ** 2 + h_lo[1] ** 2)),
-        }
-    except RankDeficiencyError:
-        est = {}
+    E_lo = _dot(x_u_lo, x_u_lo)
+    F_lo = _dot(x_u_lo, x_v_lo)
+    G_lo = _dot(x_v_lo, x_v_lo)
+    w2_lo, K_lo, k_n_lo, _, h_lo = _invariants(E_lo, F_lo, G_lo,
+                                               coeffs(x_uu_lo, x_uv_lo, x_vv_lo))
+    est = {
+        "E": abs(E - E_lo),
+        "F": abs(F - F_lo),
+        "G": abs(G - G_lo),
+        "K": abs(K - K_lo),
+        "K_N": abs(k_n - k_n_lo),
+        "H_norm_sq": abs(h_norm_sq - (h_lo[0] ** 2 + h_lo[1] ** 2)),
+    }
+    degenerate = w2_lo <= _GRAM_TOL
 
     return OracleReport(
-        E=E, F=F, G=G, W2=float(w2), c=c,
-        K=float(K), k_n=float(k_n), k_n_alt=float(k_n_alt),
+        E=E, F=F, G=G, W2=w2, c=c,
+        K=K, k_n=k_n, k_n_alt=k_n_alt,
         mean_vector=mean_vector, h_norm_sq=h_norm_sq,
-        orientation=orientation, error_estimate=est,
+        orientation=orientation,
+        error_estimate={name: np.where(degenerate, np.nan, value) for name, value in est.items()},
     )
 
 
@@ -260,13 +301,15 @@ class ComparisonReport:
     tolerance: float
     passed: bool
     ratio: float  # median closed/oracle over well-conditioned points
+    estimate: float  # oracle truncation estimate at worst_point
     sign: float = 1.0  # global sign applied to the oracle values
 
     def summary(self) -> str:
         verdict = "pass" if self.passed else "FAIL"
         return (
             f"{self.quantity}: {verdict}  max|dev| = {self.max_abs_dev:.3e} "
-            f"(tol {self.tolerance:.1e}) at (s, t) = "
+            f"(tol {self.tolerance:.1e}; oracle truncation est {self.estimate:.1e}) "
+            f"at (s, t) = "
             f"({self.worst_point[0]:.6g}, {self.worst_point[1]:.6g}); "
             f"ratio closed/oracle = {self.ratio:.6g}"
         )
@@ -277,6 +320,7 @@ def compare(
     closed: Sequence[float],
     oracle_values: Sequence[float],
     points: Sequence[tuple[float, float]],
+    estimates: Sequence[float],
     tolerance: float = DEFAULT_TOLERANCE,
     *,
     match_sign: bool = False,
@@ -286,6 +330,8 @@ def compare(
     A point passes when |closed - oracle| <= max(tol, tol * |oracle|).  With
     ``match_sign`` one global sign is granted to the oracle values first
     (normal curvature is defined up to normal-basis orientation).
+    ``estimates`` are the oracle's truncation estimates per point; the
+    report keeps the one at its worst point (informational only).
     """
     a = np.asarray(closed, dtype=float)
     b = np.asarray(oracle_values, dtype=float)
@@ -310,14 +356,14 @@ def compare(
         passed=bool(np.all(dev <= limits)),
         ratio=ratio,
         sign=sign,
+        estimate=float(estimates[worst]),
     )
 
 
 def grid_max_abs_gaussian(im: Immersion, s_values: Sequence[float],
                           t_values: Sequence[float]) -> float:
-    """max |K| measured by the oracle over a grid (flatness certification)."""
-    worst = 0.0
-    for t in t_values:
-        for s in s_values:
-            worst = max(worst, abs(numeric_forms(im, float(s), float(t)).K))
-    return worst
+    """max |K| measured by the oracle over a grid (flatness certification),
+    one ``numeric_forms`` call per t; NaN if any point's K is NaN."""
+    s_values = np.asarray(s_values, dtype=float)
+    rows = [np.max(np.abs(numeric_forms(im, s_values, float(t)).K)) for t in t_values]
+    return float(np.max(rows, initial=0.0))

@@ -57,18 +57,18 @@ class MarchingScale:
     ddB: ex.Expr = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        object.__setattr__(self, "dA", ex.differentiate(self.A))
-        object.__setattr__(self, "dB", ex.differentiate(self.B))
-        object.__setattr__(self, "ddA", ex.differentiate(self.dA))
-        object.__setattr__(self, "ddB", ex.differentiate(self.dB))
+        for name, e in (("A", self.A), ("B", self.B)):
+            first, second = ex.derivatives(e, 2)
+            object.__setattr__(self, "d" + name, first)
+            object.__setattr__(self, "dd" + name, second)
         t0, t1 = self.domain
         if not t1 > t0:
             raise RegularityViolationError("marching")
-        for t in np.linspace(t0, t1, 64):
-            da = ex.evaluate(self.dA, float(t))
-            db = ex.evaluate(self.dB, float(t))
-            if da * da + db * db <= REGULARITY_TOL:
-                raise RegularityViolationError("marching", t=float(t))
+        samples = np.linspace(t0, t1, 64)
+        da, db = ex.evaluate(self.dA, samples), ex.evaluate(self.dB, samples)
+        stalled = np.flatnonzero(da * da + db * db <= REGULARITY_TOL)
+        if stalled.size:
+            raise RegularityViolationError("marching", t=float(samples[stalled[0]]))
 
     @classmethod
     def from_expressions(cls, a_text: str, b_text: str, domain: tuple[float, float],
@@ -273,13 +273,19 @@ class PencilSurface:
             raise RegularityViolationError(CONDITIONS[status], s, t)
         return co, values, E, G
 
-    def point_array(self, s: float, t: float) -> np.ndarray:
+    def point_array(self, s, t) -> np.ndarray:
         """X(s,t) without regularity checks (the point itself is always
-        defined); used by the numerical oracle's stencils."""
-        app = self.frame(s)
-        A = ex.evaluate(self.marching.A, t)
-        B = ex.evaluate(self.marching.B, t)
-        return _point(self.curve.point(s), app.frame[1], app.frame[3], A, B)
+        defined): shape (4,) for floats, ``(..., 4)`` for broadcastable
+        arrays.  Spine data is read once per distinct s; this is the
+        numerical oracle's point function."""
+        s = np.asarray(s, dtype=float)
+        uniq, where = np.unique(s, return_inverse=True)
+        where = where.reshape(s.shape)
+        frames = np.array([self.frame(x).frame for x in uniq.tolist()])[where]
+        gamma = self.curve.point(uniq)[where]
+        A = np.asarray(ex.evaluate(self.marching.A, t))[..., None]
+        B = np.asarray(ex.evaluate(self.marching.B, t))[..., None]
+        return _point(gamma, frames[..., 1, :], frames[..., 3, :], A, B)
 
     def point(self, s: float, t: float) -> Vec4:
         """X(s,t); raises RegularityViolationError when either regularity
@@ -329,7 +335,7 @@ class PencilSurface:
         t_list = [float(t) for t in ts]
         k = np.array([self._kappas(s, source) for s in s_list]).T[:, None, :]
         dk = np.array([self._kappa_rates(s, source) for s in s_list]).T[:, None, :]
-        gamma = np.array([self.curve.point(s) for s in s_list])
+        gamma = self.curve.point(np.array(s_list))
         frames = np.array([self.frame(s).frame for s in s_list])
         A, B, dA, dB, ddA, ddB = np.array(
             [self.marching.values(t) for t in t_list]).reshape(-1, 6).T[:, :, None]

@@ -1,7 +1,10 @@
 """Tests for the command-line front end."""
 
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,6 +114,50 @@ class TestConfig:
         code, _, err = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
         assert code == cli.EXIT_CONFIG
         assert "marching.A" in err and "deeper than" in err and "offset" in err
+
+    def test_grid_above_cap_in_config_is_config_error(self, tmp_path, capsys):
+        cfg = seed_scene(domain={"s": [0.0, 6.0], "t": [-0.25, 0.25],
+                                 "ns": 10**12, "nt": 10**12})
+        code, out, err = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert f"at most {cli.MAX_GRID}" in err and out == ""
+
+    def test_grid_flag_above_cap_is_config_error(self, tmp_path, capsys):
+        path = write_config(tmp_path, seed_scene())
+        for grid in (f"{cli.MAX_GRID + 1}x2", f"2x{10**12}"):
+            code, out, err = run(capsys, ["eval", "--config", path, "--grid", grid])
+            assert code == cli.EXIT_CONFIG
+            assert f"between 2 and {cli.MAX_GRID}" in err and out == ""
+        assert cli.load_scene(path, f"{cli.MAX_GRID}x2").ns == cli.MAX_GRID
+
+    def test_derivative_blow_up_is_expression_error(self, tmp_path, capsys):
+        # 40 nested sines: four derivatives would expand to ~3e7 nodes
+        cfg = analytic_scene()
+        cfg["curve"]["components"][2] = "sin(" * 40 + "s" + ")" * 40
+        code, out, err = run(capsys, ["frenet", "--config", write_config(tmp_path, cfg)])
+        assert code == cli.EXIT_EVAL_DOMAIN
+        assert "expands to more than" in err and "offset 0" in err and out == ""
+
+    def test_infinite_trig_argument_is_expression_error(self, tmp_path, capsys):
+        # 10^308*10 overflows to inf; sin and cos of it are domain faults
+        cfg = seed_scene(marching={"kind": "expressions", "A": "t + sin(10^308*10*t)",
+                                   "B": "t^2"})
+        code, out, err = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
+        assert code == cli.EXIT_EVAL_DOMAIN
+        assert "of an infinite value" in err and out == ""
+
+    def test_benchmark_scenes_load(self, tmp_path, monkeypatch):
+        spec = importlib.util.spec_from_file_location(
+            "bench_scenes", Path(__file__).resolve().parents[1] / "bench" / "scenes.py")
+        scenes = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, scenes)  # for its dataclasses
+        spec.loader.exec_module(scenes)
+        for workload in scenes.WORKLOADS:
+            for seed in range(3):
+                paths = scenes.write_workload(scenes.build(workload, seed),
+                                              tmp_path / f"{workload}-{seed}")
+                for path in paths.values():
+                    cli.load_scene(path)
 
     def test_zero_marching_is_regularity_exit(self, tmp_path, capsys):
         cfg = seed_scene(marching={"kind": "expressions", "A": "0", "B": "0"})
@@ -271,6 +318,27 @@ class TestVerify:
         assert "FAIL (ratio 2.0" in out  # shortcut Gaussian misses by ~2x
         assert "reference K_N" in out and "-> pass" in out
         assert out_csv.exists()
+
+    def test_oracle_truncation_estimate_printed(self, tmp_path, capsys):
+        code, out, _ = run(capsys, ["verify", "--config", write_config(tmp_path, seed_scene())])
+        assert code == 0
+        for quantity in ("K", "K_N", "H_norm_sq"):
+            line = next(x for x in out.splitlines() if x.startswith(quantity + ":"))
+            est = float(line.split("oracle truncation est ")[1].split(")")[0])
+            assert 0.0 <= est < 1e-6
+
+    def test_one_oracle_call_per_t_row(self, tmp_path, monkeypatch):
+        from pencil4 import oracle as orc
+
+        scene = cli.load_scene(write_config(tmp_path, singular_ray_scene()), "6x5")
+        calls = []
+        numeric_forms = orc.numeric_forms
+        monkeypatch.setattr(orc, "numeric_forms",
+                            lambda im, u, v: calls.append((u, v)) or numeric_forms(im, u, v))
+        cli.run_verify(scene, 1e-6, None)
+        # the t = 0 row is irregular everywhere and is not sent to the oracle
+        ts = np.linspace(-0.1, 0.1, 5).tolist()
+        assert [(len(u), v) for u, v in calls] == [(6, t) for t in ts[:2] + ts[3:]]
 
     def test_exit_nonzero_on_tolerance_failure(self, tmp_path, capsys):
         cfg = seed_scene(

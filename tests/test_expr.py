@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -337,3 +338,98 @@ def test_operator_overloads_match_evaluation(x):
     e = (t * t + 1.0) / (2.0 - t / 4.0) - t**3.0 + (-t)
     want = (x * x + 1.0) / (2.0 - x / 4.0) - x**3 + (-x)
     assert expr.evaluate(e, x) == pytest.approx(want, rel=1e-14)
+
+
+def arithmetic_expression(rng: random.Random, depth: int) -> expr.Expr:
+    """A random expression over + - * /, sin and cos (denominators kept
+    positive)."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.45:
+            return expr.constant(round(rng.uniform(-3.0, 3.0), 3))
+        return expr.variable("t")
+    if rng.random() < 0.7:
+        op = rng.choice(["+", "-", "*", "/"])
+        right = arithmetic_expression(rng, depth - 1)
+        if op == "/":
+            right = right * right + expr.constant(rng.uniform(0.5, 1.5))
+        return expr.BinOp(op, arithmetic_expression(rng, depth - 1), right)
+    return expr.Call(rng.choice(["sin", "cos"]), arithmetic_expression(rng, depth - 1))
+
+
+class TestArrayEvaluate:
+    """evaluate over an ndarray against the float evaluator, element by element."""
+
+    def test_arithmetic_and_trig_bit_for_bit(self):
+        rng = random.Random(4)
+        xs = np.random.default_rng(4).uniform(-3.0, 3.0, (6, 7))
+        for _ in range(200):
+            e = arithmetic_expression(rng, rng.randint(1, 6))
+            got = expr.evaluate(e, xs)
+            assert got.shape == xs.shape
+            want = np.array([expr.evaluate(e, x) for x in xs.ravel().tolist()]).reshape(xs.shape)
+            assert np.array_equal(got, want), expr.to_string(e)
+
+    @pytest.mark.parametrize("text", ["exp(t)", "ln(t)", "sqrt(t)", "t^2", "t^2.5",
+                                      "t^(-1.5)", "(t+1)^t", "2^t"])
+    def test_transcendentals_within_one_ulp(self, text):
+        e = expr.parse(text, "t")
+        xs = np.random.default_rng(5).uniform(0.01, 8.0, 4000)
+        got = expr.evaluate(e, xs)
+        want = np.array([expr.evaluate(e, x) for x in xs.tolist()])
+        assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
+
+    def test_constant_takes_the_shape_of_the_argument(self):
+        assert expr.evaluate(expr.parse("2*pi", "t"), np.zeros((2, 3))).shape == (2, 3)
+
+    @pytest.mark.parametrize("text, values, element", [
+        ("1 + ln(t)", [[1.0, 2.0, 3.0], [-1.0, 0.5, -2.0]], [1, 0]),
+        ("1/(t - 2)", [0.0, 1.0, 2.0, 2.0], [2]),
+        ("sqrt(t) + t^0.5", [4.0, -1.0], [1]),
+        ("t^(-1)", [1.0, 0.0], [1]),
+        ("exp(t)", [1.0, 2.0, 800.0], [2]),
+        ("sec(t)", [0.0, math.pi / 2], [1]),
+        ("sin(10^308*10*t)", [0.0, 1.0, 2.0], [1]),
+        ("(0 - 10)^t", [2.0, 401.0], [1]),
+    ])
+    def test_domain_error_names_first_faulting_element(self, text, values, element):
+        e = expr.parse(text, "t")
+        xs = np.array(values)
+        with pytest.raises(EvalDomainError) as batch:
+            expr.evaluate(e, xs)
+        with pytest.raises(EvalDomainError) as one:
+            expr.evaluate(e, float(xs[tuple(element)]))
+        assert batch.value.position == one.value.position is not None
+        assert f"at element {element} (variable = {float(xs[tuple(element)])!r})" \
+            in str(batch.value)
+        assert str(batch.value).startswith(str(one.value).split(" (source offset")[0])
+
+
+def nested_sin(depth: int) -> str:
+    return "sin(" * depth + "s" + ")" * depth
+
+
+class TestDerivativeBudget:
+    def test_tree_size_counts_shared_subtrees_per_use(self):
+        u = expr.call("sin", expr.variable("t"))
+        assert expr.tree_size(u) == 2
+        assert expr.tree_size(u * u) == 5
+
+    def test_shared_subtree_is_differentiated_once(self):
+        u = expr.call("sin", expr.call("cos", expr.variable("t")))
+        d = expr.differentiate(u * u)  # u' u + u u'
+        assert d.left.left is d.right.right
+
+    def test_derivatives_within_budget(self):
+        e = expr.parse("sqrt(1 + s^2)", "s")
+        ds = expr.derivatives(e, 4)
+        assert len(ds) == 4 and expr.tree_size(ds[-1]) < expr.MAX_NODES
+        # d^4/ds^4 (1 + s^2)^(1/2) = (12 s^2 - 3) / (1 + s^2)^(7/2)
+        assert expr.evaluate(ds[-1], 0.7) == pytest.approx(
+            (12 * 0.49 - 3) / 1.49 ** 3.5, rel=1e-12)
+
+    def test_blown_up_derivative_is_parse_error_at_offset(self):
+        e = expr.parse("2*" + nested_sin(40), "s")
+        with pytest.raises(ParseError) as ei:
+            expr.derivatives(e, 4)
+        assert ei.value.position == 1  # the root '*'
+        assert "nodes" in str(ei.value)

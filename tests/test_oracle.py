@@ -4,20 +4,28 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencil4 import curve as cv
 from pencil4 import curvature as cu
 from pencil4 import oracle as orc
 from pencil4 import pencil as pc
 from pencil4.errors import RankDeficiencyError, StepUnderflowError
+from test_pencil import _num
 
 SQ3 = math.sqrt(3.0)
 SEED_CURVE = cv.WCurve(SQ3 / 2, 0.25, 1.0, 2.0)
 
 
+def points(*components):
+    """A point function's (..., 4) result from four broadcastable components."""
+    return np.stack(np.broadcast_arrays(*components), axis=-1)
+
+
 def plane_patch():
     return orc.Immersion(
-        fn=lambda u, v: np.array([u, v, 0.0, 0.0]),
+        fn=lambda u, v: points(u, v, 0.0, 0.0),
         u_domain=(-1.0, 1.0),
         v_domain=(-1.0, 1.0),
     )
@@ -26,7 +34,7 @@ def plane_patch():
 def clifford_torus(step=None):
     inv = 1.0 / math.sqrt(2.0)
     return orc.Immersion(
-        fn=lambda u, v: inv * np.array([math.cos(u), math.sin(u), math.cos(v), math.sin(v)]),
+        fn=lambda u, v: inv * points(np.cos(u), np.sin(u), np.cos(v), np.sin(v)),
         u_domain=(0.0, 2 * math.pi),
         v_domain=(0.0, 2 * math.pi),
         step=step,
@@ -106,7 +114,7 @@ class TestNumericForms:
 
     def test_rank_deficiency(self):
         im = orc.Immersion(
-            fn=lambda u, v: np.array([u + v, u + v, 0.0, 0.0]),
+            fn=lambda u, v: points(u + v, u + v, 0.0, 0.0),
             u_domain=(-1.0, 1.0),
             v_domain=(-1.0, 1.0),
         )
@@ -146,7 +154,7 @@ class TestBasisIndependence:
         rot[2, 2] = math.cos(theta)
         p, im = seed_pencil()
         im_rot = orc.Immersion(
-            fn=lambda u, v: rot @ p.point_array(u, v),
+            fn=lambda u, v: p.point_array(u, v) @ rot.T,
             u_domain=im.u_domain,
             v_domain=im.v_domain,
         )
@@ -175,15 +183,17 @@ class TestBasisIndependence:
         # selection changes; the orientation-adjusted value matches the
         # closed form with one global sign over the whole grid.
         p, im = seed_pencil()
-        closed, oriented, pts = [], [], []
+        closed, oriented, pts, estimates = [], [], [], []
         for s in np.linspace(0.2, 6.0, 9):
             for t in np.linspace(-0.2, 0.2, 5):
                 rep = orc.numeric_forms(im, float(s), float(t))
                 closed.append(cu.normal_curvature(p, float(s), float(t)))
                 oriented.append(rep.k_n_oriented)
                 pts.append((float(s), float(t)))
-        report = orc.compare("K_N", closed, oriented, pts, 1e-6, match_sign=True)
+                estimates.append(rep.error_estimate["K_N"])
+        report = orc.compare("K_N", closed, oriented, pts, estimates, 1e-6, match_sign=True)
         assert report.passed
+        assert report.estimate in estimates
 
     def test_printed_and_commutator_variants_agree_when_f_zero(self):
         _, im = seed_pencil()
@@ -194,9 +204,7 @@ class TestBasisIndependence:
         # a sheared patch with F != 0 exposes the difference between the two
         # normal-curvature assemblies; both are reported.
         def fn(u, v):
-            return np.array(
-                [u, v + 0.4 * u, math.cos(u + v), math.sin(u - 0.3 * v)]
-            )
+            return points(u, v + 0.4 * u, np.cos(u + v), np.sin(u - 0.3 * v))
 
         im = orc.Immersion(fn, (-2.0, 2.0), (-2.0, 2.0), step=2e-3)
         rep = orc.numeric_forms(im, 0.3, 0.4)
@@ -204,11 +212,85 @@ class TestBasisIndependence:
         assert rep.k_n != pytest.approx(rep.k_n_alt, abs=1e-12)
 
 
+def batch_immersion(kind, c, ratio, th):
+    """A W-curve pencil, its analytic twin (same spine as four expressions)
+    or a Clifford torus, with marching exercising ^ and sin."""
+    if kind == "clifford":
+        return clifford_torus()
+    d = c * ratio
+    a, b = math.cos(th) / c, math.sin(th) / d
+    if kind == "w_curve":
+        curve = cv.WCurve(a, b, c, d)
+    else:
+        curve = cv.AnalyticCurve.from_strings(
+            [f"{_num(a)}*cos({_num(c)}*s)", f"{_num(a)}*sin({_num(c)}*s)",
+             f"{_num(b)}*cos({_num(d)}*s)", f"{_num(b)}*sin({_num(d)}*s)"], (0.0, 2 * math.pi))
+    p = pc.PencilSurface(curve, pc.MarchingScale.from_expressions(
+        "0.8*t + 0.3*t^2", "t^2 - 0.2*sin(t)", (-0.3, 0.3)))
+    return orc.Immersion(p.point_array, (0.0, 2 * math.pi), (-0.3, 0.3))
+
+
+class TestBatch:
+    """numeric_forms over arrays: one evaluator call, one code path."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(["w_curve", "analytic_twin", "clifford"]),
+        c=st.floats(0.7, 1.2), ratio=st.floats(1.6, 2.2), th=st.floats(0.45, 1.1),
+        uv=st.lists(st.tuples(st.floats(0.1, 6.1), st.floats(-0.25, 0.25)),
+                    min_size=1, max_size=6),
+    )
+    def test_batch_equals_batches_of_one(self, kind, c, ratio, th, uv):
+        im = batch_immersion(kind, c, ratio, th)
+        u, v = (np.array(x) for x in zip(*uv))
+        if kind == "clifford":
+            v = v + 1.0  # inside the torus's v-domain
+        batch = orc.numeric_forms(im, u, v)
+        for i in range(len(u)):
+            one = orc.numeric_forms(im, float(u[i]), float(v[i]))
+            for name in ("E", "F", "G", "W2", "c", "K", "k_n", "k_n_alt", "mean_vector",
+                         "h_norm_sq", "orientation"):
+                assert np.array_equal(getattr(batch, name)[i], getattr(one, name)), name
+            assert isinstance(one.K, float) and one.c.shape == (2, 2, 2)
+            for key, value in one.error_estimate.items():
+                assert np.array_equal(batch.error_estimate[key][i], value, equal_nan=True)
+
+    @pytest.mark.parametrize("n", [1, 4])
+    def test_one_evaluator_call_on_25_distinct_points_each(self, n):
+        _, im = seed_pencil()
+        calls = []
+
+        def fn(u, v):
+            calls.append(np.broadcast_arrays(u, v))
+            return im.fn(u, v)
+
+        u = np.linspace(0.5, 5.0, n)
+        orc.numeric_forms(orc.Immersion(fn, im.u_domain, im.v_domain), u, 0.1)
+        assert len(calls) == 1
+        stencil = set(zip(calls[0][0].ravel().tolist(), calls[0][1].ravel().tolist()))
+        assert len(stencil) == calls[0][0].size == 25 * n
+
+    def test_step_underflow_names_first_faulting_point(self):
+        im = orc.Immersion(plane_patch().fn, (0.0, 1.0), (0.0, 1.0))
+        with pytest.raises(StepUnderflowError) as ei:
+            orc.numeric_forms(im, np.array([0.5, 0.0001, 0.99999]), 0.5)
+        assert f"({0.0001!r}, {0.5!r})" in str(ei.value)
+
+    def test_rank_deficiency_names_first_faulting_point(self):
+        # X_v = (0, u, 0, 0) vanishes on u = 0
+        im = orc.Immersion(lambda u, v: points(u, u * v, 0.0, 0.0), (-1.0, 1.0), (-1.0, 1.0))
+        u = np.array([0.5, 0.0, -0.3, 0.0])
+        with pytest.raises(RankDeficiencyError) as ei:
+            orc.numeric_forms(im, u, 0.2)
+        assert f"dependent at ({0.0!r}, {0.2!r})" in str(ei.value)
+        assert orc.numeric_forms(im, u[[0, 2]], 0.2).K.shape == (2,)
+
+
 class TestCompare:
     def test_identical_fields_pass(self):
         values = [0.5, -1.25, 3.0]
         pts = [(0.0, 0.0), (1.0, 0.1), (2.0, 0.2)]
-        rep = orc.compare("K", values, values, pts, tolerance=1e-6)
+        rep = orc.compare("K", values, values, pts, [0.0, 0.0, 0.0], tolerance=1e-6)
         assert rep.passed
         assert rep.max_abs_dev == 0.0
         assert rep.ratio == pytest.approx(1.0)
@@ -218,13 +300,19 @@ class TestCompare:
         oracle_vals = rng.uniform(0.5, 2.0, size=40)
         closed_vals = 2.0 * oracle_vals
         pts = [(float(i), 0.0) for i in range(40)]
-        rep = orc.compare("K", closed_vals, oracle_vals, pts, tolerance=1e-6)
+        estimates = np.arange(40) * 1e-9
+        rep = orc.compare("K", closed_vals, oracle_vals, pts, estimates, tolerance=1e-6)
         assert not rep.passed
         assert rep.ratio == pytest.approx(2.0, abs=1e-12)
+        limits = np.maximum(1e-6, 1e-6 * oracle_vals)
+        worst = int(np.argmax(np.abs(closed_vals - oracle_vals) - limits))
+        assert rep.worst_point == pts[worst]
+        assert rep.estimate == estimates[worst]
+        assert f"oracle truncation est {estimates[worst]:.1e}" in rep.summary()
 
     def test_global_sign_match(self):
         vals = np.array([0.3, -0.7, 1.1])
         pts = [(0.0, 0.0)] * 3
-        rep = orc.compare("K_N", vals, -vals, pts, tolerance=1e-9, match_sign=True)
+        rep = orc.compare("K_N", vals, -vals, pts, [0.0] * 3, tolerance=1e-9, match_sign=True)
         assert rep.passed
         assert rep.sign == -1.0

@@ -112,6 +112,19 @@ class TestEvalSurface:
         got = p.point(0.0, 0.1)
         assert got.as_array() == pytest.approx(want, abs=1e-12)
 
+    @pytest.mark.parametrize("curve", [SEED_CURVE, make_involute()])
+    def test_point_array_over_arrays_matches_floats(self, curve):
+        # + - * / sqrt sin cos only: numpy and math agree bit for bit on those
+        p = pc.PencilSurface(curve, pc.MarchingScale.from_expressions(
+            "0.7*t + t*t*t", "sin(t) - 0.5*t*t", (-0.3, 0.3)), s_domain=(0.6, 2.4))
+        S = np.linspace(0.7, 2.3, 6)[:, None, None] + np.array([-2e-4, 0.0, 2e-4])[:, None]
+        T = np.linspace(-0.2, 0.2, 4)[None, None, :]
+        got = p.point_array(S, T)
+        assert got.shape == (6, 3, 4, 4)
+        for idx in np.ndindex(got.shape[:-1]):
+            want = p.point_array(float(S[idx[0], idx[1], 0]), float(T[0, 0, idx[2]]))
+            assert np.array_equal(got[idx], want)
+
     def test_spine_regularity_violation(self):
         # On the planar unit circle with A == 1 == 1/kappa1 and B == t the
         # point t = 0 has a = 0 and b = 0: the patch is singular there.
