@@ -34,7 +34,7 @@ from . import expr as ex
 from . import families as fam
 from . import oracle as orc
 from . import pencil as pc
-from .curve import AnalyticCurve, CurveSpec, WCurve, frenet_apparatus
+from .curve import AnalyticCurve, CurveSpec, WCurve, frenet_apparatus, frenet_frames
 from .errors import (
     ConfigError,
     ConstraintViolationError,
@@ -59,6 +59,7 @@ EXIT_EVAL_DOMAIN = 5
 EXIT_VERIFY_FAILED = 6
 EXIT_CONSTRAINT = 7
 EXIT_RANGE = 8
+EXIT_OUTPUT = 9
 
 _EXIT_CODES = """exit codes:
   0  success (verify: every compared quantity within tolerance)
@@ -70,6 +71,7 @@ _EXIT_CODES = """exit codes:
   6  verification tolerance failure
   7  constructor precondition violated (unit speed, case constraints)
   8  parameter range hits a pole / singular system / oracle step failure
+  9  output file could not be written
 """
 
 VERIFY_DEFAULT_TOL = 1e-6
@@ -81,9 +83,13 @@ ADJUDICATION_TOL = 1e-6
 
 
 def _fmt(x: float) -> str:
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
-    return format(float(x), ".17g")
+    return "%.17g" % x
+
+
+def _template(n_floats: int) -> str:
+    """A %-template of ``n_floats`` comma-separated 17-digit floats: one
+    row is formatted by one ``template % values``."""
+    return ",".join(["%.17g"] * n_floats)
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +360,9 @@ def _grid(scene: Scene):
     return ss, ts
 
 
-def _rows_to_csv(header: list[str], rows: list[list[str]]) -> str:
+def _rows_to_csv(header: list[str], rows) -> str:
     lines = [",".join(header)]
-    lines.extend(",".join(row) for row in rows)
+    lines.extend(rows)
     return "\n".join(lines) + "\n"
 
 
@@ -366,15 +372,10 @@ def run_frenet(scene: Scene) -> str:
     for k in range(1, 5):
         header.extend(f"v{k}_{i}" for i in range(1, 5))
     header += ["kappa1", "kappa2", "kappa3"]
-    rows = []
-    for s in ss:
-        app = frenet_apparatus(scene.curve, float(s))
-        row = [_fmt(s)]
-        for k in range(4):
-            row.extend(_fmt(x) for x in app.frame[k])
-        row.extend(_fmt(x) for x in app.kappas)
-        rows.append(row)
-    return _rows_to_csv(header, rows)
+    frames = frenet_frames(scene.curve, ss)
+    table = np.column_stack([ss, frames.frame.reshape(-1, 16), frames.kappas])
+    template = _template(20)
+    return _rows_to_csv(header, (template % tuple(row) for row in table.tolist()))
 
 
 def _columns(sweep: pc.Sweep, *fields):
@@ -385,10 +386,12 @@ def _columns(sweep: pc.Sweep, *fields):
         yield from t_row.tolist()
 
 
-def _rows(sweep: pc.Sweep, *fields):
-    """CSV rows ``s, t, fields..., status`` for every grid point, lazily."""
-    names = ["ok"] + [f"regularity:{c}" for c in pc.CONDITIONS[1:]]
-    return ([*map(_fmt, v), names[code]]
+def _rows(sweep: pc.Sweep, *fields,
+          names=("ok", *(f"regularity:{c}" for c in pc.CONDITIONS[1:]))):
+    """CSV rows ``s, t, fields..., status`` for every grid point, lazily;
+    ``names`` maps each status code to its marker."""
+    template = _template(2 + len(fields)) + ",%s"
+    return (template % (*v, names[code])
             for v, code in zip(_columns(sweep, *fields), sweep.status.ravel().tolist()))
 
 
@@ -422,24 +425,22 @@ def run_verify(scene: Scene, tol: float, step: float | None):
     ok = sweep.status == pc.OK
     if not ok.any():
         raise RegularityViolationError("spine")
-    # per point: (closed, oracle) for K, K_N and |H|^2, and the oracle's
-    # truncation estimates; NaN where the point is irregular
+    # one oracle call over every regular point, t-major, so a fault names
+    # the first faulting point in the order of the rows
+    s_grid, t_grid = np.broadcast_arrays(sweep.s, sweep.t[:, None])
+    rep_o = orc.numeric_forms(immersion, s_grid[ok], t_grid[ok])
+    # per point: (closed, oracle) for K, K_N and |H|^2; NaN where the point
+    # is irregular.  The orientation-adjusted K_N is comparable across the
+    # grid even when the oracle's basis choice flips between points.
     table = np.full(ok.shape + (6,), np.nan)
     table[..., 0::2] = np.stack([rep.K, rep.K_N, rep.H_norm_sq], axis=-1)
-    estimates = np.full(ok.shape + (3,), np.nan)
-    for it, t in enumerate(sweep.t.tolist()):
-        cols = np.flatnonzero(ok[it])
-        if cols.size:
-            rep_o = orc.numeric_forms(immersion, sweep.s[cols], t)
-            # the orientation-adjusted K_N is comparable across the grid even
-            # when the oracle's basis choice flips between points
-            table[it, cols, 1::2] = np.stack([rep_o.K, rep_o.k_n_oriented, rep_o.h_norm_sq], -1)
-            estimates[it, cols] = np.stack([rep_o.error_estimate[q] for q in _COMPARED], -1)
-    s_grid, t_grid = np.broadcast_arrays(sweep.s, sweep.t[:, None])
+    table[ok, 1::2] = np.stack([rep_o.K, rep_o.k_n_oriented, rep_o.h_norm_sq], axis=-1)
+    estimates = rep_o.error_estimate
+    del rep_o  # the largest arrays here: freed before the CSV text is built
     pts = list(zip(s_grid[ok].tolist(), t_grid[ok].tolist()))
-    compared, estimates = table[ok], estimates[ok]
+    compared = table[ok]
     reports = [orc.compare(name, compared[:, 2 * i], compared[:, 2 * i + 1], pts,
-                           estimates[:, i], tol, match_sign=name == "K_N")
+                           estimates[name], tol, match_sign=name == "K_N")
                for i, name in enumerate(_COMPARED)]
     lines = [
         "verification: closed-form curvature vs finite-difference oracle",
@@ -448,9 +449,8 @@ def run_verify(scene: Scene, tol: float, step: float | None):
         *(r.summary() for r in reports),
     ]
     all_passed = all(r.passed for r in reports)
-    statuses = ["ok" if good else "regularity" for good in ok.ravel().tolist()]
-    csv_rows = ([*map(_fmt, v), status] for v, status in
-                zip(_columns(sweep, *np.moveaxis(table, -1, 0)), statuses))
+    csv_rows = _rows(sweep, *np.moveaxis(table, -1, 0),
+                     names=("ok",) + ("regularity",) * (len(pc.CONDITIONS) - 1))
 
     if scene.marching_kind == "ruled":
         lines.extend(_ruled_adjudication(scene, sweep.t))
@@ -542,7 +542,7 @@ def run_export(scene: Scene, out_base: Path, projection: dict) -> list[Path]:
     written = []
     if scene.output_format == "obj":
         projected = project_points(points, projection)
-        obj_lines = [f"v {_fmt(p[0])} {_fmt(p[1])} {_fmt(p[2])}" for p in projected]
+        obj_lines = ["v %.17g %.17g %.17g" % tuple(p) for p in projected.tolist()]
         ok = sweep.status == pc.OK
         quads = ok[:-1, :-1] & ok[:-1, 1:] & ok[1:, 1:] & ok[1:, :-1]
         for it, i_s in zip(*np.nonzero(quads)):
@@ -596,6 +596,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_numeric_options(args, scene: Scene) -> None:
+    """--tol and --step must be positive and finite, and the stencil points
+    s and s + step must differ even at the largest domain coordinate."""
+    if not (math.isfinite(args.tol) and args.tol > 0.0):
+        raise ConfigError(f"--tol must be a positive finite number, got {args.tol!r}")
+    reach = max(abs(x) for x in (*scene.s_range, *scene.t_range))
+    if args.step is not None and not (math.isfinite(args.step) and reach + args.step > reach):
+        raise ConfigError(f"--step must be a positive finite number above the "
+                          f"floating-point resolution of the domain, got {args.step!r}")
+
+
 def _emit(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text, encoding="utf-8")
@@ -608,6 +619,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         scene = load_scene(args.config, args.grid)
+        _check_numeric_options(args, scene)
         if args.command == "frenet":
             _emit(run_frenet(scene), args.out)
         elif args.command == "eval":
@@ -654,6 +666,9 @@ def main(argv: list[str] | None = None) -> int:
             RankDeficiencyError) as err:
         print(f"range error: {err}", file=sys.stderr)
         return EXIT_RANGE
+    except OSError as err:  # config reading maps to ConfigError in load_scene
+        print(f"output error: {err}", file=sys.stderr)
+        return EXIT_OUTPUT
     except Pencil4Error as err:  # pragma: no cover - safety net
         print(f"error: {err}", file=sys.stderr)
         return EXIT_UNEXPECTED

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pencil import FundamentalForms, PencilSurface, Sweep, form_numerators, metric
+from .pencil import FundamentalForms, PencilSurface, Sweep, form_numerators
 
 __all__ = [
     "CurvatureReport",
@@ -97,10 +97,8 @@ def mean_vector_ambient(p: PencilSurface, s: float, t: float,
 
 
 def _shorthand(p: PencilSurface, s: float, t: float, source: str):
-    co = p.coefficients(s, t, source)
-    _, _, dA, dB, ddA, ddB = p.marching.values(t)
-    E, G = metric(co, dA, dB)
-    q1, q2, sigma, rho2 = form_numerators(p._kappas(s, source), co, dA, dB, ddA, ddB)
+    _, k, co, (_, _, dA, dB, ddA, ddB), E, G = p._at(s, t, source)
+    q1, q2, sigma, rho2 = form_numerators(k, co, dA, dB, ddA, ddB)
     return E, G, q1, q2, rho2, sigma
 
 

@@ -32,7 +32,9 @@ __all__ = [
     "AnalyticCurve",
     "CurveSpec",
     "FrenetApparatus",
+    "FrenetFrames",
     "derivatives",
+    "frenet_frames",
     "frenet_apparatus",
     "complete_frame",
     "is_w_curve",
@@ -65,15 +67,6 @@ class Vec4:
     def norm(self) -> float:
         return math.sqrt(self.dot(self))
 
-    def __add__(self, other: "Vec4") -> "Vec4":
-        return Vec4(self.x1 + other.x1, self.x2 + other.x2, self.x3 + other.x3, self.x4 + other.x4)
-
-    def __sub__(self, other: "Vec4") -> "Vec4":
-        return Vec4(self.x1 - other.x1, self.x2 - other.x2, self.x3 - other.x3, self.x4 - other.x4)
-
-    def scaled(self, k: float) -> "Vec4":
-        return Vec4(k * self.x1, k * self.x2, k * self.x3, k * self.x4)
-
 
 @dataclass(frozen=True)
 class WCurve:
@@ -102,16 +95,19 @@ class WCurve:
         return np.stack([a * np.cos(c * s), a * np.sin(c * s),
                          b * np.cos(d * s), b * np.sin(d * s)], axis=-1)
 
-    def derivative_arrays(self, s: float, order: int) -> list[np.ndarray]:
+    def derivative_arrays(self, s, order: int) -> list[np.ndarray]:
+        """gamma'(s), ..., gamma^(order)(s), each of shape (4,) for a float
+        or (..., 4) for an array of s."""
         a, b, c, d = self.a, self.b, self.c, self.d
-        c1, s1 = math.cos(c * s), math.sin(c * s)
-        c2, s2 = math.cos(d * s), math.sin(d * s)
+        c1, s1 = np.cos(c * s), np.sin(c * s)
+        c2, s2 = np.cos(d * s), np.sin(d * s)
         out = []
         for k in range(1, order + 1):
             # k-th derivative of (cos, sin) rotates by k*pi/2 and scales by rate^k
             pc, ps = _rot_pair(c1, s1, k)
             qc, qs = _rot_pair(c2, s2, k)
-            out.append(np.array([a * c**k * pc, a * c**k * ps, b * d**k * qc, b * d**k * qs]))
+            out.append(np.stack([a * c**k * pc, a * c**k * ps, b * d**k * qc, b * d**k * qs],
+                                axis=-1))
         return out
 
     @property
@@ -121,7 +117,7 @@ class WCurve:
         return abs(self.c - self.d) <= 1e-12 or abs(self.b) <= 1e-12 or abs(self.a) <= 1e-12
 
 
-def _rot_pair(c1: float, s1: float, k: int) -> tuple[float, float]:
+def _rot_pair(c1, s1, k: int):
     # k-th derivative pattern of (cos u, sin u) w.r.t. u
     m = k % 4
     if m == 0:
@@ -171,8 +167,10 @@ class AnalyticCurve:
         """gamma(s) for a float (shape (4,)) or an array of s (shape (..., 4))."""
         return np.stack([ex.evaluate(e, s) for e in self._derivs[0]], axis=-1)
 
-    def derivative_arrays(self, s: float, order: int) -> list[np.ndarray]:
-        return [np.array([ex.evaluate(e, s) for e in self._derivs[k]])
+    def derivative_arrays(self, s, order: int) -> list[np.ndarray]:
+        """gamma'(s), ..., gamma^(order)(s), each of shape (4,) for a float
+        or (..., 4) for an array of s."""
+        return [np.stack([ex.evaluate(e, s) for e in self._derivs[k]], axis=-1)
                 for k in range(1, order + 1)]
 
 
@@ -226,6 +224,26 @@ class FrenetApparatus:
         return (self.kappa1, self.kappa2, self.kappa3)
 
 
+@dataclass(frozen=True, eq=False)
+class FrenetFrames:
+    """Frames and curvatures at n parameters: ``frame`` is (n, 4, 4) with
+    rows V1..V4 per parameter, ``kappas`` and ``connection`` are (n, 3) as on
+    FrenetApparatus, and ``rank`` (n,) is 4, 3 where the curve lies in a
+    3-space (kappa3 below KAPPA_TOL) or 2 for a completed degenerate frame."""
+
+    frame: np.ndarray
+    kappas: np.ndarray
+    connection: np.ndarray
+    rank: np.ndarray
+
+    def apparatus(self, i: int) -> FrenetApparatus:
+        """The frame at the i-th parameter."""
+        rank = int(self.rank[i])
+        return FrenetApparatus(self.frame[i], *self.kappas[i].tolist(),
+                               degenerate=(rank <= 1, rank <= 2, rank <= 3), rank=rank,
+                               connection=tuple(self.connection[i].tolist()))
+
+
 def derivatives(curve: CurveSpec, s: float, order: int = 4) -> list[Vec4]:
     """gamma'(s), ..., gamma^(order)(s); exact for WCurve, symbolic for
     analytic curves."""
@@ -234,75 +252,79 @@ def derivatives(curve: CurveSpec, s: float, order: int = 4) -> list[Vec4]:
     return [Vec4.from_array(d) for d in curve.derivative_arrays(s, order)]
 
 
-def frenet_apparatus(curve: CurveSpec, s: float) -> FrenetApparatus:
-    """Frame and curvatures at ``s`` by Gram-Schmidt orthonormalization of
-    the first four derivatives.
+_EYE = np.eye(4)
 
-    For degenerate double-rotation generators the explicit completion of
-    ``complete_frame`` is substituted; any other rank loss raises
-    DegenerateFrameError carrying the achieved rank.
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of (..., 4) arrays, shape (..., 1): one BLAS dot
+    per row, so the scalar ``x @ y`` bit for bit (a sum of products is not)."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0]
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Row-wise norms, shape (..., 1): ``np.linalg.norm`` of a row bit for bit."""
+    return np.sqrt(_dot(a, a))
+
+
+def frenet_frames(curve: CurveSpec, s) -> FrenetFrames:
+    """Frames and curvatures at every entry of the 1-D array ``s`` by
+    Gram-Schmidt orthonormalization of the first four derivatives, each
+    step one array operation over all of s.
+
+    Degenerate double-rotation generators get the explicit completion of
+    ``complete_frame``.  Where kappa3 falls below KAPPA_TOL (the curve lies
+    in a 3-space) V4 is the normal complement of V1..V3, canonical up to
+    the sign that det = +1 fixes.  Any other rank loss raises
+    DegenerateFrameError carrying the achieved rank, at the first such s.
     """
+    s = np.asarray(s, dtype=float)
     if isinstance(curve, WCurve) and curve.is_degenerate_rotation:
-        return complete_frame(curve, s)
+        return _completed_frames(curve, s)
 
-    d1, d2, d3, d4 = curve.derivative_arrays(s, 4)
-    v1 = d1 / np.linalg.norm(d1)
+    d = curve.derivative_arrays(s, 4)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        v, norms = [d[0] / _norm(d[0])], []
+        for dk in d[1:]:
+            e = dk
+            for vj in v:
+                e = e - _dot(dk, vj) * vj
+            norms.append(_norm(e))
+            v.append(e / norms[-1])
+        kappa1, kappa2 = norms[0], norms[1] / norms[0]
+        in_3_space = (norms[2] / (kappa1 * kappa2))[:, 0] < KAPPA_TOL
+    fault = np.flatnonzero((kappa1 < KAPPA_TOL) | (kappa2 < KAPPA_TOL))
+    if fault.size:
+        i = fault[0]
+        at = f" at s = {float(s[i])!r}"
+        if kappa1[i, 0] < KAPPA_TOL:
+            raise DegenerateFrameError(rank=1, kappas=(0.0,),
+                                       message="straight line: kappa1 = 0" + at)
+        k1 = float(kappa1[i, 0])
+        raise DegenerateFrameError(rank=2, kappas=(k1, 0.0),
+                                   message=f"planar curve: kappa1 = {k1!r}, kappa2 = 0" + at)
+    frame = np.stack(v, axis=1)
+    if in_3_space.any():
+        frame[in_3_space, 3] = _orthogonal_complement(*frame[in_3_space, :3].swapaxes(0, 1))
+    frame[np.linalg.det(frame) < 0.0, 3] *= -1.0
+    kappas = np.concatenate([kappa1, kappa2, _dot(d[3], frame[:, 3]) / (kappa1 * kappa2)], 1)
+    return FrenetFrames(frame=frame, kappas=kappas, connection=kappas,
+                        rank=np.where(in_3_space, 3, 4))
 
-    e2 = d2 - (d2 @ v1) * v1
-    kappa1 = float(np.linalg.norm(e2))
-    if kappa1 < KAPPA_TOL:
-        raise DegenerateFrameError(rank=1, kappas=(0.0,), message="straight line: kappa1 = 0")
-    v2 = e2 / kappa1
 
-    e3 = d3 - (d3 @ v1) * v1 - (d3 @ v2) * v2
-    n3 = float(np.linalg.norm(e3))
-    kappa2 = n3 / kappa1
-    if kappa2 < KAPPA_TOL:
-        raise DegenerateFrameError(
-            rank=2, kappas=(kappa1, 0.0),
-            message=f"planar curve: kappa1 = {kappa1!r}, kappa2 = 0",
-        )
-    v3 = e3 / n3
-
-    e4 = d4 - (d4 @ v1) * v1 - (d4 @ v2) * v2 - (d4 @ v3) * v3
-    n4 = float(np.linalg.norm(e4))
-    kappa3_mag = n4 / (kappa1 * kappa2)
-    if kappa3_mag < KAPPA_TOL:
-        # Curve lies in a 3-space; the normal complement is canonical up to
-        # sign, which the determinant convention fixes below.
-        v4 = _orthogonal_complement(v1, v2, v3)
-        kappa3_flag = True
-    else:
-        v4 = e4 / n4
-        kappa3_flag = False
-
-    if float(np.linalg.det(np.column_stack([v1, v2, v3, v4]))) < 0.0:
-        v4 = -v4
-    kappa3 = float(d4 @ v4) / (kappa1 * kappa2)
-
-    frame = np.array([v1, v2, v3, v4])
-    return FrenetApparatus(
-        frame=frame,
-        kappa1=kappa1,
-        kappa2=kappa2,
-        kappa3=kappa3,
-        degenerate=(False, False, kappa3_flag),
-        rank=3 if kappa3_flag else 4,
-        connection=(kappa1, kappa2, kappa3),
-    )
+def frenet_apparatus(curve: CurveSpec, s: float) -> FrenetApparatus:
+    """Frame and curvatures at ``s``: ``frenet_frames`` on a batch of one."""
+    return frenet_frames(curve, np.array([float(s)])).apparatus(0)
 
 
 def _orthogonal_complement(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
-    best = None
-    best_norm = -1.0
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = 1.0
-        r = e - (e @ v1) * v1 - (e @ v2) * v2 - (e @ v3) * v3
-        n = float(np.linalg.norm(r))
-        if n > best_norm:
-            best, best_norm = r / n, n
-    return best
+    """Per row, the standard basis vector with the longest residual against
+    v1, v2, v3 (the first on ties), minus that residual's projections and
+    normalized."""
+    residuals = np.stack([e - _dot(e, v1) * v1 - _dot(e, v2) * v2 - _dot(e, v3) * v3
+                          for e in _EYE], axis=1)
+    norms = _norm(residuals)
+    rows, best = np.arange(len(residuals)), np.argmax(norms[..., 0], axis=1)
+    return residuals[rows, best] / norms[rows, best]
 
 
 def complete_frame(curve: CurveSpec, s: float) -> FrenetApparatus:
@@ -318,6 +340,11 @@ def complete_frame(curve: CurveSpec, s: float) -> FrenetApparatus:
     survives).  The completion itself rotates: its frame ODE coefficients
     are (kappa1, 0, -c), recorded on ``connection``.
     """
+    return _completed_frames(curve, np.array([float(s)])).apparatus(0)
+
+
+def _completed_frames(curve: CurveSpec, s: np.ndarray) -> FrenetFrames:
+    """``complete_frame`` at every entry of the 1-D array ``s``."""
     if not isinstance(curve, WCurve):
         raise UnsupportedCompletionError(
             "frame completion is only defined for degenerate double-rotation generators"
@@ -338,21 +365,17 @@ def complete_frame(curve: CurveSpec, s: float) -> FrenetApparatus:
 
     r = math.hypot(a, b)
     kappa1 = rate * rate * r  # |gamma''| for the planar circle of radius r
-    c1, s1 = math.cos(rate * s), math.sin(rate * s)
-    v1 = np.array([-a * rate * s1, a * rate * c1, -b * rate * s1, b * rate * c1])
-    v2 = np.array([-a * c1, -a * s1, -b * c1, -b * s1]) / r
-    v3 = np.array([-b * s1, b * c1, a * s1, -a * c1]) / r
-    v4 = np.array([b * c1, b * s1, -a * c1, -a * s1]) / r
-    frame = np.array([v1, v2, v3, v4])
-    return FrenetApparatus(
-        frame=frame,
-        kappa1=kappa1,
-        kappa2=0.0,
-        kappa3=0.0,
-        degenerate=(False, True, True),
-        rank=2,
-        connection=(kappa1, 0.0, -rate),
-    )
+    c1, s1 = np.cos(rate * s), np.sin(rate * s)
+    frame = np.stack([
+        np.stack([-a * rate * s1, a * rate * c1, -b * rate * s1, b * rate * c1], axis=-1),
+        np.stack([-a * c1, -a * s1, -b * c1, -b * s1], axis=-1) / r,
+        np.stack([-b * s1, b * c1, a * s1, -a * c1], axis=-1) / r,
+        np.stack([b * c1, b * s1, -a * c1, -a * s1], axis=-1) / r,
+    ], axis=1)
+    n = s.size
+    return FrenetFrames(frame=frame, kappas=np.tile([kappa1, 0.0, 0.0], (n, 1)),
+                        connection=np.tile([kappa1, 0.0, -rate], (n, 1)),
+                        rank=np.full(n, 2))
 
 
 def is_w_curve(samples: Sequence[FrenetApparatus]) -> bool:

@@ -232,12 +232,11 @@ def _pow(l: Expr, r: Expr) -> Expr:
     if _is_const(r, 0.0):
         return Literal(1.0)
     if _is_const(l) and _is_const(r):
-        try:
-            v = _pow_value(l.value, r.value, None)
-            if math.isfinite(v):
-                return Literal(v)
-        except EvalDomainError:
-            pass  # keep symbolic; error surfaces at evaluation
+        # each fault of ^ gives a non-finite value: left for evaluation to report
+        with np.errstate(all="ignore"):
+            v = float(np.power(l.value, r.value))
+        if math.isfinite(v):
+            return Literal(v)
     return BinOp("^", l, r)
 
 
@@ -464,102 +463,25 @@ def _children(e: Expr) -> tuple[Expr, ...]:
 
 
 # Domain faults of each operator and function: (rule, message) pairs in the
-# order they are reported.  A rule takes the evaluator's math module (``math``
-# for floats, ``numpy`` for arrays) and the operands, and holds on floats and
-# on arrays alike, so both evaluators read this one table.
+# order they are reported.  A rule maps the operands (arrays or numpy
+# scalars) to a mask.
 _FAULTS = {
-    "/": ((lambda m, l, r: r == 0.0, "division by zero"),),
-    "^": ((lambda m, l, r: (l == 0.0) & (r < 0.0), "zero raised to a negative power"),
-          (lambda m, l, r: (l < 0.0) & (r % 1.0 != 0.0),
+    "/": ((lambda l, r: r == 0.0, "division by zero"),),
+    "^": ((lambda l, r: (l == 0.0) & (r < 0.0), "zero raised to a negative power"),
+          (lambda l, r: (l < 0.0) & (r % 1.0 != 0.0),
            "negative base with non-integer exponent")),
-    **{fn: ((lambda m, v: m.isinf(v), f"{fn} of an infinite value"),) for fn in ("sin", "cos")},
-    **{fn: ((lambda m, v: m.isinf(v), f"{fn} of an infinite value"),
-            (lambda m, v: abs(m.cos(v)) < _POLE_TOL, f"{fn} evaluated at a pole"))
+    **{fn: ((lambda v: np.isinf(v), f"{fn} of an infinite value"),) for fn in ("sin", "cos")},
+    **{fn: ((lambda v: np.isinf(v), f"{fn} of an infinite value"),
+            (lambda v: abs(np.cos(v)) < _POLE_TOL, f"{fn} evaluated at a pole"))
        for fn in ("tan", "sec")},
     "exp": (),  # it only overflows
-    "ln": ((lambda m, v: v <= 0.0, "ln of a non-positive value"),),
-    "sqrt": ((lambda m, v: v < 0.0, "sqrt of a negative value"),),
+    "ln": ((lambda v: v <= 0.0, "ln of a non-positive value"),),
+    "sqrt": ((lambda v: v < 0.0, "sqrt of a negative value"),),
 }
 # Operations whose finite operands can give an infinite value: a fault.
 _OVERFLOW = {"^": "overflow in power", "exp": "overflow in exp"}
 
-
-def _pow_value(base: float, exponent: float, pos: int | None) -> float:
-    for holds, message in _FAULTS["^"]:
-        if holds(math, base, exponent):
-            raise EvalDomainError(message, pos)
-    try:
-        return math.pow(base, exponent)
-    except OverflowError:
-        raise EvalDomainError(_OVERFLOW["^"], pos) from None
-
-
-def evaluate(e: Expr, x):
-    """Evaluate ``e`` with the free variable bound to ``x`` in IEEE double
-    precision.  ``x`` is a float (evaluated with ``math``) or an ndarray
-    (numpy ufuncs; the result has the shape of ``x``).  Domain faults raise
-    EvalDomainError carrying the source offset of the offending subtree;
-    for an array the message also names the first faulting element."""
-    if isinstance(x, np.ndarray):
-        x = x.astype(float, copy=False)
-        with np.errstate(all="ignore"):
-            return np.array(np.broadcast_to(_evaluate_array(e, x), x.shape))
-    return _evaluate_float(e, x)
-
-
-def _evaluate_float(e: Expr, x: float) -> float:
-    if isinstance(e, Literal):
-        return e.value
-    if isinstance(e, Variable):
-        return x
-    if isinstance(e, Neg):
-        return -_evaluate_float(e.operand, x)
-    if isinstance(e, BinOp):
-        l = _evaluate_float(e.left, x)
-        r = _evaluate_float(e.right, x)
-        op = e.op
-        if op == "+":
-            return l + r
-        if op == "-":
-            return l - r
-        if op == "*":
-            return l * r
-        if op == "/":
-            for holds, message in _FAULTS[op]:
-                if holds(math, l, r):
-                    raise EvalDomainError(message, e.pos)
-            return l / r
-        if op == "^":
-            return _pow_value(l, r, e.pos)
-        raise AssertionError(f"bad operator {op!r}")
-    if isinstance(e, Call):
-        v = _evaluate_float(e.arg, x)
-        fn = e.fn
-        for holds, message in _FAULTS[fn]:
-            if holds(math, v):
-                raise EvalDomainError(message, e.pos)
-        if fn == "sin":
-            return math.sin(v)
-        if fn == "cos":
-            return math.cos(v)
-        if fn == "tan":
-            return math.sin(v) / math.cos(v)
-        if fn == "sec":
-            return 1.0 / math.cos(v)
-        if fn == "exp":
-            try:
-                return math.exp(v)
-            except OverflowError:
-                raise EvalDomainError(_OVERFLOW[fn], e.pos) from None
-        if fn == "ln":
-            return math.log(v)
-        if fn == "sqrt":
-            return math.sqrt(v)
-        raise AssertionError(f"bad function {fn!r}")
-    raise TypeError(f"not an expression node: {e!r}")
-
-
-_ARRAY_FUNCTIONS = {
+_FUNCTIONS = {
     "sin": np.sin,
     "cos": np.cos,
     "tan": lambda v: np.sin(v) / np.cos(v),
@@ -570,18 +492,43 @@ _ARRAY_FUNCTIONS = {
 }
 
 
-def _evaluate_array(e: Expr, x: np.ndarray):
-    """The float evaluator's twin over an array (float where a subtree does
-    not depend on the variable); the same faults, found by masks."""
+def evaluate(e: Expr, x):
+    """Evaluate ``e`` with the free variable bound to ``x`` in IEEE double
+    precision, with numpy ufuncs.  ``x`` is a float (the result is a float:
+    a batch of one) or an ndarray (the result has the shape of ``x``).
+    A subtree shared within ``e`` (derivatives share them) is evaluated
+    once.  Domain faults raise EvalDomainError carrying the source offset
+    of the offending subtree; for an array the message also names the
+    first faulting element."""
+    arr = np.asarray(x, dtype=float)
+    with np.errstate(all="ignore"):
+        out = np.array(np.broadcast_to(_evaluate(e, arr if arr.ndim else arr[()], {}),
+                                       arr.shape))
+    return out if isinstance(x, np.ndarray) else float(out)
+
+
+def _evaluate(e: Expr, x, memo: dict):
+    """The value of ``e`` over ``x``; ``memo`` maps the id of each node
+    evaluated so far (``e`` keeps its nodes, and so their ids, alive) to
+    its value."""
+    key = id(e)
+    if key not in memo:
+        memo[key] = _value(e, x, *(_evaluate(c, x, memo) for c in _children(e)))
+    return memo[key]
+
+
+def _value(e: Expr, x, *v):
+    """The value of node ``e`` over ``x`` given the values ``v`` of its
+    children (a numpy scalar where a subtree does not depend on the
+    variable, so no operation raises); faults are found by masks."""
     if isinstance(e, Literal):
-        return e.value
+        return np.float64(e.value)
     if isinstance(e, Variable):
         return x
     if isinstance(e, Neg):
-        return -_evaluate_array(e.operand, x)
+        return -v[0]
     if isinstance(e, BinOp):
-        l = _evaluate_array(e.left, x)
-        r = _evaluate_array(e.right, x)
+        l, r = v
         op = e.op
         if op == "+":
             return l + r
@@ -598,11 +545,10 @@ def _evaluate_array(e: Expr, x: np.ndarray):
         _raise_first(x, op, e.pos, out, l, r)
         return out
     if isinstance(e, Call):
-        v = _evaluate_array(e.arg, x)
-        if e.fn not in _ARRAY_FUNCTIONS:
+        if e.fn not in _FUNCTIONS:
             raise AssertionError(f"bad function {e.fn!r}")
-        out = _ARRAY_FUNCTIONS[e.fn](v)
-        _raise_first(x, e.fn, e.pos, out, v)
+        out = _FUNCTIONS[e.fn](v[0])
+        _raise_first(x, e.fn, e.pos, out, v[0])
         return out
     raise TypeError(f"not an expression node: {e!r}")
 
@@ -610,8 +556,8 @@ def _evaluate_array(e: Expr, x: np.ndarray):
 def _raise_first(x: np.ndarray, name: str, pos: int | None, out, *operands) -> None:
     """Raise EvalDomainError at the first element of ``x`` where one of
     ``name``'s domain faults holds; at that element the earliest listed
-    fault is reported, as the float evaluator would."""
-    faults = [(holds(np, *operands), message) for holds, message in _FAULTS[name]]
+    fault is reported."""
+    faults = [(holds(*operands), message) for holds, message in _FAULTS[name]]
     if name in _OVERFLOW:
         overflow = np.isinf(out)
         for operand in operands:
@@ -622,6 +568,8 @@ def _raise_first(x: np.ndarray, name: str, pos: int | None, out, *operands) -> N
     masks = [np.broadcast_to(mask, x.shape).ravel() for mask, _ in faults]
     first = int(np.argmax(np.logical_or.reduce(masks)))
     message = next(msg for mask, (_, msg) in zip(masks, faults) if mask[first])
+    if np.ndim(x) == 0:
+        raise EvalDomainError(message, pos)
     where = np.unravel_index(first, x.shape)
     raise EvalDomainError(f"{message} at element {list(map(int, where))} "
                           f"(variable = {float(x[where])!r})", pos)

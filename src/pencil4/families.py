@@ -29,7 +29,7 @@ import numpy as np
 
 from . import curvature as cu
 from . import expr as ex
-from .curve import CurveSpec, WCurve, frenet_apparatus
+from .curve import CurveSpec, WCurve, frenet_apparatus, frenet_frames
 from .errors import (
     ConstraintViolationError,
     DomainError,
@@ -364,7 +364,8 @@ def _check_case_preconditions(case: str, c1: float, c2: float, curve: CurveSpec,
                 "(degenerate double rotation)"
             )
         return
-    apps = [frenet_apparatus(curve, float(s)) for s in s_samples]
+    frames = frenet_frames(curve, s_samples)
+    apps = [frames.apparatus(i) for i in range(len(s_samples))]
     if case == "ii":
         for app in apps:
             if app.rank < 4:
@@ -459,12 +460,10 @@ def flat_ode_residuals(
     if isinstance(r, str):
         r = ex.parse(r, "t")
     t_arr = np.asarray(list(t_samples), dtype=float)
-    rv, dv, sv = (np.array([ex.evaluate(e, t) for t in t_arr.tolist()])
-                  for e in (r, *ex.derivatives(r, 2)))
+    rv, dv, sv = (ex.evaluate(e, t_arr) for e in (r, *ex.derivatives(r, 2)))
     eps1 = 2.0 * dv * dv - rv * sv + rv * rv
     # kappas per s as (ns, 1) columns against the (nt,) radius samples
-    k1, k2, k3 = np.array([frenet_apparatus(curve, float(s)).kappas
-                           for s in s_samples]).reshape(-1, 3).T[:, :, None]
+    k1, k2, k3 = frenet_frames(curve, np.asarray(s_samples, dtype=float)).kappas.T[:, :, None]
     eps2 = (k1 * k3 * rv * rv + (dv * k2 - rv * k3) * np.cos(t_arr)
             - (dv * k3 + rv * k2) * np.sin(t_arr))
     return eps1, eps2

@@ -8,9 +8,9 @@ assembled from the measured fundamental-form coefficients.  Nothing here
 touches moving frames or symbolic derivatives, so it is a genuinely
 independent check of every closed form in the library.
 
-Points are measured in batches: every stencil point of a batch comes from
-one call of the immersion's evaluator, and every step after that is an
-array operation, so a single point is a batch of one.
+Points are measured in batches: the stencil points of up to ``SLICE``
+points come from one call of the immersion's evaluator, and every step after
+that is an array operation, so a single point is a batch of one.
 
 K and ||H||^2 (and the ambient mean-curvature vector) are basis
 independent.  The normal curvature depends on the orientation of the
@@ -39,6 +39,9 @@ __all__ = [
 DEFAULT_TOLERANCE = 1e-6
 _GRAM_TOL = 1e-12
 _SKIP_TOL = 0.25  # reject normal-candidate residuals shorter than this
+# Most points whose stencils share one evaluator call: bounds the working set
+# (the stencil points and the evaluator's temporaries) whatever the batch size.
+SLICE = 256
 
 
 @dataclass(frozen=True)
@@ -47,9 +50,9 @@ class Immersion:
 
     ``fn(U, V)`` takes broadcastable arrays of parameters and returns the
     points, shape ``(..., 4)`` over the broadcast shape (floats give one
-    point).  The oracle calls it once per ``numeric_forms`` call, with U of
-    shape (n, 5, 1) and V of shape (n, 1, 5), so an evaluator that reads
-    per-u or per-v data can read it once per stencil line.
+    point).  The oracle calls it once per slice of at most ``SLICE`` points,
+    with U of shape (n, 5, 1) and V of shape (n, 1, 5), so an evaluator that
+    reads per-u or per-v data can read it once per stencil line.
 
     ``step`` overrides the differencing step; when None the policy
     h = 1e-4 * max(1, |u|, |v|) applies.  Larger steps (~4e-3) push the
@@ -111,8 +114,9 @@ def numeric_forms(im: Immersion, u, v,
 
     ``u`` and ``v`` are floats (one report of floats) or equal-length 1-D
     arrays (one report of arrays); a float pairs with every element of the
-    other.  The 5 x 5 stencil grid of every point (u + i h, v + j h),
-    i, j in -2..2, is evaluated in one ``im.fn`` call.
+    other.  The 5 x 5 stencil grids of the points (u + i h, v + j h),
+    i, j in -2..2, are evaluated in one ``im.fn`` call per slice of at most
+    ``SLICE`` consecutive points.
 
     ``seed_order`` is the order in which standard basis vectors are offered
     to the normal-basis Gram-Schmidt (the defaults make the basis
@@ -134,6 +138,19 @@ def numeric_forms(im: Immersion, u, v,
             f"stencil of half-width {float(2 * h[i])!r} does not fit at "
             f"({float(u[i])!r}, {float(v[i])!r})"
         )
+    slices = [_measure(im, u[i:i + SLICE], v[i:i + SLICE], h[i:i + SLICE], seed_order)
+              for i in range(0, max(u.size, 1), SLICE)]
+    rep = OracleReport(**{name: _join([getattr(r, name) for r in slices])
+                          for name in OracleReport.__dataclass_fields__})
+    if scalar:
+        rep = OracleReport(**{name: _unbatch(getattr(rep, name))
+                              for name in OracleReport.__dataclass_fields__})
+    return rep
+
+
+def _measure(im: Immersion, u: np.ndarray, v: np.ndarray, h: np.ndarray,
+             seed_order) -> OracleReport:
+    """The batched report of ``numeric_forms`` over one slice of points."""
     n = u.size
     grid_u = u[:, None, None] + _OFFSETS[:, None] * h[:, None, None]
     grid_v = v[:, None, None] + _OFFSETS * h[:, None, None]
@@ -150,15 +167,11 @@ def numeric_forms(im: Immersion, u, v,
         dv_hi, dv_lo = _diff1(X.swapaxes(1, 2), h[:, None])
         x_uv, _ = _diff1(dv_hi, h)
         _, x_uv_lo = _diff1(dv_lo, h)
-        rep = _report_from_derivatives(
+        return _report_from_derivatives(
             x_u, x_v, x_uu, x_uv, x_vv,
             low=(x_u_lo, x_v_lo, x_uu_lo, x_uv_lo, x_vv_lo),
             seed_order=seed_order, points=(u, v),
         )
-    if scalar:
-        return OracleReport(**{name: _unbatch(getattr(rep, name))
-                               for name in OracleReport.__dataclass_fields__})
-    return rep
 
 
 def _diff1(line: np.ndarray, h: np.ndarray):
@@ -174,6 +187,13 @@ def _diff2(line: np.ndarray, center: np.ndarray, h: np.ndarray):
     lo = (line[:, 3] - 2.0 * center + line[:, 1]) / (h * h)
     wide = (line[:, 4] - 2.0 * center + line[:, 0]) / (4.0 * h * h)
     return (4.0 * lo - wide) / 3.0, lo
+
+
+def _join(values: list):
+    """One batched report field from that field of consecutive slices."""
+    if isinstance(values[0], dict):
+        return {k: _join([v[k] for v in values]) for k in values[0]}
+    return np.concatenate(values)
 
 
 def _unbatch(value):
@@ -363,7 +383,8 @@ def compare(
 def grid_max_abs_gaussian(im: Immersion, s_values: Sequence[float],
                           t_values: Sequence[float]) -> float:
     """max |K| measured by the oracle over a grid (flatness certification),
-    one ``numeric_forms`` call per t; NaN if any point's K is NaN."""
-    s_values = np.asarray(s_values, dtype=float)
-    rows = [np.max(np.abs(numeric_forms(im, s_values, float(t)).K)) for t in t_values]
-    return float(np.max(rows, initial=0.0))
+    one ``numeric_forms`` call over every grid point; NaN if any point's K
+    is NaN."""
+    s_grid, t_grid = np.meshgrid(s_values, t_values)
+    K = numeric_forms(im, s_grid.ravel(), t_grid.ravel()).K
+    return float(np.max(np.abs(K), initial=0.0))

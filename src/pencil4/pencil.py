@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .curve import CurveSpec, FrenetApparatus, Vec4, WCurve, frenet_apparatus
+from .curve import CurveSpec, FrenetApparatus, Vec4, WCurve, frenet_apparatus, frenet_frames
 from .errors import RegularityViolationError
 
 __all__ = [
@@ -76,8 +76,9 @@ class MarchingScale:
         return cls(ex.parse(a_text, var), ex.parse(b_text, var),
                    (float(domain[0]), float(domain[1])))
 
-    def values(self, t: float) -> tuple[float, float, float, float, float, float]:
-        """(A, B, A', B', A'', B'') at ``t``."""
+    def values(self, t) -> tuple:
+        """(A, B, A', B', A'', B'') at a float ``t``, or an array of each at
+        an array of t."""
         return (
             ex.evaluate(self.A, t),
             ex.evaluate(self.B, t),
@@ -207,7 +208,6 @@ class PencilSurface:
     curve: CurveSpec
     marching: MarchingScale
     s_domain: tuple[float, float] = None
-    _frames: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if self.s_domain is None:
@@ -220,72 +220,72 @@ class PencilSurface:
     # -- frames ---------------------------------------------------------
 
     def frame(self, s: float) -> FrenetApparatus:
-        app = self._frames.get(s)
-        if app is None:
-            app = frenet_apparatus(self.curve, s)
-            self._frames[s] = app
-        return app
+        return frenet_apparatus(self.curve, s)
 
-    def _kappas(self, s: float, source: str) -> tuple[float, float, float]:
-        app = self.frame(s)
-        if source == "frame":
-            return app.connection
-        if source == "curve":
-            return app.kappas
-        raise ValueError(f"unknown coefficient source {source!r}")
+    def _spine(self, s: np.ndarray, source: str):
+        """Frames (n, 4, 4), coefficient triples and their s-rates (n, 3)
+        at the 1-D array ``s``, from one ``frenet_frames`` batch.
 
-    def _kappa_rates(self, s: float, source: str) -> tuple[float, float, float]:
-        """d/ds of the coefficient triple; exactly zero for W-curves,
-        central finite differences elsewhere (no closed form survives the
-        Gram-Schmidt construction)."""
+        The rates are exactly zero for W-curves; elsewhere no closed form
+        survives the Gram-Schmidt construction, so they are central
+        differences over s +- h, or one-sided second-order differences over
+        s, s + h, s + 2h (s, s - h, s - 2h) where s - h (s + h) leaves the
+        domain."""
+        if source not in ("frame", "curve"):
+            raise ValueError(f"unknown coefficient source {source!r}")
+        pick = "connection" if source == "frame" else "kappas"
         if isinstance(self.curve, WCurve):
-            return (0.0, 0.0, 0.0)
+            frames = frenet_frames(self.curve, s)
+            k = getattr(frames, pick)
+            return frames.frame, k, np.zeros_like(k)
         h = _KAPPA_FD_STEP
         lo, hi = self.s_domain
-        if s - h < lo or s + h > hi:
-            # one-sided second-order fallback near the boundary
-            sign = 1.0 if s - h < lo else -1.0
-            k0 = np.array(self._kappas(s, source))
-            k1 = np.array(self._kappas(s + sign * h, source))
-            k2 = np.array(self._kappas(s + 2.0 * sign * h, source))
-            rate = sign * (-3.0 * k0 + 4.0 * k1 - k2) / (2.0 * h)
-            return tuple(float(v) for v in rate)
-        plus = np.array(self._kappas(s + h, source))
-        minus = np.array(self._kappas(s - h, source))
-        rate = (plus - minus) / (2.0 * h)
-        return tuple(float(v) for v in rate)
+        below = s - h < lo
+        edge = below | (s + h > hi)
+        sign = np.where(below, 1.0, -1.0)
+        near = np.where(edge, s + sign * h, s + h)
+        far = np.where(edge, s + 2.0 * sign * h, s - h)
+        frames = frenet_frames(self.curve, np.concatenate([s, near, far]))
+        k0, k1, k2 = np.split(getattr(frames, pick), 3)
+        rate = np.where(edge[:, None], sign[:, None] * (-3.0 * k0 + 4.0 * k1 - k2) / (2.0 * h),
+                        (k1 - k2) / (2.0 * h))
+        return frames.frame[:s.size], k0, rate
 
     # -- geometry at one point -------------------------------------------
 
-    def coefficients(self, s: float, t: float, source: str = "frame") -> PencilCoefficients:
-        A, B, dA, dB, _, _ = self.marching.values(t)
-        return _coefficients(self._kappas(s, source), self._kappa_rates(s, source),
-                             A, B, dA, dB)
+    def _at(self, s: float, t: float, source: str = "frame"):
+        """(frame, coefficient triple, coefficients, marching values, E, G)
+        at one point, without regularity checks."""
+        frames, k, dk = self._spine(np.array([float(s)]), source)
+        k = tuple(k[0].tolist())
+        values = self.marching.values(t)
+        co = _coefficients(k, tuple(dk[0].tolist()), *values[:4])
+        return (frames[0], k, co, values, *metric(co, values[2], values[3]))
 
     def _regular(self, s: float, t: float, source: str = "frame"):
-        """(coefficients, marching values, E, G) at one point; raises
-        RegularityViolationError when either regularity condition fails."""
-        values = self.marching.values(t)
-        co = _coefficients(self._kappas(s, source), self._kappa_rates(s, source),
-                           *values[:4])
-        E, G = metric(co, values[2], values[3])
-        if (status := int(_regularity(E, G))) != OK:
+        """``_at``, raising RegularityViolationError when either regularity
+        condition fails."""
+        at = self._at(s, t, source)
+        if (status := int(_regularity(*at[-2:]))) != OK:
             raise RegularityViolationError(CONDITIONS[status], s, t)
-        return co, values, E, G
+        return at
+
+    def coefficients(self, s: float, t: float, source: str = "frame") -> PencilCoefficients:
+        return self._at(s, t, source)[2]
 
     def point_array(self, s, t) -> np.ndarray:
         """X(s,t) without regularity checks (the point itself is always
         defined): shape (4,) for floats, ``(..., 4)`` for broadcastable
-        arrays.  Spine data is read once per distinct s; this is the
+        arrays.  Frames come from one batch over the distinct s; this is the
         numerical oracle's point function."""
         s = np.asarray(s, dtype=float)
         uniq, where = np.unique(s, return_inverse=True)
         where = where.reshape(s.shape)
-        frames = np.array([self.frame(x).frame for x in uniq.tolist()])[where]
+        v2_v4 = frenet_frames(self.curve, uniq).frame[:, 1::2][where]
         gamma = self.curve.point(uniq)[where]
         A = np.asarray(ex.evaluate(self.marching.A, t))[..., None]
         B = np.asarray(ex.evaluate(self.marching.B, t))[..., None]
-        return _point(gamma, frames[..., 1, :], frames[..., 3, :], A, B)
+        return _point(gamma, v2_v4[..., 0, :], v2_v4[..., 1, :], A, B)
 
     def point(self, s: float, t: float) -> Vec4:
         """X(s,t); raises RegularityViolationError when either regularity
@@ -295,50 +295,45 @@ class PencilSurface:
 
     def tangent_frame(self, s: float, t: float) -> tuple[Vec4, Vec4]:
         """(X_s, X_t) = (a V1 + b V3, A' V2 + B' V4)."""
-        co, (_, _, dA, dB, _, _), _, _ = self._regular(s, t)
-        app = self.frame(s)
-        x_s = co.a * app.frame[0] + co.b * app.frame[2]
-        x_t = dA * app.frame[1] + dB * app.frame[3]
+        frame, _, co, (_, _, dA, dB, _, _), _, _ = self._regular(s, t)
+        x_s = co.a * frame[0] + co.b * frame[2]
+        x_t = dA * frame[1] + dB * frame[3]
         return Vec4.from_array(x_s), Vec4.from_array(x_t)
 
     def normal_frame(self, s: float, t: float) -> tuple[Vec4, Vec4]:
         """(N1, N2) = ((-B' V2 + A' V4)/sqrt(G), (-b V1 + a V3)/sqrt(E))."""
-        co, (_, _, dA, dB, _, _), E, G = self._regular(s, t)
-        app = self.frame(s)
-        n1 = (-dB * app.frame[1] + dA * app.frame[3]) / math.sqrt(G)
-        n2 = (-co.b * app.frame[0] + co.a * app.frame[2]) / math.sqrt(E)
+        frame, _, co, (_, _, dA, dB, _, _), E, G = self._regular(s, t)
+        n1 = (-dB * frame[1] + dA * frame[3]) / math.sqrt(G)
+        n2 = (-co.b * frame[0] + co.a * frame[2]) / math.sqrt(E)
         return Vec4.from_array(n1), Vec4.from_array(n2)
 
     def fundamental_forms(self, s: float, t: float, source: str = "frame") -> FundamentalForms:
-        co, values, E, G = self._regular(s, t, source)
-        return _forms(E, G, *form_numerators(self._kappas(s, source), co, *values[2:]))
+        _, k, co, values, E, G = self._regular(s, t, source)
+        return _forms(E, G, *form_numerators(k, co, *values[2:]))
 
     def second_derivative_s(self, s: float, t: float, source: str = "frame") -> Vec4:
         """X_ss assembled from the frame decomposition
         a_s V1 + (k1 a - k2 b) V2 + b_s V3 + k3 b V4."""
-        k1, k2, k3 = self._kappas(s, source)
-        co = self.coefficients(s, t, source)
-        app = self.frame(s)
-        v = (co.a_s * app.frame[0]
-             + (k1 * co.a - k2 * co.b) * app.frame[1]
-             + co.b_s * app.frame[2]
-             + k3 * co.b * app.frame[3])
+        frame, (k1, k2, k3), co, _, _, _ = self._at(s, t, source)
+        v = (co.a_s * frame[0]
+             + (k1 * co.a - k2 * co.b) * frame[1]
+             + co.b_s * frame[2]
+             + k3 * co.b * frame[3])
         return Vec4.from_array(v)
 
     # -- geometry on a grid ----------------------------------------------
 
     def sweep(self, ss, ts, source: str = "frame") -> Sweep:
         """Points, forms and regularity status on the grid ``ts x ss``.
-        Reads spine data once per s and marching values once per t; an
-        irregular point gets a status code, never an exception."""
-        s_list = [float(s) for s in ss]
-        t_list = [float(t) for t in ts]
-        k = np.array([self._kappas(s, source) for s in s_list]).T[:, None, :]
-        dk = np.array([self._kappa_rates(s, source) for s in s_list]).T[:, None, :]
-        gamma = self.curve.point(np.array(s_list))
-        frames = np.array([self.frame(s).frame for s in s_list])
-        A, B, dA, dB, ddA, ddB = np.array(
-            [self.marching.values(t) for t in t_list]).reshape(-1, 6).T[:, :, None]
+        Spine data comes from one frame batch over s and the marching
+        values from one evaluation over t; an irregular point gets a status
+        code, never an exception."""
+        s = np.array(ss, dtype=float).reshape(-1)
+        t = np.array(ts, dtype=float).reshape(-1)
+        frames, k, dk = self._spine(s, source)
+        k, dk = k.T[:, None, :], dk.T[:, None, :]
+        gamma = self.curve.point(s)
+        A, B, dA, dB, ddA, ddB = np.stack(self.marching.values(t))[:, :, None]
 
         co = _coefficients(k, dk, A, B, dA, dB)
         E, G = metric(co, dA, dB)
@@ -351,5 +346,5 @@ class PencilSurface:
             **{name: np.where(irregular, np.nan, getattr(raw, name))
                for name in ("E", "G", "W2", "c1_11", "c1_22", "c2_11", "c2_12")})
         points = _point(gamma, frames[:, 1], frames[:, 3], A[..., None], B[..., None])
-        return Sweep(s=np.array(s_list), t=np.array(t_list), points=points,
+        return Sweep(s=s, t=t, points=points,
                      status=status, forms=forms, rho1=q2, rho2=rho2)

@@ -159,6 +159,51 @@ class TestConfig:
                 for path in paths.values():
                     cli.load_scene(path)
 
+    def test_tracer_installs_and_uninstalls(self, tmp_path, monkeypatch, capsys):
+        # the benchmark's tracer wraps functions by name and raises if one
+        # is missing, so a rename fails here rather than in a traced run
+        import pencil4
+
+        spec = importlib.util.spec_from_file_location(
+            "bench_tracer", Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
+        tracing = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, tracing)
+        spec.loader.exec_module(tracing)
+        originals = (pencil4.curve.frenet_apparatus, pencil4.pencil.PencilSurface.point_array,
+                     pencil4.oracle.numeric_forms, pencil4.cli.run_verify)
+        tracer = tracing.Tracer(record=False)
+        try:
+            tracer.install(pencil4)
+            assert pencil4.oracle.numeric_forms is not originals[2]
+            cfg = seed_scene(domain={"s": [0.0, 6.0], "t": [-0.25, 0.25], "ns": 3, "nt": 2})
+            assert cli.main(["verify", "--config", write_config(tmp_path, cfg)]) == 0
+            assert tracer.counts["oracle.reports"] == 1
+        finally:
+            tracer.uninstall()
+        assert (pencil4.curve.frenet_apparatus, pencil4.pencil.PencilSurface.point_array,
+                pencil4.oracle.numeric_forms, pencil4.cli.run_verify) == originals
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--step", "inf"), ("--step", "0"), ("--step", "nan"), ("--step", "1e-300"),
+        ("--tol", "nan"), ("--tol", "-1"), ("--tol", "inf"),
+    ])
+    def test_bad_tolerance_or_step_is_config_error(self, tmp_path, capsys, flag, value):
+        path = write_config(tmp_path, seed_scene())
+        code, out, err = run(capsys, ["verify", "--config", path, flag, value])
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert err.startswith(f"config error: {flag} must be a positive finite number")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["eval", "verify", "export"])
+    def test_unwritable_out_is_output_error(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, seed_scene(output={"format": "obj"}))
+        target = tmp_path / "missing" / "x.csv"
+        code, _, err = run(capsys, [command, "--config", path, "--out", str(target)])
+        assert code == cli.EXIT_OUTPUT
+        assert err.startswith("output error: ") and str(tmp_path / "missing") in err
+        assert err.count("\n") == 1
+        assert "9  output file could not be written" in cli._EXIT_CODES
+
     def test_zero_marching_is_regularity_exit(self, tmp_path, capsys):
         cfg = seed_scene(marching={"kind": "expressions", "A": "0", "B": "0"})
         code, _, err = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
@@ -268,7 +313,9 @@ class TestCurvature:
                                 lambda self, t: calls.append(t) or values(self, t))
             cli.run_curvature(scene)
             monkeypatch.undo()
-            assert len(calls) == 5
+            # one array call over every t of the grid
+            assert len(calls) == 1
+            assert np.array_equal(calls[0], np.linspace(-0.25, 0.25, 5))
 
 
 class TestRegularityMarkers:
@@ -327,7 +374,7 @@ class TestVerify:
             est = float(line.split("oracle truncation est ")[1].split(")")[0])
             assert 0.0 <= est < 1e-6
 
-    def test_one_oracle_call_per_t_row(self, tmp_path, monkeypatch):
+    def test_one_oracle_call_over_regular_points(self, tmp_path, monkeypatch):
         from pencil4 import oracle as orc
 
         scene = cli.load_scene(write_config(tmp_path, singular_ray_scene()), "6x5")
@@ -336,9 +383,12 @@ class TestVerify:
         monkeypatch.setattr(orc, "numeric_forms",
                             lambda im, u, v: calls.append((u, v)) or numeric_forms(im, u, v))
         cli.run_verify(scene, 1e-6, None)
-        # the t = 0 row is irregular everywhere and is not sent to the oracle
-        ts = np.linspace(-0.1, 0.1, 5).tolist()
-        assert [(len(u), v) for u, v in calls] == [(6, t) for t in ts[:2] + ts[3:]]
+        # one call over the regular points in t-major order; the t = 0 row
+        # is irregular everywhere and is not sent to the oracle
+        ss, ts = np.linspace(0.0, 1.0, 6), np.linspace(-0.1, 0.1, 5)[[0, 1, 3, 4]]
+        assert len(calls) == 1
+        assert np.array_equal(calls[0][0], np.tile(ss, 4))
+        assert np.array_equal(calls[0][1], np.repeat(ts, 6))
 
     def test_exit_nonzero_on_tolerance_failure(self, tmp_path, capsys):
         cfg = seed_scene(

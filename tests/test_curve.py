@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencil4 import curve as cv
 from pencil4.errors import (
@@ -177,6 +179,114 @@ class TestFrenetApparatus:
         for pick in (lambda f: f.kappa1, lambda f: f.kappa2, lambda f: f.kappa3):
             vals = [pick(a) for a in apps]
             assert max(vals) - min(vals) < 1e-10
+
+
+def _num(v: float) -> str:
+    """A float as an expression literal that parses back to the same double."""
+    text = np.format_float_positional(v, trim="0")
+    return f"({text})" if v < 0 else text
+
+
+def batch_curve(kind: str, c: float, ratio: float, th: float):
+    """A W-curve, its analytic twin, the involute (kappas vary with s), a
+    completed degenerate rotation (c = d or b = 0) or a helix lying in a
+    3-space (kappa3 = 0)."""
+    d = c * ratio
+    a, b = math.cos(th) / c, math.sin(th) / d
+    if kind == "w_curve":
+        return cv.WCurve(a, b, c, d)
+    if kind == "analytic_twin":
+        return cv.AnalyticCurve.from_strings(
+            [f"{_num(a)}*cos({_num(c)}*s)", f"{_num(a)}*sin({_num(c)}*s)",
+             f"{_num(b)}*cos({_num(d)}*s)", f"{_num(b)}*sin({_num(d)}*s)"], (0.0, 7.0))
+    if kind == "involute":
+        return make_involute()
+    if kind == "equal_rates":
+        return cv.WCurve(math.cos(th) / c, math.sin(th) / c, c, c)
+    if kind == "planar":
+        return cv.WCurve(1.0 / c, 0.0, c, d)
+    # helix (r cos s, r sin s, h s, 0) with r^2 + h^2 = 1
+    r, h = math.cos(th), math.sin(th)
+    return cv.AnalyticCurve.from_strings(
+        [f"{_num(r)}*cos(s)", f"{_num(r)}*sin(s)", f"{_num(h)}*s", "0"], (0.0, 7.0))
+
+
+class TestFrenetFrames:
+    """frenet_frames over an array against frenet_apparatus per s."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        kind=st.sampled_from(["w_curve", "analytic_twin", "involute", "equal_rates",
+                              "planar", "helix_in_3_space"]),
+        c=st.floats(0.7, 1.2), ratio=st.floats(1.6, 2.2), th=st.floats(0.45, 1.1),
+        s=st.lists(st.floats(0.6, 2.4), min_size=1, max_size=7),
+    )
+    def test_batch_equals_calls_of_one(self, kind, c, ratio, th, s):
+        curve = batch_curve(kind, c, ratio, th)
+        frames = cv.frenet_frames(curve, np.array(s))
+        assert frames.frame.shape == (len(s), 4, 4)
+        assert frames.kappas.shape == frames.connection.shape == (len(s), 3)
+        for i, x in enumerate(s):
+            one = cv.frenet_apparatus(curve, x)
+            assert np.array_equal(frames.frame[i], one.frame)
+            assert tuple(frames.kappas[i]) == one.kappas
+            assert tuple(frames.connection[i]) == one.connection
+            assert frames.rank[i] == one.rank
+            assert frames.apparatus(i).degenerate == one.degenerate
+        want_rank = {"equal_rates": 2, "planar": 2, "helix_in_3_space": 3}.get(kind, 4)
+        assert np.all(frames.rank == want_rank)
+
+    def test_orientation_is_fixed_per_row(self):
+        class Mirrored:
+            """The seed curve's derivatives with the fourth one negated beyond
+            s = 1, which reverses the Gram-Schmidt orientation there."""
+
+            def derivative_arrays(self, s, order):
+                d = SEED_CURVE.derivative_arrays(s, order)
+                d[3] = np.where((s > 1.0)[:, None], -d[3], d[3])
+                return d
+
+        s = np.array([0.5, 1.5, 0.7, 2.5])
+        frames = cv.frenet_frames(Mirrored(), s)
+        assert np.all(np.linalg.det(frames.frame) > 0.0)
+        for i, x in enumerate(s):
+            one = cv.frenet_apparatus(Mirrored(), x)
+            assert np.array_equal(frames.frame[i], one.frame)
+            assert tuple(frames.kappas[i]) == one.kappas
+        assert np.sign(frames.kappas[:, 2]).tolist() == [1.0, -1.0, 1.0, -1.0]
+
+    def test_helix_frame_is_completed_in_its_3_space(self):
+        app = cv.frenet_apparatus(batch_curve("helix_in_3_space", 1.0, 2.0, 0.6), 0.9)
+        assert app.degenerate == (False, False, True)
+        assert np.linalg.det(app.frame) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(app.frame[3]) == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-12)
+
+    def test_degenerate_frame_names_the_first_faulting_s(self):
+        # a circle (kappa2 = 0) and a line (kappa1 = 0) fault at every s: the
+        # first entry of the batch is named, not the smallest s
+        circle = cv.AnalyticCurve.from_strings(["cos(s)", "sin(s)", "0", "0"], (0.0, 6.0))
+        with pytest.raises(DegenerateFrameError) as ei:
+            cv.frenet_frames(circle, np.array([1.5, 0.25, 3.0]))
+        assert ei.value.rank == 2 and f"at s = {1.5!r}" in str(ei.value)
+        line = cv.AnalyticCurve.from_strings(["s", "0", "0", "0"], (0.0, 2.0))
+        with pytest.raises(DegenerateFrameError) as ei:
+            cv.frenet_frames(line, np.array([0.75, 0.5]))
+        assert ei.value.rank == 1 and f"at s = {0.75!r}" in str(ei.value)
+
+    def test_first_fault_in_a_mixed_batch(self):
+        class Straightening:
+            """The seed curve's derivatives with gamma'' zeroed beyond s = 1."""
+
+            def derivative_arrays(self, s, order):
+                d = SEED_CURVE.derivative_arrays(s, order)
+                d[1] = np.where((s > 1.0)[:, None], 0.0, d[1])
+                return d
+
+        curve = Straightening()
+        assert np.all(cv.frenet_frames(curve, np.array([0.2, 0.9])).rank == 4)
+        with pytest.raises(DegenerateFrameError) as ei:
+            cv.frenet_frames(curve, np.array([0.2, 1.7, 0.9, 1.2]))
+        assert ei.value.rank == 1 and str(ei.value).endswith(f"at s = {1.7!r}")
 
 
 class TestCompleteFrame:

@@ -356,8 +356,29 @@ def arithmetic_expression(rng: random.Random, depth: int) -> expr.Expr:
     return expr.Call(rng.choice(["sin", "cos"]), arithmetic_expression(rng, depth - 1))
 
 
+_MATH = {"+": lambda l, r: l + r, "-": lambda l, r: l - r, "*": lambda l, r: l * r,
+         "/": lambda l, r: l / r, "^": math.pow, "sin": math.sin, "cos": math.cos,
+         "tan": lambda v: math.sin(v) / math.cos(v), "sec": lambda v: 1.0 / math.cos(v),
+         "exp": math.exp, "ln": math.log, "sqrt": math.sqrt}
+
+
+def math_value(e: expr.Expr, x: float) -> float:
+    """``e`` at ``x`` by a walk over Python floats with ``math``: a reference
+    that shares no code with the numpy evaluator."""
+    if isinstance(e, expr.Literal):
+        return e.value
+    if isinstance(e, expr.Variable):
+        return x
+    if isinstance(e, expr.Neg):
+        return -math_value(e.operand, x)
+    if isinstance(e, expr.BinOp):
+        return _MATH[e.op](math_value(e.left, x), math_value(e.right, x))
+    return _MATH[e.fn](math_value(e.arg, x))
+
+
 class TestArrayEvaluate:
-    """evaluate over an ndarray against the float evaluator, element by element."""
+    """evaluate against a ``math`` reference, element by element; a float is a
+    batch of one."""
 
     def test_arithmetic_and_trig_bit_for_bit(self):
         rng = random.Random(4)
@@ -366,8 +387,11 @@ class TestArrayEvaluate:
             e = arithmetic_expression(rng, rng.randint(1, 6))
             got = expr.evaluate(e, xs)
             assert got.shape == xs.shape
-            want = np.array([expr.evaluate(e, x) for x in xs.ravel().tolist()]).reshape(xs.shape)
+            want = np.array([math_value(e, x) for x in xs.ravel().tolist()]).reshape(xs.shape)
             assert np.array_equal(got, want), expr.to_string(e)
+            one = [expr.evaluate(e, x) for x in xs.ravel().tolist()]
+            assert all(isinstance(v, float) for v in one)
+            assert np.array_equal(np.reshape(one, xs.shape), got)
 
     @pytest.mark.parametrize("text", ["exp(t)", "ln(t)", "sqrt(t)", "t^2", "t^2.5",
                                       "t^(-1.5)", "(t+1)^t", "2^t"])
@@ -375,7 +399,7 @@ class TestArrayEvaluate:
         e = expr.parse(text, "t")
         xs = np.random.default_rng(5).uniform(0.01, 8.0, 4000)
         got = expr.evaluate(e, xs)
-        want = np.array([expr.evaluate(e, x) for x in xs.tolist()])
+        want = np.array([math_value(e, x) for x in xs.tolist()])
         assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)))
 
     def test_constant_takes_the_shape_of_the_argument(self):

@@ -270,6 +270,44 @@ class TestBatch:
         stencil = set(zip(calls[0][0].ravel().tolist(), calls[0][1].ravel().tolist()))
         assert len(stencil) == calls[0][0].size == 25 * n
 
+    def test_slices_bound_the_evaluator_calls(self):
+        # n > SLICE points: ceil(n / SLICE) evaluator calls of at most SLICE
+        # stencils each, and the same report as n batches of one
+        im = batch_immersion("analytic_twin", 0.9, 1.8, 0.7)
+        calls = []
+
+        def fn(u, v):
+            calls.append(np.broadcast(u, v).shape)
+            return im.fn(u, v)
+
+        n = 2 * orc.SLICE + 3
+        rng = np.random.default_rng(6)
+        u, v = rng.uniform(0.1, 6.1, n), rng.uniform(-0.25, 0.25, n)
+        counted = orc.Immersion(fn, im.u_domain, im.v_domain)
+        batch = orc.numeric_forms(counted, u, v)
+        assert calls == [(orc.SLICE, 5, 5), (orc.SLICE, 5, 5), (3, 5, 5)]
+        for i in range(n):
+            one = orc.numeric_forms(im, float(u[i]), float(v[i]))
+            for name in ("E", "F", "G", "W2", "c", "K", "k_n", "mean_vector", "h_norm_sq",
+                         "orientation"):
+                assert np.array_equal(getattr(batch, name)[i], getattr(one, name)), name
+            for key, value in one.error_estimate.items():
+                assert np.array_equal(batch.error_estimate[key][i], value, equal_nan=True)
+
+    def test_first_fault_across_slices_is_named(self):
+        # X_v = (0, u, 0, 0) vanishes on u = 0, here only in the second slice
+        im = orc.Immersion(lambda u, v: points(u, u * v, 0.0, 0.0), (-1.0, 1.0), (-1.0, 1.0))
+        u = np.linspace(0.1, 0.9, orc.SLICE + 10)
+        v = np.full(u.size, 0.2)
+        u[[orc.SLICE + 4, orc.SLICE + 7]], v[orc.SLICE + 7] = 0.0, 0.3
+        with pytest.raises(RankDeficiencyError) as ei:
+            orc.numeric_forms(im, u, v)
+        assert f"dependent at ({0.0!r}, {0.2!r})" in str(ei.value)
+        u[5], v[5] = 0.0, 0.4  # an earlier fault, in the first slice
+        with pytest.raises(RankDeficiencyError) as ei:
+            orc.numeric_forms(im, u, v)
+        assert f"dependent at ({0.0!r}, {0.4!r})" in str(ei.value)
+
     def test_step_underflow_names_first_faulting_point(self):
         im = orc.Immersion(plane_patch().fn, (0.0, 1.0), (0.0, 1.0))
         with pytest.raises(StepUnderflowError) as ei:

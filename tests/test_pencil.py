@@ -15,7 +15,7 @@ from support import (
     fd_surface_first_derivatives,
     fd_surface_second_derivatives,
 )
-from test_curve import make_involute
+from test_curve import _num, make_involute
 
 SQ3 = math.sqrt(3.0)
 SEED_CURVE = cv.WCurve(SQ3 / 2, 0.25, 1.0, 2.0)
@@ -285,11 +285,6 @@ class TestFundamentalForms:
             assert co_frame.b != 0.0
 
 
-def _num(v: float) -> str:
-    text = np.format_float_positional(v, trim="0")
-    return f"({text})" if v < 0 else text
-
-
 INVOLUTE = make_involute()
 
 
@@ -299,7 +294,7 @@ class TestSweep:
     @staticmethod
     def assert_matches_scalar(make_surface, ss, ts, source):
         sw = make_surface().sweep(ss, ts, source)
-        p = make_surface()  # its own frame cache
+        p = make_surface()
         rep = cu.invariants_from_forms(sw.forms)
         assert sw.points.shape == (len(ts), len(ss), 4)
         assert sw.status.shape == sw.forms.E.shape == rep.K.shape == (len(ts), len(ss))
