@@ -17,10 +17,8 @@ __version__ = "0.1.0"
 from .curve import (  # noqa: F401
     AnalyticCurve,
     FrenetApparatus,
-    Vec4,
     WCurve,
     complete_frame,
-    derivatives,
     frenet_apparatus,
     is_w_curve,
 )

@@ -34,7 +34,8 @@ from . import expr as ex
 from . import families as fam
 from . import oracle as orc
 from . import pencil as pc
-from .curve import AnalyticCurve, CurveSpec, WCurve, frenet_apparatus, frenet_frames
+from .curve import (AnalyticCurve, CurveSpec, WCurve, frenet_apparatus, frenet_frames,
+                    orthonormal_completion)
 from .errors import (
     ConfigError,
     ConstraintViolationError,
@@ -298,22 +299,6 @@ def _projection_from_flag(flag: str) -> dict:
     raise ConfigError(f"unknown --projection {flag!r} (use drop:K or stereo)")
 
 
-def _stereo_basis(pole: np.ndarray) -> np.ndarray:
-    basis = []
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = 1.0
-        r = e - (e @ pole) * pole
-        for b in basis:
-            r = r - (r @ b) * b
-        n = np.linalg.norm(r)
-        if n > 0.25:
-            basis.append(r / n)
-            if len(basis) == 3:
-                break
-    return np.array(basis)
-
-
 def project_points(points: np.ndarray, spec: dict) -> np.ndarray:
     """Map an (n, 4) array to (n, 3) according to the projection spec."""
     kind = spec.get("kind", "drop_axis")
@@ -341,7 +326,7 @@ def project_points(points: np.ndarray, spec: dict) -> np.ndarray:
                 "stereographic projection requires points on the unit 3-sphere "
                 f"(max | ||x|| - 1 | = {np.max(np.abs(radii - 1.0)):.3e})"
             )
-        basis = _stereo_basis(pole)
+        basis = orthonormal_completion([pole[None]], 3)[0][:, 0]
         denom = 1.0 - points @ pole
         if np.min(np.abs(denom)) < 1e-9:
             raise DomainError("a surface point coincides with the projection pole")

@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .pencil import FundamentalForms, PencilSurface, Sweep, form_numerators
+from .pencil import FundamentalForms, PencilSurface, Sweep, _sqrt, form_numerators
 
 __all__ = [
     "CurvatureReport",
@@ -54,8 +54,15 @@ class CurvatureReport:
 
 
 def invariants_from_forms(f: FundamentalForms) -> CurvatureReport:
-    """Assemble the invariants from measured/closed-form coefficients,
-    scalars or (from a sweep) arrays."""
+    """Assemble the invariants from closed-form or measured coefficients,
+    scalars or arrays; the only place K, K_N and the mean vector are
+    assembled.  With c^k_ij = <X_ij, N_k> for orthonormal normals N1, N2
+    and W2 = EG - F^2, K_N is the commutator of the two shape operators,
+
+        K_N = [E (c1_12 c2_22 - c2_12 c1_22) - F (c1_11 c2_22 - c2_11 c1_22)
+               + G (c1_11 c2_12 - c2_11 c1_12)] / W2^{3/2},
+
+    whose sign follows the orientation of (X_s, X_t, N1, N2)."""
     w2 = f.W2
     K = (
         (f.c1_11 * f.c1_22 - f.c1_12 * f.c1_12)
@@ -63,9 +70,9 @@ def invariants_from_forms(f: FundamentalForms) -> CurvatureReport:
     ) / w2
     K_N = (
         f.E * (f.c1_12 * f.c2_22 - f.c2_12 * f.c1_22)
-        - f.F * (f.c1_11 * f.c1_22 - f.c2_11 * f.c1_22)
+        - f.F * (f.c1_11 * f.c2_22 - f.c2_11 * f.c1_22)
         + f.G * (f.c1_11 * f.c2_12 - f.c2_11 * f.c1_12)
-    ) / w2
+    ) / (w2 * _sqrt(w2))
     H1 = (f.c1_11 * f.G + f.c1_22 * f.E - 2.0 * f.c1_12 * f.F) / (2.0 * w2)
     H2 = (f.c2_11 * f.G + f.c2_22 * f.E - 2.0 * f.c2_12 * f.F) / (2.0 * w2)
     return CurvatureReport(K=K, K_N=K_N, H1=H1, H2=H2, H_norm_sq=H1 * H1 + H2 * H2)
@@ -88,7 +95,7 @@ def mean_vector_ambient(p: PencilSurface, s: float, t: float,
     """The mean-curvature vector as an ambient E^4 vector (basis free)."""
     r = report(p, s, t, source)
     n1, n2 = p.normal_frame(s, t)
-    return r.H1 * n1.as_array() + r.H2 * n2.as_array()
+    return r.H1 * n1 + r.H2 * n2
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +118,9 @@ def gaussian_closed_form(p: PencilSurface, s: float, t: float,
 
 def normal_curvature_closed_form(p: PencilSurface, s: float, t: float,
                                  source: str = "frame") -> float:
-    """K_N = rho2 (G q1 - E q2) / (EG)^{3/2}."""
+    """K_N = rho2 (G q1 - E q2) / (EG)^2."""
     E, G, q1, q2, rho2, _ = _shorthand(p, s, t, source)
-    return rho2 * (G * q1 - E * q2) / (E * G) ** 1.5
+    return rho2 * (G * q1 - E * q2) / (E * G) ** 2
 
 
 def mean_closed_form(p: PencilSurface, s: float, t: float,

@@ -27,45 +27,22 @@ from .errors import (
 )
 
 __all__ = [
-    "Vec4",
     "WCurve",
     "AnalyticCurve",
     "CurveSpec",
     "FrenetApparatus",
     "FrenetFrames",
-    "derivatives",
     "frenet_frames",
     "frenet_apparatus",
     "complete_frame",
+    "orthonormal_completion",
     "is_w_curve",
 ]
 
 KAPPA_TOL = 1e-9  # below this a curvature is treated as structurally zero
 UNIT_SPEED_TOL_W = 1e-12
 UNIT_SPEED_TOL_ANALYTIC = 1e-9
-
-
-@dataclass(frozen=True)
-class Vec4:
-    """A point or vector in E^4 (dimensionless model units)."""
-
-    x1: float
-    x2: float
-    x3: float
-    x4: float
-
-    @classmethod
-    def from_array(cls, a) -> "Vec4":
-        return cls(float(a[0]), float(a[1]), float(a[2]), float(a[3]))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.x3, self.x4])
-
-    def dot(self, other: "Vec4") -> float:
-        return self.x1 * other.x1 + self.x2 * other.x2 + self.x3 * other.x3 + self.x4 * other.x4
-
-    def norm(self) -> float:
-        return math.sqrt(self.dot(self))
+_SKIP_TOL = 0.25  # shortest residual an orthonormal completion accepts
 
 
 @dataclass(frozen=True)
@@ -204,22 +181,6 @@ class FrenetApparatus:
     connection: tuple[float, float, float]
 
     @property
-    def V1(self) -> Vec4:
-        return Vec4.from_array(self.frame[0])
-
-    @property
-    def V2(self) -> Vec4:
-        return Vec4.from_array(self.frame[1])
-
-    @property
-    def V3(self) -> Vec4:
-        return Vec4.from_array(self.frame[2])
-
-    @property
-    def V4(self) -> Vec4:
-        return Vec4.from_array(self.frame[3])
-
-    @property
     def kappas(self) -> tuple[float, float, float]:
         return (self.kappa1, self.kappa2, self.kappa3)
 
@@ -244,14 +205,6 @@ class FrenetFrames:
                                connection=tuple(self.connection[i].tolist()))
 
 
-def derivatives(curve: CurveSpec, s: float, order: int = 4) -> list[Vec4]:
-    """gamma'(s), ..., gamma^(order)(s); exact for WCurve, symbolic for
-    analytic curves."""
-    if not 1 <= order <= 4:
-        raise ValueError("order must be between 1 and 4")
-    return [Vec4.from_array(d) for d in curve.derivative_arrays(s, order)]
-
-
 _EYE = np.eye(4)
 
 
@@ -264,6 +217,32 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _norm(a: np.ndarray) -> np.ndarray:
     """Row-wise norms, shape (..., 1): ``np.linalg.norm`` of a row bit for bit."""
     return np.sqrt(_dot(a, a))
+
+
+def orthonormal_completion(rows: Sequence[np.ndarray], count: int,
+                           order: Sequence[int] = (0, 1, 2, 3)):
+    """Up to ``count`` orthonormal vectors orthogonal to the orthonormal
+    (n, 4) arrays ``rows``, per row, by Gram-Schmidt over the standard basis.
+
+    The basis vectors are offered in ``order``; each loses its projections
+    on ``rows`` and then on the vectors accepted so far, and its residual is
+    accepted when longer than 0.25 (so a 1-D complement, whose squared
+    residuals sum to 1, always finds its vector).  Returns the (count, n, 4)
+    vectors, zero where none was found, and the number found per row."""
+    n = len(rows[0])
+    out = np.zeros((count, n, 4))
+    found = np.zeros(n, dtype=int)
+    for i in order:
+        res = _EYE[i]
+        for r in rows:
+            res = res - r[:, i, None] * r  # e_i . r, exactly
+        for q in out[:-1]:
+            res = res - _dot(res, q) * q
+        length = _norm(res)
+        take = np.flatnonzero((length[:, 0] > _SKIP_TOL) & (found < count))
+        out[found[take], take] = res[take] / length[take]
+        found[take] += 1
+    return out, found
 
 
 def frenet_frames(curve: CurveSpec, s) -> FrenetFrames:
@@ -304,7 +283,8 @@ def frenet_frames(curve: CurveSpec, s) -> FrenetFrames:
                                    message=f"planar curve: kappa1 = {k1!r}, kappa2 = 0" + at)
     frame = np.stack(v, axis=1)
     if in_3_space.any():
-        frame[in_3_space, 3] = _orthogonal_complement(*frame[in_3_space, :3].swapaxes(0, 1))
+        completed, _ = orthonormal_completion(frame[in_3_space, :3].swapaxes(0, 1), 1)
+        frame[in_3_space, 3] = completed[0]
     frame[np.linalg.det(frame) < 0.0, 3] *= -1.0
     kappas = np.concatenate([kappa1, kappa2, _dot(d[3], frame[:, 3]) / (kappa1 * kappa2)], 1)
     return FrenetFrames(frame=frame, kappas=kappas, connection=kappas,
@@ -314,17 +294,6 @@ def frenet_frames(curve: CurveSpec, s) -> FrenetFrames:
 def frenet_apparatus(curve: CurveSpec, s: float) -> FrenetApparatus:
     """Frame and curvatures at ``s``: ``frenet_frames`` on a batch of one."""
     return frenet_frames(curve, np.array([float(s)])).apparatus(0)
-
-
-def _orthogonal_complement(v1: np.ndarray, v2: np.ndarray, v3: np.ndarray) -> np.ndarray:
-    """Per row, the standard basis vector with the longest residual against
-    v1, v2, v3 (the first on ties), minus that residual's projections and
-    normalized."""
-    residuals = np.stack([e - _dot(e, v1) * v1 - _dot(e, v2) * v2 - _dot(e, v3) * v3
-                          for e in _EYE], axis=1)
-    norms = _norm(residuals)
-    rows, best = np.arange(len(residuals)), np.argmax(norms[..., 0], axis=1)
-    return residuals[rows, best] / norms[rows, best]
 
 
 def complete_frame(curve: CurveSpec, s: float) -> FrenetApparatus:

@@ -587,15 +587,17 @@ def differentiate(e: Expr) -> Expr:
     yields higher-order derivatives.  Each node is differentiated once per
     call, so a subtree shared by the input is shared by the output too.
     """
-    memo: dict[int, Expr] = {}
+    return _differentiate(e, {})
 
-    def d(node: Expr) -> Expr:
-        key = id(node)  # the input tree keeps its nodes, and so their ids, alive
-        if key not in memo:
-            memo[key] = _derivative(node, *map(d, _children(node)))
-        return memo[key]
 
-    return d(e)
+def _differentiate(e: Expr, memo: dict) -> Expr:
+    """The derivative of ``e``; ``memo`` maps the id of each node
+    differentiated so far (the input tree keeps its nodes, and so their ids,
+    alive) to its derivative."""
+    key = id(e)
+    if key not in memo:
+        memo[key] = _derivative(e, *(_differentiate(c, memo) for c in _children(e)))
+    return memo[key]
 
 
 def _derivative(e: Expr, *d: Expr) -> Expr:
@@ -656,15 +658,14 @@ def tree_size(e: Expr) -> int:
     """Node count of ``e`` with every shared subtree counted once per use:
     the number of nodes an evaluation visits.  Costs one visit per
     distinct node."""
-    memo: dict[int, int] = {}
+    return _tree_size(e, {})
 
-    def size(node: Expr) -> int:
-        key = id(node)
-        if key not in memo:
-            memo[key] = 1 + sum(map(size, _children(node)))
-        return memo[key]
 
-    return size(e)
+def _tree_size(e: Expr, memo: dict) -> int:
+    key = id(e)
+    if key not in memo:
+        memo[key] = 1 + sum(_tree_size(c, memo) for c in _children(e))
+    return memo[key]
 
 
 def derivatives(e: Expr, order: int) -> list[Expr]:

@@ -5,8 +5,12 @@ by central differences with one Richardson extrapolation level (the
 resulting 5-point stencils are 4th-order accurate), a normal basis by
 Gram-Schmidt over the standard basis vectors, and the curvature invariants
 assembled from the measured fundamental-form coefficients.  Nothing here
-touches moving frames or symbolic derivatives, so it is a genuinely
-independent check of every closed form in the library.
+touches moving frames or symbolic derivatives: the derivatives, the normals
+and the second-form coefficients ``c`` are measured independently of every
+closed form in the library.  The last step is shared: the invariants are
+assembled by ``curvature.invariants_from_forms``, the same kernel the closed
+forms use, so that step is checked against an exact reference in the tests
+instead.
 
 Points are measured in batches: the stencil points of up to ``SLICE``
 points come from one call of the immersion's evaluator, and every step after
@@ -26,7 +30,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .curvature import invariants_from_forms
+from .curve import _dot, orthonormal_completion
 from .errors import RankDeficiencyError, StepUnderflowError
+from .pencil import FundamentalForms
 
 __all__ = [
     "Immersion",
@@ -38,7 +45,6 @@ __all__ = [
 
 DEFAULT_TOLERANCE = 1e-6
 _GRAM_TOL = 1e-12
-_SKIP_TOL = 0.25  # reject normal-candidate residuals shorter than this
 # Most points whose stencils share one evaluator call: bounds the working set
 # (the stencil points and the evaluator's temporaries) whatever the batch size.
 SLICE = 256
@@ -77,10 +83,8 @@ class OracleReport:
     or at each of n points (every field then gains a leading axis n).
 
     ``c`` has shape (2, 2, 2): c[k-1, i-1, j-1] is the projection of X_ij
-    onto the k-th measured normal.  ``k_n`` follows the same index pattern
-    as the closed-form route; ``k_n_alt`` uses the standard commutator
-    F-term, and the two agree whenever F = 0.  ``orientation`` is the sign
-    of det[T1 T2 N1 N2]; k_n * orientation is comparable across points and
+    onto the k-th measured normal.  ``orientation`` is the sign of
+    det[T1 T2 N1 N2]; k_n * orientation is comparable across points and
     basis choices.  ``error_estimate`` maps quantity names to the observed
     difference between the extrapolated and unextrapolated stencil values
     (NaN where the unextrapolated tangents are degenerate).
@@ -93,7 +97,6 @@ class OracleReport:
     c: np.ndarray
     K: float
     k_n: float
-    k_n_alt: float
     mean_vector: np.ndarray
     h_norm_sq: float
     orientation: float
@@ -105,7 +108,6 @@ class OracleReport:
 
 
 _OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])  # stencil nodes, in steps h
-_EYE = np.eye(4)
 
 
 def numeric_forms(im: Immersion, u, v,
@@ -203,109 +205,64 @@ def _unbatch(value):
     return float(value[0]) if value.ndim == 1 else value[0]
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot product of (n, 4) arrays, summed in index order."""
-    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2] + a[:, 3] * b[:, 3]
-
-
 def _normal_basis(x_u: np.ndarray, x_v: np.ndarray, seed_order=(0, 1, 2, 3)):
     """Orthonormal tangents t1, t2 and normals n1, n2 per point, plus the
     rank fault per point: 1 where the tangents are dependent, 2 where no
     normal basis could be assembled, else 0."""
-    t1 = x_u / np.sqrt(_dot(x_u, x_u))[:, None]
-    r = x_v - _dot(x_v, t1)[:, None] * t1
-    rn = np.sqrt(_dot(r, r))
+    t1 = x_u / np.sqrt(_dot(x_u, x_u))
+    r = x_v - _dot(x_v, t1) * t1
+    rn = np.sqrt(_dot(r, r))[:, 0]
     t2 = r / rn[:, None]
-    normals = np.zeros((2,) + x_u.shape)
-    found = np.zeros(len(x_u), dtype=int)
-    for i in seed_order:
-        # e_i - (e_i . t1) t1 - (e_i . t2) t2, then minus its projection
-        # on the normal found so far (a zero row where there is none yet)
-        res = _EYE[i] - t1[:, i, None] * t1 - t2[:, i, None] * t2
-        res = res - _dot(res, normals[0])[:, None] * normals[0]
-        ln = np.sqrt(_dot(res, res))
-        take = (ln > _SKIP_TOL) & (found < 2)
-        slot = np.minimum(found, 1)
-        for k in (0, 1):
-            pick = take & (slot == k)
-            normals[k][pick] = res[pick] / ln[pick, None]
-        found += take
+    (n1, n2), found = orthonormal_completion((t1, t2), 2, seed_order)
     fault = np.where(rn * rn < _GRAM_TOL, 1, np.where(found != 2, 2, 0))
-    return t1, t2, normals[0], normals[1], fault
+    return t1, t2, n1, n2, fault
 
 
-def _invariants(E, F, G, c):
-    """W2, K, k_n, k_n_alt and the two mean-curvature coefficients from the
-    first-form coefficients and ``c`` (leading axes, then (2, 2, 2))."""
-    w2 = E * G - F * F
-    K = sum(c[..., k, 0, 0] * c[..., k, 1, 1] - c[..., k, 0, 1] ** 2 for k in range(2)) / w2
-    # normal curvature, same index pattern as the closed-form route
-    k_n = (
-        E * (c[..., 0, 0, 1] * c[..., 1, 1, 1] - c[..., 1, 0, 1] * c[..., 0, 1, 1])
-        - F * (c[..., 0, 0, 0] * c[..., 0, 1, 1] - c[..., 1, 0, 0] * c[..., 0, 1, 1])
-        + G * (c[..., 0, 0, 0] * c[..., 1, 0, 1] - c[..., 1, 0, 0] * c[..., 0, 0, 1])
-    ) / w2
-    # standard commutator F-term variant (identical when F = 0)
-    k_n_alt = (
-        E * (c[..., 0, 0, 1] * c[..., 1, 1, 1] - c[..., 1, 0, 1] * c[..., 0, 1, 1])
-        - F * (c[..., 0, 0, 0] * c[..., 1, 1, 1] - c[..., 1, 0, 0] * c[..., 0, 1, 1])
-        + G * (c[..., 0, 0, 0] * c[..., 1, 0, 1] - c[..., 1, 0, 0] * c[..., 0, 0, 1])
-    ) / w2
-    h_coeff = [
-        (c[..., k, 0, 0] * G + c[..., k, 1, 1] * E - 2.0 * c[..., k, 0, 1] * F) / (2.0 * w2)
-        for k in range(2)
-    ]
-    return w2, K, k_n, k_n_alt, h_coeff
+def _forms(x_u, x_v, x_uu, x_uv, x_vv, n1, n2) -> FundamentalForms:
+    """The measured first-form coefficients and c^k_ij = <X_ij, N_k>."""
+    E = _dot(x_u, x_u)[:, 0]
+    F = _dot(x_u, x_v)[:, 0]
+    G = _dot(x_v, x_v)[:, 0]
+    c1_11, c1_12, c1_22 = (_dot(d, n1)[:, 0] for d in (x_uu, x_uv, x_vv))
+    c2_11, c2_12, c2_22 = (_dot(d, n2)[:, 0] for d in (x_uu, x_uv, x_vv))
+    return FundamentalForms(E=E, G=G, W2=E * G - F * F, c1_11=c1_11, c1_22=c1_22,
+                            c2_11=c2_11, c2_12=c2_12, F=F, c1_12=c1_12, c2_22=c2_22)
 
 
 def _report_from_derivatives(x_u, x_v, x_uu, x_uv, x_vv, low, seed_order,
                              points) -> OracleReport:
-    E = _dot(x_u, x_u)
-    F = _dot(x_u, x_v)
-    G = _dot(x_v, x_v)
     t1, t2, n1, n2, fault = _normal_basis(x_u, x_v, seed_order)
-
-    def coeffs(d_uu, d_uv, d_vv):
-        # c[:, k, i, j] = <X_ij, N_k>
-        return np.stack([np.stack([_dot(d, n) for d in (d_uu, d_uv, d_uv, d_vv)], axis=-1)
-                         for n in (n1, n2)], axis=1).reshape(-1, 2, 2, 2)
-
-    c = coeffs(x_uu, x_uv, x_vv)
-    w2, K, k_n, k_n_alt, h_coeff = _invariants(E, F, G, c)
-    fault = np.where(fault == 0, np.where(w2 <= _GRAM_TOL, 3, 0), fault)
+    f = _forms(x_u, x_v, x_uu, x_uv, x_vv, n1, n2)
+    fault = np.where(fault == 0, np.where(f.W2 <= _GRAM_TOL, 3, 0), fault)
     if fault.any():
         i = int(np.argmax(fault != 0))
         raise RankDeficiencyError({
             1: "tangent vectors are numerically dependent",
             2: "could not assemble a normal basis",
-            3: f"tangent Gram determinant too small: {float(w2[i])!r}",
+            3: f"tangent Gram determinant too small: {float(f.W2[i])!r}",
         }[int(fault[i])] + f" at ({float(points[0][i])!r}, {float(points[1][i])!r})")
-    mean_vector = h_coeff[0][:, None] * n1 + h_coeff[1][:, None] * n2
-    h_norm_sq = h_coeff[0] ** 2 + h_coeff[1] ** 2
-    orientation = np.sign(np.linalg.det(np.stack([t1, t2, n1, n2], axis=-1)))
 
-    # truncation estimates: same assembly from the unextrapolated stencils
-    x_u_lo, x_v_lo, x_uu_lo, x_uv_lo, x_vv_lo = low
-    E_lo = _dot(x_u_lo, x_u_lo)
-    F_lo = _dot(x_u_lo, x_v_lo)
-    G_lo = _dot(x_v_lo, x_v_lo)
-    w2_lo, K_lo, k_n_lo, _, h_lo = _invariants(E_lo, F_lo, G_lo,
-                                               coeffs(x_uu_lo, x_uv_lo, x_vv_lo))
+    inv = invariants_from_forms(f)
+    # truncation estimates: the same assembly from the unextrapolated stencils
+    f_lo = _forms(*low, n1, n2)
+    inv_lo = invariants_from_forms(f_lo)
     est = {
-        "E": abs(E - E_lo),
-        "F": abs(F - F_lo),
-        "G": abs(G - G_lo),
-        "K": abs(K - K_lo),
-        "K_N": abs(k_n - k_n_lo),
-        "H_norm_sq": abs(h_norm_sq - (h_lo[0] ** 2 + h_lo[1] ** 2)),
+        "E": abs(f.E - f_lo.E),
+        "F": abs(f.F - f_lo.F),
+        "G": abs(f.G - f_lo.G),
+        "K": abs(inv.K - inv_lo.K),
+        "K_N": abs(inv.K_N - inv_lo.K_N),
+        "H_norm_sq": abs(inv.H_norm_sq - inv_lo.H_norm_sq),
     }
-    degenerate = w2_lo <= _GRAM_TOL
+    degenerate = f_lo.W2 <= _GRAM_TOL
+    c = np.stack([f.c1_11, f.c1_12, f.c1_12, f.c1_22,
+                  f.c2_11, f.c2_12, f.c2_12, f.c2_22], axis=-1).reshape(-1, 2, 2, 2)
 
     return OracleReport(
-        E=E, F=F, G=G, W2=w2, c=c,
-        K=K, k_n=k_n, k_n_alt=k_n_alt,
-        mean_vector=mean_vector, h_norm_sq=h_norm_sq,
-        orientation=orientation,
+        E=f.E, F=f.F, G=f.G, W2=f.W2, c=c,
+        K=inv.K, k_n=inv.K_N,
+        mean_vector=inv.H1[:, None] * n1 + inv.H2[:, None] * n2, h_norm_sq=inv.H_norm_sq,
+        orientation=np.sign(np.linalg.det(np.stack([t1, t2, n1, n2], axis=-1))),
         error_estimate={name: np.where(degenerate, np.nan, value) for name, value in est.items()},
     )
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .curve import CurveSpec, FrenetApparatus, Vec4, WCurve, frenet_apparatus, frenet_frames
+from .curve import CurveSpec, FrenetApparatus, WCurve, frenet_apparatus, frenet_frames
 from .errors import RegularityViolationError
 
 __all__ = [
@@ -107,8 +107,9 @@ class FundamentalForms:
     (arrays of them on a grid from a sweep).
 
     F vanishes identically for pencils, as do c1_12 and c2_22; they are kept
-    as explicit zeros so generic curvature formulas can consume this
-    structure directly.
+    as explicit zeros so that one invariant kernel,
+    ``curvature.invariants_from_forms``, serves pencils and the oracle's
+    measured forms alike.
     """
 
     E: float
@@ -287,39 +288,35 @@ class PencilSurface:
         B = np.asarray(ex.evaluate(self.marching.B, t))[..., None]
         return _point(gamma, v2_v4[..., 0, :], v2_v4[..., 1, :], A, B)
 
-    def point(self, s: float, t: float) -> Vec4:
-        """X(s,t); raises RegularityViolationError when either regularity
-        condition fails at the point."""
+    def point(self, s: float, t: float) -> np.ndarray:
+        """X(s,t), shape (4,); raises RegularityViolationError when either
+        regularity condition fails at the point."""
         self._regular(s, t)
-        return Vec4.from_array(self.point_array(s, t))
+        return self.point_array(s, t)
 
-    def tangent_frame(self, s: float, t: float) -> tuple[Vec4, Vec4]:
+    def tangent_frame(self, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(X_s, X_t) = (a V1 + b V3, A' V2 + B' V4)."""
         frame, _, co, (_, _, dA, dB, _, _), _, _ = self._regular(s, t)
-        x_s = co.a * frame[0] + co.b * frame[2]
-        x_t = dA * frame[1] + dB * frame[3]
-        return Vec4.from_array(x_s), Vec4.from_array(x_t)
+        return co.a * frame[0] + co.b * frame[2], dA * frame[1] + dB * frame[3]
 
-    def normal_frame(self, s: float, t: float) -> tuple[Vec4, Vec4]:
+    def normal_frame(self, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
         """(N1, N2) = ((-B' V2 + A' V4)/sqrt(G), (-b V1 + a V3)/sqrt(E))."""
         frame, _, co, (_, _, dA, dB, _, _), E, G = self._regular(s, t)
-        n1 = (-dB * frame[1] + dA * frame[3]) / math.sqrt(G)
-        n2 = (-co.b * frame[0] + co.a * frame[2]) / math.sqrt(E)
-        return Vec4.from_array(n1), Vec4.from_array(n2)
+        return ((-dB * frame[1] + dA * frame[3]) / math.sqrt(G),
+                (-co.b * frame[0] + co.a * frame[2]) / math.sqrt(E))
 
     def fundamental_forms(self, s: float, t: float, source: str = "frame") -> FundamentalForms:
         _, k, co, values, E, G = self._regular(s, t, source)
         return _forms(E, G, *form_numerators(k, co, *values[2:]))
 
-    def second_derivative_s(self, s: float, t: float, source: str = "frame") -> Vec4:
+    def second_derivative_s(self, s: float, t: float, source: str = "frame") -> np.ndarray:
         """X_ss assembled from the frame decomposition
         a_s V1 + (k1 a - k2 b) V2 + b_s V3 + k3 b V4."""
         frame, (k1, k2, k3), co, _, _, _ = self._at(s, t, source)
-        v = (co.a_s * frame[0]
-             + (k1 * co.a - k2 * co.b) * frame[1]
-             + co.b_s * frame[2]
-             + k3 * co.b * frame[3])
-        return Vec4.from_array(v)
+        return (co.a_s * frame[0]
+                + (k1 * co.a - k2 * co.b) * frame[1]
+                + co.b_s * frame[2]
+                + k3 * co.b * frame[3])
 
     # -- geometry on a grid ----------------------------------------------
 

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencil4 import curvature as cu
 from pencil4 import curve as cv
 from pencil4 import families as fam
 from pencil4 import oracle as orc
 from pencil4 import pencil as pc
+from test_curve import _num
 
 SQ3 = math.sqrt(3.0)
 SEED_CURVE = cv.WCurve(SQ3 / 2, 0.25, 1.0, 2.0)
@@ -291,7 +294,39 @@ class TestOrientationBehavior:
         rho2_f = co.a * bt_f - b2 * co.a_t
         K_orig = (E * q2 * q1 - G * rho2**2) / (E * G) ** 2
         K_flip = (E * q2_f * q1_f - G * rho2_f**2) / (E * G) ** 2
-        KN_orig = rho2 * (G * q1 - E * q2) / (E * G) ** 1.5
-        KN_flip = rho2_f * (G * q1_f - E * q2_f) / (E * G) ** 1.5
+        KN_orig = rho2 * (G * q1 - E * q2) / (E * G) ** 2
+        KN_flip = rho2_f * (G * q1_f - E * q2_f) / (E * G) ** 2
         assert K_flip == pytest.approx(K_orig, abs=1e-15)
         assert KN_flip == pytest.approx(-KN_orig, abs=1e-15)
+
+
+class TestReparametrization:
+    """K, K_N and |H|^2 are properties of the surface, not of its
+    parametrization: t -> lam t + t0 and (W-curves are homogeneous)
+    s -> s + s0 leave them unchanged at corresponding points."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        c=st.floats(0.7, 1.2), ratio=st.floats(1.6, 2.2), th=st.floats(0.45, 1.1),
+        lam=st.floats(0.5, 2.0), flip=st.booleans(), t0=st.floats(-0.2, 0.2),
+        s0=st.floats(-3.0, 3.0), s=st.floats(0.0, 6.0), u=st.floats(0.05, 0.95),
+    )
+    def test_invariants_survive_reparametrization(self, c, ratio, th, lam, flip, t0, s0, s, u):
+        d = c * ratio
+        spine = cv.WCurve(math.cos(th) / c, math.sin(th) / d, c, d)
+        lam = -lam if flip else lam
+        a_text, b_text = "0.8*t + 0.3*t^2", "t^2 - 0.2*sin(t)"
+        p = pc.PencilSurface(spine, pc.MarchingScale.from_expressions(a_text, b_text,
+                                                                      (-0.3, 0.3)))
+        # the new parameter t' with lam t' + t0 = t
+        inner = f"({_num(lam)}*t + {_num(t0)})"
+        lo, hi = sorted(((-0.3 - t0) / lam, (0.3 - t0) / lam))
+        q = pc.PencilSurface(spine, pc.MarchingScale.from_expressions(
+            a_text.replace("t", inner), b_text.replace("t", inner), (lo, hi)))
+        t_new = lo + u * (hi - lo)
+        t = lam * t_new + t0
+        want = cu.report(p, s, t)
+        for got in (cu.report(q, s, t_new), cu.report(p, s + s0, t)):
+            for name in ("K", "K_N", "H_norm_sq"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert abs(a - b) <= 1e-10 * max(1.0, abs(b)), name

@@ -44,18 +44,6 @@ def make_involute():
     return cv.AnalyticCurve.from_strings(INVOLUTE_COMPONENTS, (0.5, 2.5))
 
 
-class TestVec4:
-    def test_dot_and_norm(self):
-        v = cv.Vec4(1.0, 2.0, 2.0, 0.0)
-        assert v.dot(v) == 9.0
-        assert v.norm() == 3.0
-        assert v.dot(v) >= 0.0
-
-    def test_roundtrip_array(self):
-        v = cv.Vec4(0.1, -0.2, 0.3, -0.4)
-        assert cv.Vec4.from_array(v.as_array()) == v
-
-
 class TestCurveConstruction:
     def test_w_curve_unit_speed_enforced(self):
         with pytest.raises(ConstraintViolationError):
@@ -73,22 +61,22 @@ class TestCurveConstruction:
 
 class TestDerivatives:
     def test_w_curve_first_derivative_at_zero(self):
-        (d1,) = cv.derivatives(SEED_CURVE, 0.0, order=1)
-        assert d1.as_array() == pytest.approx([0.0, SQ3 / 2, 0.0, 0.5], abs=1e-15)
-        assert d1.norm() == pytest.approx(1.0, abs=1e-12)
+        (d1,) = SEED_CURVE.derivative_arrays(0.0, 1)
+        assert d1 == pytest.approx([0.0, SQ3 / 2, 0.0, 0.5], abs=1e-15)
+        assert np.linalg.norm(d1) == pytest.approx(1.0, abs=1e-12)
 
     def test_w_curve_second_derivative_at_zero(self):
-        d1, d2 = cv.derivatives(SEED_CURVE, 0.0, order=2)
-        assert d2.as_array() == pytest.approx([-SQ3 / 2, 0.0, -1.0, 0.0], abs=1e-15)
+        d1, d2 = SEED_CURVE.derivative_arrays(0.0, 2)
+        assert d2 == pytest.approx([-SQ3 / 2, 0.0, -1.0, 0.0], abs=1e-15)
 
     def test_straight_line_second_derivative(self):
         line = cv.AnalyticCurve.from_strings(["s", "0", "0", "0"], (0.0, 2.0))
-        d1, d2 = cv.derivatives(line, 0.7, order=2)
-        assert d2.as_array() == pytest.approx([0.0] * 4, abs=1e-15)
+        d1, d2 = line.derivative_arrays(0.7, 2)
+        assert d2 == pytest.approx([0.0] * 4, abs=1e-15)
 
     def test_matches_finite_differences(self):
         for s in (0.4, 1.3):
-            got = [d.as_array() for d in cv.derivatives(SEED_CURVE, s, order=4)]
+            got = SEED_CURVE.derivative_arrays(s, 4)
             from support import fd_derivative
 
             for k in range(1, 5):
@@ -293,10 +281,10 @@ class TestCompleteFrame:
     def test_explicit_completion_vectors(self):
         w = cv.WCurve(1 / math.sqrt(2), 1 / math.sqrt(2), 1.0, 1.0)
         app = cv.complete_frame(w, 0.0)
-        assert app.V3.as_array() == pytest.approx(
+        assert app.frame[2] == pytest.approx(
             [0.0, 1 / math.sqrt(2), 0.0, -1 / math.sqrt(2)], abs=1e-12
         )
-        assert app.V4.as_array() == pytest.approx(
+        assert app.frame[3] == pytest.approx(
             [1 / math.sqrt(2), 0.0, -1 / math.sqrt(2), 0.0], abs=1e-12
         )
         gram = app.frame @ app.frame.T

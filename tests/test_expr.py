@@ -1,5 +1,6 @@
 """Tests for the expression language: parsing, evaluation, differentiation."""
 
+import gc
 import math
 import random
 
@@ -450,6 +451,21 @@ class TestDerivativeBudget:
         # d^4/ds^4 (1 + s^2)^(1/2) = (12 s^2 - 3) / (1 + s^2)^(7/2)
         assert expr.evaluate(ds[-1], 0.7) == pytest.approx(
             (12 * 0.49 - 3) / 1.49 ** 3.5, rel=1e-12)
+
+    def test_memos_leave_no_cycles_behind(self):
+        # each call's memo is freed by reference counting, not by the cyclic
+        # garbage collector
+        third = expr.derivatives(expr.parse("s*sin(2*s) + exp(cos(s))/(1 + s^2)", "s"), 3)[-1]
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(5):
+                expr.differentiate(third)
+            for _ in range(5):
+                expr.tree_size(third)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_blown_up_derivative_is_parse_error_at_offset(self):
         e = expr.parse("2*" + nested_sin(40), "s")

@@ -23,6 +23,20 @@ def points(*components):
     return np.stack(np.broadcast_arrays(*components), axis=-1)
 
 
+def k_n_variants(rep):
+    """K_N from a report's E, F, G and c, assembled twice: with the F-term as
+    printed in the source paper (c1_11 c1_22 - c2_11 c1_22) and with the
+    shape-operator commutator F-term (c1_11 c2_22 - c2_11 c1_22).  The two
+    differ only when F != 0."""
+    c, E, F, G = rep.c, rep.E, rep.F, rep.G
+    e_term = E * (c[0, 0, 1] * c[1, 1, 1] - c[1, 0, 1] * c[0, 1, 1])
+    g_term = G * (c[0, 0, 0] * c[1, 0, 1] - c[1, 0, 0] * c[0, 0, 1])
+    norm = rep.W2 * math.sqrt(rep.W2)
+    printed = (e_term - F * (c[0, 0, 0] * c[0, 1, 1] - c[1, 0, 0] * c[0, 1, 1]) + g_term) / norm
+    commutator = (e_term - F * (c[0, 0, 0] * c[1, 1, 1] - c[1, 0, 0] * c[0, 1, 1]) + g_term) / norm
+    return printed, commutator
+
+
 def plane_patch():
     return orc.Immersion(
         fn=lambda u, v: points(u, v, 0.0, 0.0),
@@ -196,20 +210,46 @@ class TestBasisIndependence:
         assert report.estimate in estimates
 
     def test_printed_and_commutator_variants_agree_when_f_zero(self):
+        # F is structurally zero on a pencil, so the F-term typo of the
+        # printed K_N cannot show: both assemblies give the reported k_n.
         _, im = seed_pencil()
         rep = orc.numeric_forms(im, 1.1, 0.2)
-        assert rep.k_n == pytest.approx(rep.k_n_alt, abs=1e-9)
+        printed, commutator = k_n_variants(rep)
+        assert rep.F == pytest.approx(0.0, abs=1e-9)
+        assert rep.k_n == pytest.approx(commutator, abs=1e-9)
+        assert rep.k_n == pytest.approx(printed, abs=1e-9)
 
     def test_variants_logged_for_skewed_patch(self):
         # a sheared patch with F != 0 exposes the difference between the two
-        # normal-curvature assemblies; both are reported.
+        # normal-curvature assemblies; the reported k_n is the commutator one.
         def fn(u, v):
             return points(u, v + 0.4 * u, np.cos(u + v), np.sin(u - 0.3 * v))
 
         im = orc.Immersion(fn, (-2.0, 2.0), (-2.0, 2.0), step=2e-3)
         rep = orc.numeric_forms(im, 0.3, 0.4)
+        printed, commutator = k_n_variants(rep)
         assert abs(rep.F) > 1e-3
-        assert rep.k_n != pytest.approx(rep.k_n_alt, abs=1e-12)
+        assert rep.k_n == pytest.approx(commutator, abs=1e-12)
+        assert rep.k_n != pytest.approx(printed, abs=1e-6)
+
+    def test_sheared_parametrization_same_invariants(self):
+        # g(u, w) = f(u, w + 0.4 u) is the same surface with F != 0 in both
+        # parametrizations; the F-term of K_N and its 1/W^3 normalization
+        # show here, where a pencil (F = 0, W = 1 at t = 0) hides them.
+        def f(u, v):
+            return points(u, v, np.cos(u + v), np.sin(u - 0.3 * v))
+
+        plain = orc.Immersion(f, (-2.0, 2.0), (-2.0, 2.0), step=2e-3)
+        sheared = orc.Immersion(lambda u, w: f(u, w + 0.4 * u), (-2.0, 2.0), (-2.0, 2.0),
+                                step=2e-3)
+        u, w = np.array([0.3, -0.5, 1.1]), np.array([0.4, 0.2, -0.6])
+        a = orc.numeric_forms(plain, u, w + 0.4 * u)
+        b = orc.numeric_forms(sheared, u, w)
+        assert np.all(np.abs(b.F) > 0.5)
+        assert a.K == pytest.approx(b.K, abs=1e-8)
+        assert a.h_norm_sq == pytest.approx(b.h_norm_sq, abs=1e-8)
+        assert a.k_n_oriented == pytest.approx(b.k_n_oriented, abs=1e-8)
+        assert a.k_n_oriented[0] == pytest.approx(-0.0055086469, abs=1e-9)
 
 
 def batch_immersion(kind, c, ratio, th):
@@ -248,8 +288,8 @@ class TestBatch:
         batch = orc.numeric_forms(im, u, v)
         for i in range(len(u)):
             one = orc.numeric_forms(im, float(u[i]), float(v[i]))
-            for name in ("E", "F", "G", "W2", "c", "K", "k_n", "k_n_alt", "mean_vector",
-                         "h_norm_sq", "orientation"):
+            for name in ("E", "F", "G", "W2", "c", "K", "k_n", "mean_vector", "h_norm_sq",
+                         "orientation"):
                 assert np.array_equal(getattr(batch, name)[i], getattr(one, name)), name
             assert isinstance(one.K, float) and one.c.shape == (2, 2, 2)
             for key, value in one.error_estimate.items():

@@ -103,14 +103,14 @@ class TestEvalSurface:
         )
         for s in (0.0, 1.1, 2.7):
             x = p.point(s, 0.0)
-            assert x.as_array() == pytest.approx(SEED_CURVE.point(s), abs=1e-15)
+            assert x == pytest.approx(SEED_CURVE.point(s), abs=1e-15)
 
     def test_frame_combination(self):
         p = poly_pencil()
         app = p.frame(0.0)
         want = SEED_CURVE.point(0.0) + 0.1 * app.frame[1] + 0.01 * app.frame[3]
         got = p.point(0.0, 0.1)
-        assert got.as_array() == pytest.approx(want, abs=1e-12)
+        assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("curve", [SEED_CURVE, make_involute()])
     def test_point_array_over_arrays_matches_floats(self, curve):
@@ -144,8 +144,8 @@ class TestTangentFrame:
         )
         app = p.frame(0.9)
         _, x_t = p.tangent_frame(0.9, 0.0)
-        assert x_t.as_array() == pytest.approx(app.frame[1] + app.frame[3], abs=1e-12)
-        assert x_t.norm() == pytest.approx(math.sqrt(2.0), abs=1e-12)
+        assert x_t == pytest.approx(app.frame[1] + app.frame[3], abs=1e-12)
+        assert np.linalg.norm(x_t) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_orthogonality(self):
         p = poly_pencil()
@@ -160,8 +160,8 @@ class TestTangentFrame:
             t = float(rng.uniform(-0.2, 0.2))
             x_s, x_t = p.tangent_frame(s, t)
             fd_s, fd_t = fd_surface_first_derivatives(p.point_array, s, t, h=1e-5)
-            assert x_s.as_array() == pytest.approx(fd_s, abs=1e-7)
-            assert x_t.as_array() == pytest.approx(fd_t, abs=1e-7)
+            assert x_s == pytest.approx(fd_s, abs=1e-7)
+            assert x_t == pytest.approx(fd_t, abs=1e-7)
 
 
 class TestNormalFrame:
@@ -172,13 +172,13 @@ class TestNormalFrame:
         app = p.frame(0.4)
         n1, _ = p.normal_frame(0.4, 0.1)
         want = (-app.frame[1] + app.frame[3]) / math.sqrt(2.0)
-        assert n1.as_array() == pytest.approx(want, abs=1e-12)
+        assert n1 == pytest.approx(want, abs=1e-12)
 
     def test_n2_is_v3_when_b_vanishes(self):
         p = poly_pencil()
         app = p.frame(1.2)
         _, n2 = p.normal_frame(1.2, 0.0)  # b = 0, a = 1 at the spine
-        assert n2.as_array() == pytest.approx(app.frame[2], abs=1e-12)
+        assert n2 == pytest.approx(app.frame[2], abs=1e-12)
 
     def test_gram_matrix(self):
         p = poly_pencil()
@@ -189,7 +189,7 @@ class TestNormalFrame:
             x_s, x_t = p.tangent_frame(s, t)
             n1, n2 = p.normal_frame(s, t)
             forms = p.fundamental_forms(s, t)
-            vecs = [x_s.as_array(), x_t.as_array(), n1.as_array(), n2.as_array()]
+            vecs = [x_s, x_t, n1, n2]
             gram = np.array([[u @ v for v in vecs] for u in vecs])
             want = np.diag([forms.E, forms.G, 1.0, 1.0])
             assert np.max(np.abs(gram - want)) < 1e-10
@@ -229,7 +229,7 @@ class TestFundamentalForms:
     def test_xss_reconstruction_matches_fd(self):
         p = poly_pencil()
         for s, t in [(0.5, 0.1), (1.7, -0.15)]:
-            want = p.second_derivative_s(s, t).as_array()
+            want = p.second_derivative_s(s, t)
             x_uu, _, _ = fd_surface_second_derivatives(p.point_array, s, t, h=1e-3)
             assert want == pytest.approx(x_uu, abs=1e-6)
 
@@ -240,7 +240,7 @@ class TestFundamentalForms:
         for s, t in [(0.4, 0.12), (2.1, -0.18)]:
             _, x_uv, _ = fd_surface_second_derivatives(p.point_array, s, t, h=3e-3)
             n1, _ = p.normal_frame(s, t)
-            assert abs(float(x_uv @ n1.as_array())) < 1e-9
+            assert abs(float(x_uv @ n1)) < 1e-9
 
     def test_all_coefficients_match_fd_projections(self):
         from pencil4 import families as fam
@@ -257,8 +257,7 @@ class TestFundamentalForms:
                 t = float(rng.uniform(t_lo + 0.02, t_hi - 0.02))
                 f = p.fundamental_forms(s, t)
                 x_uu, x_uv, x_vv = fd_surface_second_derivatives(p.point_array, s, t, h=1e-3)
-                n1, n2 = p.normal_frame(s, t)
-                n1a, n2a = n1.as_array(), n2.as_array()
+                n1a, n2a = p.normal_frame(s, t)
                 assert f.c1_11 == pytest.approx(float(x_uu @ n1a), abs=1e-7)
                 assert f.c1_22 == pytest.approx(float(x_vv @ n1a), abs=1e-7)
                 assert f.c2_11 == pytest.approx(float(x_uu @ n2a), abs=1e-7)
@@ -276,8 +275,8 @@ class TestFundamentalForms:
         for s, t in [(0.5, 0.2), (1.4, -0.3)]:
             x_s, x_t = p.tangent_frame(s, t)
             fd_s, fd_t = fd_surface_first_derivatives(p.point_array, s, t, h=1e-5)
-            assert x_s.as_array() == pytest.approx(fd_s, abs=1e-7)
-            assert x_t.as_array() == pytest.approx(fd_t, abs=1e-7)
+            assert x_s == pytest.approx(fd_s, abs=1e-7)
+            assert x_t == pytest.approx(fd_t, abs=1e-7)
             # curve-convention coefficients differ once b != 0 in truth
             co_frame = p.coefficients(s, t, source="frame")
             co_curve = p.coefficients(s, t, source="curve")
