@@ -12,14 +12,15 @@ frame requires; for completed degenerate frames these differ from the
 curve's own curvatures (which are zero past kappa1).  Flatness bookkeeping
 that follows the curve-curvature convention passes ``source="curve"``.
 
-Each pencil formula is written once and accepts floats or broadcastable
-arrays: the scalar methods feed it one point, ``PencilSurface.sweep`` feeds
-it spine data per s as ``(1, ns)`` and marching values per t as ``(nt, 1)``.
+Each pencil formula is written once over broadcastable arrays, and
+``PencilSurface.sweep`` is the one place they are evaluated: spine data per
+s as ``(1, ns)``, marching values per t as ``(nt, 1)``.  The point-wise
+methods read a sweep over the 1x1 grid ``[s] x [t]``, a batch of one.
 """
 
 from __future__ import annotations
 
-import math
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
 ]
 
 REGULARITY_TOL = 1e-12
+FLATNESS_RESIDUAL_TOL = 1e-9
 _KAPPA_FD_STEP = 1e-5  # central step for kappa'(s) on analytic curves
 
 # Regularity status codes of a grid point, and the condition each one names.
@@ -91,7 +93,7 @@ class MarchingScale:
 
 @dataclass(frozen=True)
 class PencilCoefficients:
-    """a, b shorthand and their partial derivatives at one point."""
+    """a, b shorthand and their partial derivatives, at a point or on a grid."""
 
     a: float
     b: float
@@ -127,35 +129,76 @@ class FundamentalForms:
 @dataclass(frozen=True, eq=False)
 class Sweep:
     """A pencil on the tensor grid ``t x s``, t-major: leading axes
-    ``(nt, ns)``.  ``forms`` is NaN where ``status`` is not OK.  ``rho1``
-    (``(nt, 1)``) and ``rho2`` are the unmasked flatness residuals
-    A' B'' - B' A'' = sqrt(G) c1_22 and a b_t - b a_t = sqrt(E) c2_12."""
+    ``(nt, ns)``.  ``forms`` is NaN where ``status`` is not OK.  The
+    per-axis data the grid fields come from is kept: frames (rows V1..V4),
+    the coefficient triple ``k``, its s-rates ``dk`` and the ``marching``
+    values A, B, A', B', A'', B''.  ``rho1`` (``(nt, 1)``) and ``rho2`` are
+    the unmasked flatness residuals A' B'' - B' A'' = sqrt(G) c1_22 and
+    a b_t - b a_t = sqrt(E) c2_12, whose joint vanishing forces K = 0."""
 
     s: np.ndarray       # (ns,)
     t: np.ndarray       # (nt,)
+    frames: np.ndarray  # (ns, 4, 4)
+    k: np.ndarray       # (3, 1, ns)
+    dk: np.ndarray      # (3, 1, ns)
+    marching: np.ndarray  # (6, nt, 1)
     points: np.ndarray  # (nt, ns, 4)
     status: np.ndarray  # (nt, ns) int8: OK, SPINE or MARCHING
     forms: FundamentalForms
     rho1: np.ndarray
     rho2: np.ndarray
 
-    def require_regular(self) -> None:
+    def require_regular(self) -> "Sweep":
         """Raise RegularityViolationError at the first irregular grid point
-        in t-major order."""
+        in t-major order; return the sweep when every point is regular."""
         bad = np.flatnonzero(self.status)
         if bad.size:
             it, i_s = divmod(int(bad[0]), self.s.size)
             raise RegularityViolationError(CONDITIONS[self.status[it, i_s]],
                                            float(self.s[i_s]), float(self.t[it]))
+        return self
+
+    @property
+    def max_rho1(self) -> float:
+        return float(np.max(np.abs(self.rho1)))
+
+    @property
+    def max_rho2(self) -> float:
+        return float(np.max(np.abs(self.rho2)))
+
+    @property
+    def flat(self) -> bool:
+        return self.max_rho1 <= FLATNESS_RESIDUAL_TOL and self.max_rho2 <= FLATNESS_RESIDUAL_TOL
+
+    def coefficients(self) -> PencilCoefficients:
+        """a, b and their partial derivatives, ``(nt, ns)`` each."""
+        return _coefficients(self.k, self.dk, *self.marching[:4])
+
+    def _in_frame(self, *c) -> np.ndarray:
+        """c1 V1 + c2 V2 + c3 V3 + c4 V4 at every grid point, ``(nt, ns, 4)``."""
+        return sum(np.asarray(ci)[..., None] * self.frames[:, i] for i, ci in enumerate(c))
+
+    def tangent_frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """(X_s, X_t) = (a V1 + b V3, A' V2 + B' V4)."""
+        co, (dA, dB) = self.coefficients(), self.marching[2:4]
+        return self._in_frame(co.a, 0.0, co.b, 0.0), self._in_frame(0.0, dA, 0.0, dB)
+
+    def normal_frame(self) -> tuple[np.ndarray, np.ndarray]:
+        """(N1, N2) = ((-B' V2 + A' V4)/sqrt(G), (-b V1 + a V3)/sqrt(E)); NaN
+        where the point is irregular."""
+        co, (dA, dB), f = self.coefficients(), self.marching[2:4], self.forms
+        return (self._in_frame(0.0, -dB, 0.0, dA) / np.sqrt(f.G)[..., None],
+                self._in_frame(-co.b, 0.0, co.a, 0.0) / np.sqrt(f.E)[..., None])
+
+    def second_derivative_s(self) -> np.ndarray:
+        """X_ss = a_s V1 + (k1 a - k2 b) V2 + b_s V3 + k3 b V4."""
+        co, (k1, k2, k3) = self.coefficients(), self.k
+        return self._in_frame(co.a_s, k1 * co.a - k2 * co.b, co.b_s, k3 * co.b)
 
 
 # ---------------------------------------------------------------------------
-# Pencil formulas: floats or broadcastable arrays
+# Pencil formulas, over broadcastable arrays
 # ---------------------------------------------------------------------------
-
-
-def _sqrt(x):
-    return np.sqrt(x) if isinstance(x, np.ndarray) else math.sqrt(x)
 
 
 def _coefficients(k, dk, A, B, dA, dB) -> PencilCoefficients:
@@ -194,11 +237,10 @@ def form_numerators(k, co: PencilCoefficients, dA, dB, ddA, ddB):
     )
 
 
-def _forms(E, G, q1, q2, sigma, rho2) -> FundamentalForms:
-    sqrt_e, sqrt_g = _sqrt(E), _sqrt(G)
-    return FundamentalForms(E=E, G=G, W2=E * G,
-                            c1_11=q1 / sqrt_g, c1_22=q2 / sqrt_g,
-                            c2_11=sigma / sqrt_e, c2_12=rho2 / sqrt_e)
+def _first(grid):
+    """A dataclass of ``(1, 1)`` grid arrays (or constants) as one of floats."""
+    return type(grid)(**{f.name: np.asarray(getattr(grid, f.name)).item()
+                         for f in dataclasses.fields(grid)})
 
 
 @dataclass(frozen=True)
@@ -252,27 +294,10 @@ class PencilSurface:
                         (k1 - k2) / (2.0 * h))
         return frames.frame[:s.size], k0, rate
 
-    # -- geometry at one point -------------------------------------------
-
-    def _at(self, s: float, t: float, source: str = "frame"):
-        """(frame, coefficient triple, coefficients, marching values, E, G)
-        at one point, without regularity checks."""
-        frames, k, dk = self._spine(np.array([float(s)]), source)
-        k = tuple(k[0].tolist())
-        values = self.marching.values(t)
-        co = _coefficients(k, tuple(dk[0].tolist()), *values[:4])
-        return (frames[0], k, co, values, *metric(co, values[2], values[3]))
-
-    def _regular(self, s: float, t: float, source: str = "frame"):
-        """``_at``, raising RegularityViolationError when either regularity
-        condition fails."""
-        at = self._at(s, t, source)
-        if (status := int(_regularity(*at[-2:]))) != OK:
-            raise RegularityViolationError(CONDITIONS[status], s, t)
-        return at
+    # -- geometry at one point: a sweep over the 1x1 grid [s] x [t] --------
 
     def coefficients(self, s: float, t: float, source: str = "frame") -> PencilCoefficients:
-        return self._at(s, t, source)[2]
+        return _first(self.sweep([s], [t], source).coefficients())
 
     def point_array(self, s, t) -> np.ndarray:
         """X(s,t) without regularity checks (the point itself is always
@@ -291,32 +316,19 @@ class PencilSurface:
     def point(self, s: float, t: float) -> np.ndarray:
         """X(s,t), shape (4,); raises RegularityViolationError when either
         regularity condition fails at the point."""
-        self._regular(s, t)
-        return self.point_array(s, t)
+        return self.sweep([s], [t]).require_regular().points[0, 0]
 
     def tangent_frame(self, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(X_s, X_t) = (a V1 + b V3, A' V2 + B' V4)."""
-        frame, _, co, (_, _, dA, dB, _, _), _, _ = self._regular(s, t)
-        return co.a * frame[0] + co.b * frame[2], dA * frame[1] + dB * frame[3]
+        return tuple(v[0, 0] for v in self.sweep([s], [t]).require_regular().tangent_frame())
 
     def normal_frame(self, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-        """(N1, N2) = ((-B' V2 + A' V4)/sqrt(G), (-b V1 + a V3)/sqrt(E))."""
-        frame, _, co, (_, _, dA, dB, _, _), E, G = self._regular(s, t)
-        return ((-dB * frame[1] + dA * frame[3]) / math.sqrt(G),
-                (-co.b * frame[0] + co.a * frame[2]) / math.sqrt(E))
+        return tuple(v[0, 0] for v in self.sweep([s], [t]).require_regular().normal_frame())
 
     def fundamental_forms(self, s: float, t: float, source: str = "frame") -> FundamentalForms:
-        _, k, co, values, E, G = self._regular(s, t, source)
-        return _forms(E, G, *form_numerators(k, co, *values[2:]))
+        return _first(self.sweep([s], [t], source).require_regular().forms)
 
     def second_derivative_s(self, s: float, t: float, source: str = "frame") -> np.ndarray:
-        """X_ss assembled from the frame decomposition
-        a_s V1 + (k1 a - k2 b) V2 + b_s V3 + k3 b V4."""
-        frame, (k1, k2, k3), co, _, _, _ = self._at(s, t, source)
-        return (co.a_s * frame[0]
-                + (k1 * co.a - k2 * co.b) * frame[1]
-                + co.b_s * frame[2]
-                + k3 * co.b * frame[3])
+        return self.sweep([s], [t], source).second_derivative_s()[0, 0]
 
     # -- geometry on a grid ----------------------------------------------
 
@@ -330,18 +342,20 @@ class PencilSurface:
         frames, k, dk = self._spine(s, source)
         k, dk = k.T[:, None, :], dk.T[:, None, :]
         gamma = self.curve.point(s)
-        A, B, dA, dB, ddA, ddB = np.stack(self.marching.values(t))[:, :, None]
+        marching = np.stack(self.marching.values(t))[:, :, None]
+        A, B, dA, dB, ddA, ddB = marching
 
         co = _coefficients(k, dk, A, B, dA, dB)
         E, G = metric(co, dA, dB)
         status = _regularity(E, G)
         q1, q2, sigma, rho2 = form_numerators(k, co, dA, dB, ddA, ddB)
         with np.errstate(divide="ignore", invalid="ignore"):
-            raw = _forms(E, G, q1, q2, sigma, rho2)
+            sqrt_e, sqrt_g = np.sqrt(E), np.sqrt(G)
+            raw = dict(E=E, G=G, W2=E * G, c1_11=q1 / sqrt_g, c1_22=q2 / sqrt_g,
+                       c2_11=sigma / sqrt_e, c2_12=rho2 / sqrt_e)
         irregular = status != OK
-        forms = FundamentalForms(
-            **{name: np.where(irregular, np.nan, getattr(raw, name))
-               for name in ("E", "G", "W2", "c1_11", "c1_22", "c2_11", "c2_12")})
+        forms = FundamentalForms(**{name: np.where(irregular, np.nan, value)
+                                    for name, value in raw.items()})
         points = _point(gamma, frames[:, 1], frames[:, 3], A[..., None], B[..., None])
-        return Sweep(s=s, t=t, points=points,
+        return Sweep(s=s, t=t, frames=frames, k=k, dk=dk, marching=marching, points=points,
                      status=status, forms=forms, rho1=q2, rho2=rho2)

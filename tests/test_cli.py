@@ -184,9 +184,11 @@ class TestConfig:
                 pencil4.oracle.numeric_forms, pencil4.cli.run_verify) == originals
 
     def test_benchmark_checks_pass_on_tiny_grid_scenes(self, tmp_path, monkeypatch, capsys):
-        # the benchmark's own correctness checks (goldens and oracle
-        # agreement), run here on its tiny seed-0 grid scenes, so a change
-        # that breaks them fails this suite rather than a benchmark run
+        # the benchmark's own correctness checks (exit codes, verdict lines,
+        # goldens and oracle agreement), run here on the tiny seed-0 scenes
+        # of both workloads, so a change that breaks them (the ruled
+        # adjudication and the flatness residuals of the verify workload
+        # included) fails this suite rather than a benchmark run
         bench = Path(__file__).resolve().parents[1] / "bench"
         modules = {}
         for name in ("scenes", "checks"):
@@ -195,30 +197,37 @@ class TestConfig:
             monkeypatch.setitem(sys.modules, spec.name, modules[name])
             spec.loader.exec_module(modules[name])
         scenes, checks = modules["scenes"], modules["checks"]
-        golden = json.loads((bench / "golden" / "grid-seed0-tiny.json").read_text("utf-8"))
-        workload = scenes.build("grid", 0, "tiny")
-        paths = scenes.write_workload(workload, tmp_path)
-        ran = 0
-        for op in workload.ops:
-            if op.command not in ("curvature", "export"):
-                continue
-            argv = [op.command, "--config", str(paths[op.scene])]
-            base = tmp_path / f"{op.scene}-export"
-            if op.command == "export":
-                argv += ["--out", str(base)]
-            code, out, _ = run(capsys, argv)
-            files = {f.suffix: f.read_text(encoding="utf-8")
-                     for f in (base.with_suffix(".obj"), base.with_suffix(".csv"))
-                     if op.command == "export" and f.exists()}
-            output = checks.Output(code, out, files)
-            dom = workload.scenes[op.scene]["domain"]
-            problems = (checks.check_structure(op, output, dom["ns"], dom["nt"])
-                        + checks.check_oracle(op.command, output, cli.load_scene(paths[op.scene]),
-                                              cli.orc, 8)
-                        + checks.check_golden(op.command, output, golden["ops"][op.key]))
-            assert problems == [], (op.key, problems)
-            ran += 1
-        assert ran == 4
+        ran = []
+        for name in ("grid", "verify"):
+            golden = json.loads((bench / "golden" / f"{name}-seed0-tiny.json").read_text("utf-8"))
+            workload = scenes.build(name, 0, "tiny")
+            paths = scenes.write_workload(workload, tmp_path / name)
+            for op in workload.ops:
+                if op.command == "eval":
+                    continue
+                argv = [op.command, "--config", str(paths[op.scene])]
+                out_files = []
+                if op.command == "export":
+                    base = tmp_path / f"{op.scene}-export"
+                    argv += ["--out", str(base)]
+                    out_files = [base.with_suffix(".obj"), base.with_suffix(".csv")]
+                elif op.command == "verify":
+                    out_files = [tmp_path / f"{op.scene}-verify.csv"]
+                    argv += ["--out", str(out_files[0])]
+                code, out, _ = run(capsys, argv)
+                files = {f.suffix: f.read_text(encoding="utf-8")
+                         for f in out_files if f.exists()}
+                output = checks.Output(code, out, files)
+                dom = workload.scenes[op.scene]["domain"]
+                problems = (checks.check_structure(op, output, dom["ns"], dom["nt"])
+                            + checks.check_oracle(op.command, output,
+                                                  cli.load_scene(paths[op.scene]), cli.orc, 8)
+                            + checks.check_golden(op.command, output, golden["ops"][op.key]))
+                assert problems == [], (name, op.key, problems)
+                ran.append((name, op.command))
+        assert sorted(ran) == sorted([("grid", "curvature"), ("grid", "export")] * 2
+                                     + [("verify", "verify")] * 3
+                                     + [("verify", "flat-design")])
 
     @pytest.mark.parametrize("flag, value", [
         ("--step", "inf"), ("--step", "0"), ("--step", "nan"), ("--step", "1e-300"),

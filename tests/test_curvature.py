@@ -13,6 +13,7 @@ from pencil4 import curve as cv
 from pencil4 import families as fam
 from pencil4 import oracle as orc
 from pencil4 import pencil as pc
+from pencil4.errors import RegularityViolationError
 from test_curve import _num
 
 SQ3 = math.sqrt(3.0)
@@ -240,6 +241,25 @@ class TestFlatnessResiduals:
             for t in t_vals:
                 for s in s_vals:
                     assert abs(cu.gaussian(p, float(s), float(t), source="curve")) <= 1e-8
+
+
+class TestIrregularPoints:
+    """Both routes refuse a point where a regularity condition fails."""
+
+    @pytest.mark.parametrize("spine, a_text, b_text, domain, s, t, condition", [
+        # the singular ray a = b = 0 of a planar circle with A = 1/kappa1
+        (cv.WCurve(1.0, 0.0, 1.0, 1.0), "1 + 0*t", "t", (-0.5, 0.5), 0.3, 0.0, "spine"),
+        # A' = B' = 0 at t = 0.3, which the construction samples miss
+        (SEED_CURVE, "(t - 0.3)^2", "(t - 0.3)^3", (0.0, 1.0), 0.7, 0.3, "marching"),
+    ], ids=["singular-ray", "stalled-marching"])
+    def test_every_route_names_the_condition(self, spine, a_text, b_text, domain, s, t,
+                                             condition):
+        p = pc.PencilSurface(spine, pc.MarchingScale.from_expressions(a_text, b_text, domain))
+        for fn in (cu.report, cu.gaussian_closed_form, cu.normal_curvature_closed_form,
+                   cu.mean_closed_form, cu.mean_vector_ambient):
+            with pytest.raises(RegularityViolationError) as ei:
+                fn(p, s, t)
+            assert (ei.value.condition, ei.value.s, ei.value.t) == (condition, s, t), fn
 
 
 class TestOrientationBehavior:

@@ -10,6 +10,7 @@ from mpmath import mp
 import exact
 from pencil4 import curvature as cu
 from pencil4 import curve as cv
+from pencil4 import families as fam
 from pencil4 import oracle as orc
 from pencil4 import pencil as pc
 from test_curve import _num
@@ -91,6 +92,18 @@ def test_normal_curvature_independent_of_marching_speed():
         assert_matches(rep.K_N, -ref.K_N, 1e-12)
         assert_matches(rep.K, ref.K, 1e-12)
         assert_matches(rep.H_norm_sq, ref.H_norm_sq, 1e-12)
+
+
+def test_ruled_pencil_matches_reference_over_t():
+    # the ruled pencil A = B = t/sqrt(2) over its whole t range, not only at
+    # t = 0, where W = 1 would hide any normalization
+    p = fam.ruled_pencil(cv.WCurve(*SEED), (0.0, 0.5))
+    X = exact.w_curve_pencil(*SEED, lambda t: t / mp.sqrt(2), lambda t: t / mp.sqrt(2))
+    for s, t in zip(np.linspace(0.3, 5.9, 10).tolist(), np.linspace(0.0, 0.45, 10).tolist()):
+        ref = exact.invariants(X, s, t)
+        rep = cu.report(p, s, t)
+        assert_matches(rep.K, ref.K, 1e-10)
+        assert_matches(rep.K_N, -ref.K_N, 1e-10)
 
 
 def test_oracle_matches_reference():

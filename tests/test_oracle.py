@@ -1,5 +1,6 @@
 """Tests for the finite-difference differential-geometry oracle."""
 
+import itertools
 import math
 
 import numpy as np
@@ -157,40 +158,45 @@ class TestGridConvergence:
 
 
 class TestBasisIndependence:
-    def test_rotated_patch_same_invariants(self):
-        # A rigid rotation of the ambient space changes the measured normal
-        # basis but not K or |H|^2; K_N agrees up to sign.
-        theta = 0.83
-        rot = np.eye(4)
-        rot[0, 0] = rot[2, 2] = math.cos(theta)
-        rot[0, 2] = -math.sin(theta)
-        rot[2, 0] = math.sin(theta)
-        rot[2, 2] = math.cos(theta)
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16), reflect=st.booleans(),
+           shift=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4),
+           s=st.floats(0.2, 6.0), t=st.floats(-0.2, 0.2))
+    def test_rotated_patch_same_invariants(self, m, reflect, shift, s, t):
+        # A rigid motion x -> Q x + c of the ambient space (Q orthogonal, of
+        # either determinant) changes the measured normal basis but not K or
+        # |H|^2; the mean vector maps by Q and k_n_oriented by det Q.
+        q, _ = np.linalg.qr(np.array(m).reshape(4, 4))
+        if reflect:
+            q[:, 0] = -q[:, 0]
+        shift = np.array(shift)
         p, im = seed_pencil()
-        im_rot = orc.Immersion(
-            fn=lambda u, v: p.point_array(u, v) @ rot.T,
-            u_domain=im.u_domain,
-            v_domain=im.v_domain,
-        )
-        for (s, t) in [(0.8, 0.1), (2.5, -0.15)]:
-            a = orc.numeric_forms(im, s, t)
-            b = orc.numeric_forms(im_rot, s, t)
-            assert a.K == pytest.approx(b.K, abs=1e-8)
-            assert a.h_norm_sq == pytest.approx(b.h_norm_sq, abs=1e-8)
-            assert abs(a.k_n) == pytest.approx(abs(b.k_n), abs=1e-8)
-            assert a.k_n_oriented == pytest.approx(b.k_n_oriented, abs=1e-8)
+        im_moved = orc.Immersion(fn=lambda u, v: p.point_array(u, v) @ q.T + shift,
+                                 u_domain=im.u_domain, v_domain=im.v_domain)
+        a = orc.numeric_forms(im, s, t)
+        b = orc.numeric_forms(im_moved, s, t)
+        tol = 1e-6 * max(1.0, abs(a.K), abs(a.h_norm_sq), abs(a.k_n))
+        assert b.K == pytest.approx(a.K, abs=tol)
+        assert b.h_norm_sq == pytest.approx(a.h_norm_sq, abs=tol)
+        assert b.mean_vector == pytest.approx(q @ a.mean_vector, abs=tol)
+        assert b.k_n_oriented == pytest.approx(np.linalg.det(q) * a.k_n_oriented, abs=tol)
 
-    def test_different_basis_seeds_same_invariants(self):
-        # Offering the standard basis in a different order changes the
-        # measured normals; K and |H|^2 must not move, K_N up to sign.
+    @settings(max_examples=20, deadline=None)
+    @given(s=st.floats(0.2, 6.0), t=st.floats(-0.2, 0.2))
+    def test_different_basis_seeds_same_invariants(self, s, t):
+        # Offering the standard basis in each of its 24 orders changes the
+        # measured normals; K, |H|^2, the mean vector and k_n_oriented must
+        # not move, and k_n may only flip its sign.
         _, im = seed_pencil()
-        for (s, t) in [(0.7, 0.1), (2.9, -0.2), (5.1, 0.22)]:
-            a = orc.numeric_forms(im, s, t)
-            b = orc.numeric_forms(im, s, t, seed_order=(3, 2, 1, 0))
-            assert a.K == pytest.approx(b.K, abs=1e-8)
-            assert a.h_norm_sq == pytest.approx(b.h_norm_sq, abs=1e-8)
-            assert abs(a.k_n) == pytest.approx(abs(b.k_n), abs=1e-8)
-            assert a.k_n_oriented == pytest.approx(b.k_n_oriented, abs=1e-8)
+        a, *others = (orc.numeric_forms(im, s, t, seed_order=order)
+                      for order in itertools.permutations(range(4)))
+        tol = 1e-12 * max(1.0, abs(a.K), abs(a.h_norm_sq), abs(a.k_n))
+        for b in others:
+            assert b.K == pytest.approx(a.K, abs=tol)
+            assert b.h_norm_sq == pytest.approx(a.h_norm_sq, abs=tol)
+            assert b.mean_vector == pytest.approx(a.mean_vector, abs=tol)
+            assert abs(b.k_n) == pytest.approx(abs(a.k_n), abs=tol)
+            assert b.k_n_oriented == pytest.approx(a.k_n_oriented, abs=tol)
 
     def test_oriented_normal_curvature_consistent_across_grid(self):
         # The raw k_n sign can flip between grid points when the seed basis

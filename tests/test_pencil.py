@@ -1,5 +1,7 @@
 """Tests for pencil surfaces: coefficients, frames, fundamental forms."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -288,35 +290,50 @@ INVOLUTE = make_involute()
 
 
 class TestSweep:
-    """The grid sweep against the scalar route, point by point."""
+    """A grid sweep against its 1x1 sweeps, field by field, bit for bit."""
 
     @staticmethod
-    def assert_matches_scalar(make_surface, ss, ts, source):
-        sw = make_surface().sweep(ss, ts, source)
-        p = make_surface()
-        rep = cu.invariants_from_forms(sw.forms)
+    def cell(sw, it, i_s):
+        """Every field of ``sw`` (and of its per-point views) at the grid
+        point (it, i_s), in the shapes a 1x1 sweep holds them."""
+        T, S = slice(it, it + 1), slice(i_s, i_s + 1)
+        fields = {"s": sw.s[S], "t": sw.t[T], "frames": sw.frames[S], "k": sw.k[..., S],
+                  "dk": sw.dk[..., S], "marching": sw.marching[:, T],
+                  "points": sw.points[T, S], "status": sw.status[T, S],
+                  "rho1": sw.rho1[T], "rho2": sw.rho2[T, S]}
+        assert set(fields) | {"forms"} == {f.name for f in dataclasses.fields(pc.Sweep)}
+        views = {"forms": sw.forms, "coefficients": sw.coefficients()}
+        for view, value in views.items():
+            for f in dataclasses.fields(value):
+                v = getattr(value, f.name)
+                fields[f"{view}.{f.name}"] = v[T, S] if np.ndim(v) else v
+        for view in ("tangent_frame", "normal_frame"):
+            for i, v in enumerate(getattr(sw, view)()):
+                fields[f"{view}[{i}]"] = v[T, S]
+        fields["second_derivative_s"] = sw.second_derivative_s()[T, S]
+        return fields
+
+    def assert_grid_is_its_points(self, p, ss, ts, source):
+        sw = p.sweep(ss, ts, source)
         assert sw.points.shape == (len(ts), len(ss), 4)
-        assert sw.status.shape == sw.forms.E.shape == rep.K.shape == (len(ts), len(ss))
+        assert sw.status.shape == sw.forms.E.shape == sw.rho2.shape == (len(ts), len(ss))
+        S, T = np.meshgrid(ss, ts)
+        assert np.array_equal(p.point_array(S, T), sw.points)
+        K = cu.invariants_from_forms(sw.forms).K
         for it, t in enumerate(ts):
-            _, _, dA, dB, ddA, ddB = p.marching.values(t)
-            assert sw.rho1[it, 0] == dA * ddB - dB * ddA
             for i_s, s in enumerate(ss):
-                assert np.array_equal(sw.points[it, i_s], p.point_array(s, t))
-                co = p.coefficients(s, t, source)
-                assert sw.rho2[it, i_s] == co.a * co.b_t - co.b * co.a_t
-                try:
-                    f = p.fundamental_forms(s, t, source)
-                except RegularityViolationError as err:
-                    assert pc.CONDITIONS[sw.status[it, i_s]] == err.condition
-                    assert math.isnan(sw.forms.E[it, i_s]) and math.isnan(rep.K[it, i_s])
+                one = p.sweep([s], [t], source)
+                got, want = self.cell(sw, it, i_s), self.cell(one, 0, 0)
+                for name in want:
+                    assert np.array_equal(got[name], want[name], equal_nan=True), (name, s, t)
+                if sw.status[it, i_s] == pc.OK:
+                    assert one.require_regular() is one
                     continue
-                assert sw.status[it, i_s] == pc.OK
-                assert sw.forms.E[it, i_s] == f.E
-                assert sw.forms.G[it, i_s] == f.G
-                want = cu.invariants_from_forms(f)
-                assert rep.K[it, i_s] == pytest.approx(want.K, rel=1e-12, abs=0)
-                assert rep.K_N[it, i_s] == pytest.approx(want.K_N, rel=1e-12, abs=0)
-                assert rep.H_norm_sq[it, i_s] == pytest.approx(want.H_norm_sq, rel=1e-12, abs=0)
+                with pytest.raises(RegularityViolationError) as ei:
+                    one.require_regular()
+                assert (ei.value.condition, ei.value.s, ei.value.t) == (
+                    pc.CONDITIONS[sw.status[it, i_s]], s, t)
+                assert math.isnan(sw.forms.E[it, i_s]) and math.isnan(K[it, i_s])
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -344,14 +361,14 @@ class TestSweep:
             (-0.25, 0.25))
         ss = np.linspace(*s_dom, 5).tolist()
         ts = np.linspace(-0.25, 0.25, 4).tolist()
-        self.assert_matches_scalar(
-            lambda: pc.PencilSurface(curve, marching, s_domain=s_dom), ss, ts, source)
+        self.assert_grid_is_its_points(pc.PencilSurface(curve, marching, s_domain=s_dom),
+                                       ss, ts, source)
 
     def test_singular_ray_is_a_status_not_an_error(self):
         w = cv.WCurve(1.0, 0.0, 1.0, 1.0)
         m = pc.MarchingScale.from_expressions("1 + 0*t", "t", (-0.5, 0.5))
         ts = [-0.2, 0.0, 0.3]
-        self.assert_matches_scalar(lambda: pc.PencilSurface(w, m), [0.0, 0.3, 1.0], ts, "frame")
+        self.assert_grid_is_its_points(pc.PencilSurface(w, m), [0.0, 0.3, 1.0], ts, "frame")
         sw = pc.PencilSurface(w, m).sweep([0.0, 0.3, 1.0], ts)
         assert sw.status.tolist() == [[0, 0, 0], [pc.SPINE] * 3, [0, 0, 0]]
         with pytest.raises(RegularityViolationError) as ei:
@@ -362,7 +379,31 @@ class TestSweep:
         # A' = B' = 0 at t = 0.3, which the 64 construction samples miss
         m = pc.MarchingScale.from_expressions("(t - 0.3)^2", "(t - 0.3)^3", (0.0, 1.0))
         ts = [0.1, 0.3, 0.5]
-        self.assert_matches_scalar(lambda: pc.PencilSurface(SEED_CURVE, m), [0.0, 2.0], ts,
-                                   "frame")
+        self.assert_grid_is_its_points(pc.PencilSurface(SEED_CURVE, m), [0.0, 2.0], ts, "frame")
         sw = pc.PencilSurface(SEED_CURVE, m).sweep([0.0, 2.0], ts)
         assert sw.status.tolist() == [[0, 0], [pc.MARCHING] * 2, [0, 0]]
+
+
+class TestPointViews:
+    """Every point-wise quantity is read from one sweep over a 1x1 grid."""
+
+    @pytest.mark.parametrize("curve", [SEED_CURVE, INVOLUTE])
+    def test_one_frame_batch_per_call(self, curve, monkeypatch):
+        batches = []
+
+        def counted(*args, **kwargs):
+            batches.append(args)
+            return cv.frenet_frames(*args, **kwargs)
+
+        monkeypatch.setattr(pc, "frenet_frames", counted)
+        p = pc.PencilSurface(curve, pc.MarchingScale.from_expressions(
+            "0.8*t + 0.1*t^2", "t^2 + 0.2*sin(t)", (-0.3, 0.3)), s_domain=(0.7, 2.3))
+        calls = [p.coefficients, p.point, p.tangent_frame, p.normal_frame,
+                 p.fundamental_forms, p.second_derivative_s]
+        calls += [functools.partial(fn, p) for fn in (
+            cu.report, cu.gaussian_closed_form, cu.normal_curvature_closed_form,
+            cu.mean_closed_form, cu.mean_vector_ambient)]
+        for call in calls:
+            batches.clear()
+            call(1.1, 0.2)
+            assert len(batches) == 1, call
