@@ -12,14 +12,18 @@ subcommands sweep it:
     pencil4 export      --config scene.json --out base [--projection SPEC]
 
 CSV output is deterministic: fixed 17-significant-digit formatting, rows
-t-major then s, no timestamps.  Grid points violating a regularity
+t-major then s, no timestamps.  Rows are formatted in blocks of whole
+t-rows, each distinct value (bit pattern) of a block once; export streams
+its OBJ and CSV files block by block.  Grid points violating a regularity
 condition become rows with a status marker instead of aborting the sweep
-(verify excludes them from comparison).
+(verify excludes them from comparison).  Any other exception ends in exit 1
+with one ``internal error`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -87,10 +91,13 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def _template(n_floats: int) -> str:
-    """A %-template of ``n_floats`` comma-separated 17-digit floats: one
-    row is formatted by one ``template % values``."""
-    return ",".join(["%.17g"] * n_floats)
+# Grid points per formatting block.  A block's strings are alive together,
+# so peak memory grows with it: against per-row formatting, the verify
+# benchmark's peak RSS read -0.2..+0.6% at 256 points, +1.4% at 1024 and
+# +2.3% at 4096, while 128-point blocks cost grid formatting 13-30% more time.
+_BLOCK_POINTS = 256
+_MARKERS = np.array(["ok", *(f"regularity:{c}" for c in pc.CONDITIONS[1:])], dtype=object)
+_VERIFY_MARKERS = np.array(["ok", *["regularity"] * (len(pc.CONDITIONS) - 1)], dtype=object)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +352,32 @@ def _grid(scene: Scene):
     return ss, ts
 
 
-def _rows_to_csv(header: list[str], rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(rows)
-    return "\n".join(lines) + "\n"
+def _blocks(fields, status=None, markers=_MARKERS):
+    """The ``%.17g`` text of broadcastable (rows, columns) float fields, one
+    (points, fields) array of strings per block of whole rows, points in
+    row-major order, and given the status codes a last column of markers.
+    Each distinct bit pattern of a block is formatted once: bits, not
+    values, because 0.0 and -0.0 print differently and NaN != NaN."""
+    fields = np.broadcast_arrays(*fields)
+    step = max(1, _BLOCK_POINTS // fields[0].shape[1])
+    for start in range(0, fields[0].shape[0], step):
+        rows = slice(start, start + step)
+        block = np.stack([f[rows] for f in fields], axis=-1)
+        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
+        # one %-call for them all: ~40% less time than one call per value
+        text = ",".join(["%.17g"] * len(bits)) % tuple(bits.view(np.float64).tolist())
+        text = np.array(text.split(","), dtype=object)[inverse.ravel()].reshape(-1, len(fields))
+        yield text if status is None else np.column_stack([text, markers[status[rows].ravel()]])
+
+
+def _lines(text: np.ndarray) -> str:
+    """One CSV line per row of a 2-D array of strings."""
+    return "\n".join(map(",".join, text.tolist())) + "\n"
+
+
+def _csv(header: list[str], fields, status=None, markers=_MARKERS) -> str:
+    """CSV text: the header line, then one line per grid point."""
+    return "".join([",".join(header) + "\n", *map(_lines, _blocks(fields, status, markers))])
 
 
 def run_frenet(scene: Scene) -> str:
@@ -359,31 +388,14 @@ def run_frenet(scene: Scene) -> str:
     header += ["kappa1", "kappa2", "kappa3"]
     frames = frenet_frames(scene.curve, ss)
     table = np.column_stack([ss, frames.frame.reshape(-1, 16), frames.kappas])
-    template = _template(20)
-    return _rows_to_csv(header, (template % tuple(row) for row in table.tolist()))
-
-
-def _columns(sweep: pc.Sweep, *fields):
-    """s, t and the given per-point fields of a sweep, one list of floats
-    per grid point, t-major; produced one t-row at a time."""
-    fields = (sweep.s, sweep.t[:, None], *fields)
-    for t_row in np.stack(np.broadcast_arrays(*fields), axis=-1):
-        yield from t_row.tolist()
-
-
-def _rows(sweep: pc.Sweep, *fields,
-          names=("ok", *(f"regularity:{c}" for c in pc.CONDITIONS[1:]))):
-    """CSV rows ``s, t, fields..., status`` for every grid point, lazily;
-    ``names`` maps each status code to its marker."""
-    template = _template(2 + len(fields)) + ",%s"
-    return (template % (*v, names[code])
-            for v, code in zip(_columns(sweep, *fields), sweep.status.ravel().tolist()))
+    return _csv(header, table.T[..., None])
 
 
 def run_eval(scene: Scene) -> str:
     sweep = scene.surface.sweep(*_grid(scene))
     header = ["s", "t", "x1", "x2", "x3", "x4", "status"]
-    return _rows_to_csv(header, _rows(sweep, *np.moveaxis(sweep.points, -1, 0)))
+    return _csv(header, (sweep.s, sweep.t[:, None], *np.moveaxis(sweep.points, -1, 0)),
+                sweep.status)
 
 
 def run_curvature(scene: Scene) -> str:
@@ -391,7 +403,8 @@ def run_curvature(scene: Scene) -> str:
     f = sweep.forms
     rep = cu.invariants_from_forms(f)
     header = ["s", "t", "E", "G", "K", "K_N", "Hnormsq", "status"]
-    return _rows_to_csv(header, _rows(sweep, f.E, f.G, rep.K, rep.K_N, rep.H_norm_sq))
+    return _csv(header, (sweep.s, sweep.t[:, None], f.E, f.G, rep.K, rep.K_N, rep.H_norm_sq),
+                sweep.status)
 
 
 def run_verify(scene: Scene, tol: float, step: float | None):
@@ -434,8 +447,6 @@ def run_verify(scene: Scene, tol: float, step: float | None):
         *(r.summary() for r in reports),
     ]
     all_passed = all(r.passed for r in reports)
-    csv_rows = _rows(sweep, *np.moveaxis(table, -1, 0),
-                     names=("ok",) + ("regularity",) * (len(pc.CONDITIONS) - 1))
 
     if scene.marching_kind == "ruled":
         lines.extend(_ruled_adjudication(scene, sweep.t))
@@ -443,7 +454,9 @@ def run_verify(scene: Scene, tol: float, step: float | None):
     lines.append(f"overall: {'PASS' if all_passed else 'FAIL'}")
     header = ["s", "t", "K_closed", "K_oracle", "K_N_closed", "K_N_oracle",
               "Hnormsq_closed", "Hnormsq_oracle", "status"]
-    return "\n".join(lines) + "\n", _rows_to_csv(header, csv_rows), all_passed
+    csv_text = _csv(header, (sweep.s, sweep.t[:, None], *np.moveaxis(table, -1, 0)),
+                    sweep.status, _VERIFY_MARKERS)
+    return "\n".join(lines) + "\n", csv_text, all_passed
 
 
 def _ruled_adjudication(scene: Scene, ts: np.ndarray) -> list[str]:
@@ -522,27 +535,29 @@ def run_flat_design(scene: Scene, step: float | None) -> tuple[str, bool]:
 
 
 def run_export(scene: Scene, out_base: Path, projection: dict) -> list[Path]:
+    """Stream the OBJ mesh (if the format asks for one) and the per-point CSV
+    to their files block by block.  The projected vertices ride in the CSV's
+    blocks, so text they share with x1..x4 is formatted once."""
     sweep = scene.surface.sweep(*_grid(scene))
-    points = sweep.points.reshape(-1, 4)
-    written = []
+    fields = [sweep.s, sweep.t[:, None], *np.moveaxis(sweep.points, -1, 0),
+              cu.invariants_from_forms(sweep.forms).K]
+    written = [out_base.with_suffix(".csv")]
     if scene.output_format == "obj":
-        projected = project_points(points, projection)
-        obj_lines = ["v %.17g %.17g %.17g" % tuple(p) for p in projected.tolist()]
+        projected = project_points(sweep.points.reshape(-1, 4), projection)
+        fields[:0] = projected.T.reshape(3, *sweep.status.shape)
+        written.insert(0, out_base.with_suffix(".obj"))
+    with contextlib.ExitStack() as stack:
+        *obj, csv = [stack.enter_context(p.open("w", encoding="utf-8")) for p in written]
+        csv.write("s,t,x1,x2,x3,x4,K,status\n")
+        for text in _blocks(fields, sweep.status):  # [projected x, y, z,] CSV columns
+            csv.write(_lines(text[:, -8:]))
+            for f in obj:
+                f.write("".join(map("v %s %s %s\n".__mod__, map(tuple, text[:, :3].tolist()))))
         ok = sweep.status == pc.OK
-        quads = ok[:-1, :-1] & ok[:-1, 1:] & ok[1:, 1:] & ok[1:, :-1]
-        for it, i_s in zip(*np.nonzero(quads)):
-            a = int(it) * scene.ns + int(i_s)
-            obj_lines.append(f"f {a + 1} {a + 2} {a + scene.ns + 2} {a + scene.ns + 1}")
-        obj_path = out_base.with_suffix(".obj")
-        obj_path.write_text("\n".join(obj_lines) + "\n", encoding="utf-8")
-        written.append(obj_path)
-
-    header = ["s", "t", "x1", "x2", "x3", "x4", "K", "status"]
-    rows = _rows(sweep, *np.moveaxis(sweep.points, -1, 0),
-                 cu.invariants_from_forms(sweep.forms).K)
-    csv_path = out_base.with_suffix(".csv")
-    csv_path.write_text(_rows_to_csv(header, rows), encoding="utf-8")
-    written.append(csv_path)
+        it, i_s = np.nonzero(ok[:-1, :-1] & ok[:-1, 1:] & ok[1:, 1:] & ok[1:, :-1])
+        corners = np.add.outer(it * scene.ns + i_s + 1, [0, 1, scene.ns + 1, scene.ns])
+        for f in obj:
+            f.write("".join(map("f %d %d %d %d\n".__mod__, map(tuple, corners.tolist()))))
     return written
 
 
@@ -656,6 +671,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_OUTPUT
     except Pencil4Error as err:  # pragma: no cover - safety net
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_UNEXPECTED
+    except Exception as err:  # a defect, not an input fault: no traceback either
+        print(" ".join(f"internal error: {type(err).__name__}: {err}".split()), file=sys.stderr)
         return EXIT_UNEXPECTED
 
 

@@ -8,8 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pencil4 import cli
+from pencil4 import pencil as pc
 
 SQ3 = math.sqrt(3.0)
 
@@ -255,6 +258,17 @@ class TestConfig:
         code, _, err = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
         assert code == cli.EXIT_REGULARITY
         assert "regularity" in err
+
+    def test_unexpected_exception_is_one_line_exit_1(self, tmp_path, capsys, monkeypatch):
+        def broken(scene):
+            raise RuntimeError("boom\n  in a second line")
+
+        monkeypatch.setattr(cli, "run_eval", broken)
+        code, out, err = run(capsys, ["eval", "--config", write_config(tmp_path, seed_scene())])
+        assert code == cli.EXIT_UNEXPECTED
+        assert err == "internal error: RuntimeError: boom in a second line\n"
+        assert out == ""
+        assert "1  unexpected internal error" in cli._EXIT_CODES
 
 
 class TestFrenet:
@@ -526,16 +540,22 @@ class TestExport:
         assert code == cli.EXIT_CONFIG
 
     def test_stereographic_requires_sphere(self, tmp_path, capsys):
-        cfg = seed_scene(
-            domain={"s": [0.0, 2.0], "t": [0.0, 0.2], "ns": 3, "nt": 3},
-            output={"format": "obj", "projection": {"kind": "stereographic"}},
-        )
-        base = tmp_path / "mesh"
-        code, _, err = run(
-            capsys, ["export", "--config", write_config(tmp_path, cfg), "--out", str(base)]
-        )
-        assert code == cli.EXIT_RANGE
-        assert "unit 3-sphere" in err
+        # from the config, and from --projection over a drop_axis config
+        for projection, flag in (({"kind": "stereographic"}, []),
+                                 ({"kind": "drop_axis", "axis": 4}, ["--projection", "stereo"])):
+            cfg = seed_scene(
+                domain={"s": [0.0, 2.0], "t": [0.0, 0.2], "ns": 3, "nt": 3},
+                output={"format": "obj", "projection": projection},
+            )
+            base = tmp_path / "mesh"
+            code, _, err = run(
+                capsys, ["export", "--config", write_config(tmp_path, cfg), "--out", str(base),
+                         *flag]
+            )
+            assert code == cli.EXIT_RANGE
+            assert "unit 3-sphere" in err
+            # the projection fails before either file is opened
+            assert not base.with_suffix(".obj").exists() and not base.with_suffix(".csv").exists()
 
     def test_stereographic_on_clifford_style_pencil(self, tmp_path, capsys):
         # Vranceanu with r == 1 lies on the unit sphere.
@@ -617,3 +637,102 @@ class TestDeterminism:
         assert cli.main(["verify", "--config", path, "--out", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+
+# The reference for block-wise formatting: one ``%.17g`` template per grid
+# point, t-major, every value formatted where it occurs.
+def reference_csv(header, fields, status=None, markers=cli._MARKERS):
+    table = np.stack(np.broadcast_arrays(*fields), axis=-1).reshape(-1, len(fields))
+    template = ",".join(["%.17g"] * len(fields))
+    if status is None:
+        rows = [template % tuple(v) for v in table.tolist()]
+    else:
+        rows = [template % tuple(v) + "," + markers[code]
+                for v, code in zip(table.tolist(), status.ravel().tolist())]
+    return "\n".join([",".join(header), *rows]) + "\n"
+
+
+def reference_blocks(fields, status=None, markers=cli._MARKERS):
+    """``cli._blocks`` as one block of per-row template text."""
+    lines = reference_csv([], fields, status, markers).split("\n")[1:-1]
+    yield np.array([line.split(",") for line in lines], dtype=object)
+
+
+def reference_obj(scene):
+    """The OBJ text of a scene as one vertex template per point and one
+    f-string per quad."""
+    sweep = scene.surface.sweep(*cli._grid(scene))
+    projected = cli.project_points(sweep.points.reshape(-1, 4), scene.projection)
+    lines = ["v %.17g %.17g %.17g" % tuple(p) for p in projected.tolist()]
+    ok = sweep.status == pc.OK
+    quads = ok[:-1, :-1] & ok[:-1, 1:] & ok[1:, 1:] & ok[1:, :-1]
+    for it, i_s in zip(*np.nonzero(quads)):
+        a = int(it) * scene.ns + int(i_s)
+        lines.append(f"f {a + 1} {a + 2} {a + scene.ns + 2} {a + scene.ns + 1}")
+    return "\n".join(lines) + "\n"
+
+
+# a few bit patterns, repeated: signed zeros, NaNs of both signs, infinities
+_POOL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0, -0.1, 1 / 3, 5e-324,
+         1.7976931348623157e308, 2.0 ** -1074 * 3]
+
+
+class TestBlockFormatting:
+    """Block-wise, de-duplicated formatting is byte-identical to one
+    ``%.17g`` template per row."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), ns=st.integers(1, 9), nt=st.integers(1, 7),
+           block=st.integers(1, 20), n_fields=st.integers(0, 4), with_status=st.booleans())
+    def test_matches_per_row_template(self, data, ns, nt, block, n_fields, with_status):
+        def draw_field(shape):
+            values = data.draw(st.lists(st.sampled_from(_POOL) | st.floats(), min_size=1,
+                                        max_size=ns * nt))
+            return np.resize(np.array(values, dtype=float), shape)
+
+        # columns that vary along s only, t only, or both, like the CLI's
+        fields = [draw_field((ns,)), draw_field((nt, 1))]
+        fields += [draw_field(data.draw(st.sampled_from([(ns,), (nt, 1), (nt, ns)])))
+                   for _ in range(n_fields)]
+        status = data.draw(st.lists(st.integers(0, 2), min_size=ns * nt, max_size=ns * nt))
+        status = np.array(status, dtype=np.int8).reshape(nt, ns) if with_status else None
+        header = [f"c{i}" for i in range(len(fields))]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_BLOCK_POINTS", block)  # blocks narrower and wider than ns
+            assert cli._csv(header, fields, status) == reference_csv(header, fields, status)
+
+    def test_module_block_size_on_uneven_grids(self):
+        rng = np.random.default_rng(7)
+        for ns, nt in ((cli._BLOCK_POINTS + 44, 3), (120, 5)):  # ns beyond a block; nt odd
+            fields = [np.linspace(0.0, 1.0, ns), np.linspace(-1.0, 1.0, nt)[:, None],
+                      rng.choice(_POOL, (nt, ns)), np.repeat(rng.normal(size=(nt, 1)), ns, 1)]
+            status = rng.integers(0, 3, (nt, ns)).astype(np.int8)
+            assert cli._csv(list("stuv"), fields, status) == reference_csv(list("stuv"), fields,
+                                                                           status)
+
+    @pytest.mark.parametrize("grid", ["7x5", "300x3"])
+    def test_singular_ray_outputs_match_per_row_template(self, tmp_path, capsys, monkeypatch,
+                                                         grid):
+        cfg = singular_ray_scene()
+        cfg["output"] = {"format": "obj"}
+        path = write_config(tmp_path, cfg)
+
+        def outputs(tag):
+            got = {}
+            for command in ("eval", "curvature", "verify"):
+                out = tmp_path / f"{tag}-{command}.csv"
+                assert cli.main([command, "--config", path, "--out", str(out), "--grid", grid]) == 0
+                got[command] = out.read_text(encoding="utf-8")
+            base = tmp_path / f"{tag}-mesh"
+            assert cli.main(["export", "--config", path, "--out", str(base), "--grid", grid]) == 0
+            got["export.csv"] = base.with_suffix(".csv").read_text(encoding="utf-8")
+            got["export.obj"] = base.with_suffix(".obj").read_text(encoding="utf-8")
+            capsys.readouterr()
+            return got
+
+        blocks = outputs("blocks")
+        monkeypatch.setattr(cli, "_blocks", reference_blocks)
+        assert blocks == outputs("rows")
+        assert blocks["export.obj"] == reference_obj(cli.load_scene(path, grid))
+        assert sum(line.endswith(",regularity:spine") for line in blocks["eval"].split("\n")) \
+            == int(grid.split("x")[0])
