@@ -127,7 +127,7 @@ class AnalyticCurve:
         if not s1 > s0:
             raise ConstraintViolationError("empty parameter domain")
         samples = np.linspace(s0, s1, 256)
-        speed = np.sqrt(sum(ex.evaluate(e, samples) ** 2 for e in self._derivs[1]))
+        speed = np.sqrt(sum(v ** 2 for v in ex.evaluate(self._derivs[1], samples)))
         worst = float(np.max(np.abs(speed - 1.0)))
         if not worst <= UNIT_SPEED_TOL_ANALYTIC:
             raise ConstraintViolationError(
@@ -142,13 +142,13 @@ class AnalyticCurve:
 
     def point(self, s) -> np.ndarray:
         """gamma(s) for a float (shape (4,)) or an array of s (shape (..., 4))."""
-        return np.stack([ex.evaluate(e, s) for e in self._derivs[0]], axis=-1)
+        return np.stack(ex.evaluate(self._derivs[0], s), axis=-1)
 
     def derivative_arrays(self, s, order: int) -> list[np.ndarray]:
         """gamma'(s), ..., gamma^(order)(s), each of shape (4,) for a float
-        or (..., 4) for an array of s."""
-        return [np.stack([ex.evaluate(e, s) for e in self._derivs[k]], axis=-1)
-                for k in range(1, order + 1)]
+        or (..., 4) for an array of s, from one evaluation of the trees."""
+        values = ex.evaluate([e for k in range(1, order + 1) for e in self._derivs[k]], s)
+        return [np.stack(values[i:i + 4], axis=-1) for i in range(0, 4 * order, 4)]
 
 
 CurveSpec = WCurve | AnalyticCurve

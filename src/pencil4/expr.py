@@ -21,6 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from decimal import Decimal
+from typing import Sequence
 
 import numpy as np
 
@@ -492,19 +493,24 @@ _FUNCTIONS = {
 }
 
 
-def evaluate(e: Expr, x):
+def evaluate(e: Expr | Sequence[Expr], x):
     """Evaluate ``e`` with the free variable bound to ``x`` in IEEE double
     precision, with numpy ufuncs.  ``x`` is a float (the result is a float:
     a batch of one) or an ndarray (the result has the shape of ``x``).
-    A subtree shared within ``e`` (derivatives share them) is evaluated
-    once.  Domain faults raise EvalDomainError carrying the source offset
-    of the offending subtree; for an array the message also names the
-    first faulting element."""
+    ``e`` may also be a sequence of expressions, evaluated in order with one
+    memo (a curve's components and their derivatives share subtrees): the
+    result is then the list of their values.  A subtree shared within ``e``
+    is evaluated once.  Domain faults raise EvalDomainError carrying the
+    source offset of the offending subtree; for an array the message also
+    names the first faulting element."""
     arr = np.asarray(x, dtype=float)
+    bound, memo = (arr if arr.ndim else arr[()]), {}
     with np.errstate(all="ignore"):
-        out = np.array(np.broadcast_to(_evaluate(e, arr if arr.ndim else arr[()], {}),
-                                       arr.shape))
-    return out if isinstance(x, np.ndarray) else float(out)
+        out = [np.array(np.broadcast_to(_evaluate(tree, bound, memo), arr.shape))
+               for tree in ((e,) if isinstance(e, Expr) else e)]
+    if not isinstance(x, np.ndarray):
+        out = [float(value) for value in out]
+    return out[0] if isinstance(e, Expr) else out
 
 
 def _evaluate(e: Expr, x, memo: dict):

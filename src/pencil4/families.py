@@ -95,8 +95,7 @@ class RotationProfile:
     def point(self, s, t) -> np.ndarray:
         """The rotation surface at floats (shape (4,)) or broadcastable
         arrays (shape (..., 4))."""
-        f = ex.evaluate(self.f, t)
-        g = ex.evaluate(self.g, t)
+        f, g = ex.evaluate((self.f, self.g), t)
         return np.stack(np.broadcast_arrays(
             f * np.cos(self.c * s), f * np.sin(self.c * s),
             g * np.cos(self.d * s), g * np.sin(self.d * s),
@@ -457,7 +456,7 @@ def flat_ode_residuals(
     if isinstance(r, str):
         r = ex.parse(r, "t")
     t_arr = np.asarray(list(t_samples), dtype=float)
-    rv, dv, sv = (ex.evaluate(e, t_arr) for e in (r, *ex.derivatives(r, 2)))
+    rv, dv, sv = ex.evaluate((r, *ex.derivatives(r, 2)), t_arr)
     eps1 = 2.0 * dv * dv - rv * sv + rv * rv
     # kappas per s as (ns, 1) columns against the (nt,) radius samples
     k1, k2, k3 = frenet_frames(curve, np.asarray(s_samples, dtype=float)).kappas.T[:, :, None]

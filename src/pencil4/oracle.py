@@ -14,7 +14,9 @@ instead.
 
 Points are measured in batches: the stencil points of up to ``SLICE``
 points come from one call of the immersion's evaluator, and every step after
-that is an array operation, so a single point is a batch of one.
+that is an array operation, so a single point is a batch of one.  The
+batches are spine-column slices: the points are taken sorted by u, then v,
+so a slice spans few distinct u; the report comes back in input order.
 
 K and ||H||^2 (and the ambient mean-curvature vector) are basis
 independent.  The normal curvature depends on the orientation of the
@@ -47,7 +49,10 @@ DEFAULT_TOLERANCE = 1e-6
 _GRAM_TOL = 1e-12
 # Most points whose stencils share one evaluator call: bounds the working set
 # (the stencil points and the evaluator's temporaries) whatever the batch size.
-SLICE = 256
+# 400 is the largest size, in steps of 8, whose traced peak over a 40 x 40
+# grid (1.077 MB with numpy 2.4) stays within the 1.089 MB that
+# tests/test_oracle.py holds; 408 reaches 1.090 MB.
+SLICE = 400
 
 
 @dataclass(frozen=True)
@@ -58,7 +63,10 @@ class Immersion:
     points, shape ``(..., 4)`` over the broadcast shape (floats give one
     point).  The oracle calls it once per slice of at most ``SLICE`` points,
     with U of shape (n, 5, 1) and V of shape (n, 1, 5), so an evaluator that
-    reads per-u or per-v data can read it once per stencil line.
+    reads per-u or per-v data can read it once per stencil line.  A slice
+    holds points sorted by u (spine columns), so its stencils share few
+    distinct u: ``PencilSurface.point_array`` builds one frame per distinct
+    u.
 
     ``step`` overrides the differencing step; when None the policy
     h = 1e-4 * max(1, |u|, |v|) applies.  Larger steps (~4e-3) push the
@@ -115,10 +123,13 @@ def numeric_forms(im: Immersion, u, v,
     """Fundamental forms and invariants at (u, v) from differencing alone.
 
     ``u`` and ``v`` are floats (one report of floats) or equal-length 1-D
-    arrays (one report of arrays); a float pairs with every element of the
-    other.  The 5 x 5 stencil grids of the points (u + i h, v + j h),
-    i, j in -2..2, are evaluated in one ``im.fn`` call per slice of at most
-    ``SLICE`` consecutive points.
+    arrays (one report of arrays, in their order); a float pairs with every
+    element of the other.  The 5 x 5 stencil grids of the points
+    (u + i h, v + j h), i, j in -2..2, are evaluated in one ``im.fn`` call
+    per slice of at most ``SLICE`` points.  The points are measured in
+    spine-column order (sorted by u, then v): a slice then spans few
+    distinct u, whose per-u data (a pencil's frames) an evaluator computes
+    once per distinct value.
 
     ``seed_order`` is the order in which standard basis vectors are offered
     to the normal-basis Gram-Schmidt (the defaults make the basis
@@ -126,7 +137,7 @@ def numeric_forms(im: Immersion, u, v,
 
     Raises StepUnderflowError when the 2-step stencil leaves the domain and
     RankDeficiencyError when the measured tangents are dependent, at the
-    first such point.
+    first such point in the order of the input.
     """
     scalar = np.ndim(u) == 0 and np.ndim(v) == 0
     u, v = np.broadcast_arrays(np.atleast_1d(np.asarray(u, dtype=float)),
@@ -140,62 +151,81 @@ def numeric_forms(im: Immersion, u, v,
             f"stencil of half-width {float(2 * h[i])!r} does not fit at "
             f"({float(u[i])!r}, {float(v[i])!r})"
         )
-    slices = [_measure(im, u[i:i + SLICE], v[i:i + SLICE], h[i:i + SLICE], seed_order)
-              for i in range(0, max(u.size, 1), SLICE)]
-    rep = OracleReport(**{name: _join([getattr(r, name) for r in slices])
-                          for name in OracleReport.__dataclass_fields__})
+    n = u.size
+    order = np.lexsort((v, u))
+    fields = dict.fromkeys(OracleReport.__dataclass_fields__)
+    fault = np.zeros(n, dtype=np.int8)
+    for start in range(0, max(n, 1), SLICE):
+        at = order[start:start + SLICE]
+        rep, fault[at] = _measure(im, u[at], v[at], h[at], seed_order)
+        fields = {name: _put(batch, getattr(rep, name), at, n) for name, batch in fields.items()}
+        del rep  # freed before the next slice is measured
+    if fault.any():
+        i = int(np.argmax(fault != 0))
+        raise RankDeficiencyError({
+            1: "tangent vectors are numerically dependent",
+            2: "could not assemble a normal basis",
+            3: f"tangent Gram determinant too small: {float(fields['W2'][i])!r}",
+        }[int(fault[i])] + f" at ({float(u[i])!r}, {float(v[i])!r})")
     if scalar:
-        rep = OracleReport(**{name: _unbatch(getattr(rep, name))
-                              for name in OracleReport.__dataclass_fields__})
-    return rep
+        fields = {name: _unbatch(value) for name, value in fields.items()}
+    return OracleReport(**fields)
 
 
-def _measure(im: Immersion, u: np.ndarray, v: np.ndarray, h: np.ndarray,
-             seed_order) -> OracleReport:
-    """The batched report of ``numeric_forms`` over one slice of points."""
+def _measure(im: Immersion, u: np.ndarray, v: np.ndarray, h: np.ndarray, seed_order):
+    """The batched report of ``numeric_forms`` over one slice of points, and
+    the rank fault code per point (0 where there is none).  The stencil
+    values are freed once differenced, so the report is assembled without
+    them."""
     n = u.size
     grid_u = u[:, None, None] + _OFFSETS[:, None] * h[:, None, None]
     grid_v = v[:, None, None] + _OFFSETS * h[:, None, None]
-    # X[:, i, j] = X(u + (i-2) h, v + (j-2) h)
-    X = np.broadcast_to(im.fn(grid_u, grid_v), (n, 5, 5, 4))
+    # Y[i, j] = X(u + (i-2) h, v + (j-2) h), shape (n, 4)
+    Y = np.broadcast_to(im.fn(grid_u, grid_v), (n, 5, 5, 4)).transpose(1, 2, 0, 3)
     h = h[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        center = X[:, 2, 2]
-        x_u, x_u_lo = _diff1(X[:, :, 2], h)
-        x_v, x_v_lo = _diff1(X[:, 2, :], h)
-        x_uu, x_uu_lo = _diff2(X[:, :, 2], center, h)
-        x_vv, x_vv_lo = _diff2(X[:, 2, :], center, h)
-        # d/dv along each u-line, then d/du of those (both levels)
-        dv_hi, dv_lo = _diff1(X.swapaxes(1, 2), h[:, None])
-        x_uv, _ = _diff1(dv_hi, h)
-        _, x_uv_lo = _diff1(dv_lo, h)
+    with np.errstate(all="ignore"):
+        center = Y[2, 2]
+        x_u, x_u_lo = _diff1(Y[:, 2], h)
+        x_uu, x_uu_lo = _diff2(Y[:, 2], center, h)
+        x_vv, x_vv_lo = _diff2(Y[2], center, h)
+        # d/dv along each u-line (line 2 gives X_v), then d/du of those (both levels)
+        dv = [_diff1(line, h) for line in Y]
+        del Y, center
+        x_v, x_v_lo = dv[2]
+        x_uv, _ = _diff1([hi for hi, _ in dv], h)
+        _, x_uv_lo = _diff1([lo for _, lo in dv], h)
+        del dv
         return _report_from_derivatives(
             x_u, x_v, x_uu, x_uv, x_vv,
-            low=(x_u_lo, x_v_lo, x_uu_lo, x_uv_lo, x_vv_lo),
-            seed_order=seed_order, points=(u, v),
+            low=(x_u_lo, x_v_lo, x_uu_lo, x_uv_lo, x_vv_lo), seed_order=seed_order,
         )
 
 
-def _diff1(line: np.ndarray, h: np.ndarray):
+def _diff1(line, h: np.ndarray):
     """(Richardson, plain) central first derivatives from the five values
-    f(x - 2h), ..., f(x + 2h) along axis 1 of ``line``."""
-    lo = (line[:, 3] - line[:, 1]) / (2.0 * h)
-    wide = (line[:, 4] - line[:, 0]) / (4.0 * h)
+    ``line[0..4]`` = f(x - 2h), ..., f(x + 2h)."""
+    lo = (line[3] - line[1]) / (2.0 * h)
+    wide = (line[4] - line[0]) / (4.0 * h)
     return (4.0 * lo - wide) / 3.0, lo
 
 
-def _diff2(line: np.ndarray, center: np.ndarray, h: np.ndarray):
+def _diff2(line, center: np.ndarray, h: np.ndarray):
     """(Richardson, plain) central second derivatives, as ``_diff1``."""
-    lo = (line[:, 3] - 2.0 * center + line[:, 1]) / (h * h)
-    wide = (line[:, 4] - 2.0 * center + line[:, 0]) / (4.0 * h * h)
+    lo = (line[3] - 2.0 * center + line[1]) / (h * h)
+    wide = (line[4] - 2.0 * center + line[0]) / (4.0 * h * h)
     return (4.0 * lo - wide) / 3.0, lo
 
 
-def _join(values: list):
-    """One batched report field from that field of consecutive slices."""
-    if isinstance(values[0], dict):
-        return {k: _join([v[k] for v in values]) for k in values[0]}
-    return np.concatenate(values)
+def _put(batch, value, at: np.ndarray, n: int):
+    """The report field ``batch`` over all n points (made on first use, a
+    dict of them for the error estimates) with one slice's ``value``
+    written at the points ``at``."""
+    if isinstance(value, dict):
+        return {k: _put((batch or {}).get(k), v, at, n) for k, v in value.items()}
+    if batch is None:
+        batch = np.empty((n,) + value.shape[1:], value.dtype)
+    batch[at] = value
+    return batch
 
 
 def _unbatch(value):
@@ -229,18 +259,12 @@ def _forms(x_u, x_v, x_uu, x_uv, x_vv, n1, n2) -> FundamentalForms:
                             c2_11=c2_11, c2_12=c2_12, F=F, c1_12=c1_12, c2_22=c2_22)
 
 
-def _report_from_derivatives(x_u, x_v, x_uu, x_uv, x_vv, low, seed_order,
-                             points) -> OracleReport:
+def _report_from_derivatives(x_u, x_v, x_uu, x_uv, x_vv, low, seed_order):
+    """The report from the measured derivatives, and the rank fault code per
+    point: that of ``_normal_basis``, or 3 where W2 is too small."""
     t1, t2, n1, n2, fault = _normal_basis(x_u, x_v, seed_order)
     f = _forms(x_u, x_v, x_uu, x_uv, x_vv, n1, n2)
     fault = np.where(fault == 0, np.where(f.W2 <= _GRAM_TOL, 3, 0), fault)
-    if fault.any():
-        i = int(np.argmax(fault != 0))
-        raise RankDeficiencyError({
-            1: "tangent vectors are numerically dependent",
-            2: "could not assemble a normal basis",
-            3: f"tangent Gram determinant too small: {float(f.W2[i])!r}",
-        }[int(fault[i])] + f" at ({float(points[0][i])!r}, {float(points[1][i])!r})")
 
     inv = invariants_from_forms(f)
     # truncation estimates: the same assembly from the unextrapolated stencils
@@ -264,7 +288,7 @@ def _report_from_derivatives(x_u, x_v, x_uu, x_uv, x_vv, low, seed_order,
         mean_vector=inv.H1[:, None] * n1 + inv.H2[:, None] * n2, h_norm_sq=inv.H_norm_sq,
         orientation=np.sign(np.linalg.det(np.stack([t1, t2, n1, n2], axis=-1))),
         error_estimate={name: np.where(degenerate, np.nan, value) for name, value in est.items()},
-    )
+    ), fault
 
 
 @dataclass(frozen=True)

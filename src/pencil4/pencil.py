@@ -40,6 +40,7 @@ __all__ = [
 REGULARITY_TOL = 1e-12
 FLATNESS_RESIDUAL_TOL = 1e-9
 _KAPPA_FD_STEP = 1e-5  # central step for kappa'(s) on analytic curves
+_BLOCK = 4096  # most values per block of a point assembly (see _point)
 
 # Regularity status codes of a grid point, and the condition each one names.
 OK, SPINE, MARCHING = 0, 1, 2
@@ -67,7 +68,7 @@ class MarchingScale:
         if not t1 > t0:
             raise RegularityViolationError("marching")
         samples = np.linspace(t0, t1, 64)
-        da, db = ex.evaluate(self.dA, samples), ex.evaluate(self.dB, samples)
+        da, db = ex.evaluate((self.dA, self.dB), samples)
         stalled = np.flatnonzero(da * da + db * db <= REGULARITY_TOL)
         if stalled.size:
             raise RegularityViolationError("marching", t=float(samples[stalled[0]]))
@@ -80,15 +81,8 @@ class MarchingScale:
 
     def values(self, t) -> tuple:
         """(A, B, A', B', A'', B'') at a float ``t``, or an array of each at
-        an array of t."""
-        return (
-            ex.evaluate(self.A, t),
-            ex.evaluate(self.B, t),
-            ex.evaluate(self.dA, t),
-            ex.evaluate(self.dB, t),
-            ex.evaluate(self.ddA, t),
-            ex.evaluate(self.ddB, t),
-        )
+        an array of t, from one evaluation of the six trees."""
+        return tuple(ex.evaluate((self.A, self.B, self.dA, self.dB, self.ddA, self.ddB), t))
 
 
 @dataclass(frozen=True)
@@ -221,7 +215,20 @@ def _regularity(E, G) -> np.ndarray:
 
 
 def _point(gamma, V2, V4, A, B):
-    return gamma + A * V2 + B * V4
+    """gamma + A V2 + B V4 over the broadcast shape, summed in place in
+    blocks of leading-axis rows of at most ``_BLOCK`` values, so no
+    temporary of the full shape is made.  Per block ``X = A V2; X += gamma;
+    X += B V4``: the sums are those of ``gamma + A * V2 + B * V4`` bit for
+    bit, since IEEE addition commutes."""
+    terms = np.broadcast_arrays(gamma, V2, V4, A, B)
+    X = np.empty(terms[0].shape)
+    rows = max(1, _BLOCK * len(X) // max(X.size, 1))
+    for i in range(0, len(X), rows):
+        g, v2, v4, a, b = (term[i:i + rows] for term in terms)
+        x = np.multiply(a, v2, out=X[i:i + rows])
+        x += g
+        x += b * v4
+    return X
 
 
 def form_numerators(k, co: PencilCoefficients, dA, dB, ddA, ddB):
@@ -307,11 +314,10 @@ class PencilSurface:
         s = np.asarray(s, dtype=float)
         uniq, where = np.unique(s, return_inverse=True)
         where = where.reshape(s.shape)
-        v2_v4 = frenet_frames(self.curve, uniq).frame[:, 1::2][where]
-        gamma = self.curve.point(uniq)[where]
-        A = np.asarray(ex.evaluate(self.marching.A, t))[..., None]
-        B = np.asarray(ex.evaluate(self.marching.B, t))[..., None]
-        return _point(gamma, v2_v4[..., 0, :], v2_v4[..., 1, :], A, B)
+        frames = frenet_frames(self.curve, uniq).frame
+        m = self.marching
+        A, B = (np.asarray(c)[..., None] for c in ex.evaluate((m.A, m.B), t))
+        return _point(self.curve.point(uniq)[where], frames[where, 1], frames[where, 3], A, B)
 
     def point(self, s: float, t: float) -> np.ndarray:
         """X(s,t), shape (4,); raises RegularityViolationError when either

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pencil4 import curve as cv
+from pencil4 import expr
 from pencil4.errors import (
     ConstraintViolationError,
     DegenerateFrameError,
@@ -73,6 +74,16 @@ class TestDerivatives:
         line = cv.AnalyticCurve.from_strings(["s", "0", "0", "0"], (0.0, 2.0))
         d1, d2 = line.derivative_arrays(0.7, 2)
         assert d2 == pytest.approx([0.0] * 4, abs=1e-15)
+
+    def test_analytic_points_and_derivatives_equal_per_tree_values(self):
+        # one shared evaluation of every component tree, bit for bit
+        curve = make_involute()
+        s = np.linspace(0.6, 2.4, 15)
+        per_tree = [np.stack([expr.evaluate(e, s) for e in trees], axis=-1)
+                    for trees in curve._derivs]
+        assert np.array_equal(curve.point(s), per_tree[0])
+        for got, want in zip(curve.derivative_arrays(s, 4), per_tree[1:], strict=True):
+            assert np.array_equal(got, want)
 
     def test_matches_finite_differences(self):
         for s in (0.4, 1.3):

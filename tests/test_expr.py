@@ -429,6 +429,56 @@ class TestArrayEvaluate:
         assert str(batch.value).startswith(str(one.value).split(" (source offset")[0])
 
 
+class TestSharedMemo:
+    """A sequence of trees evaluated with one memo, as curves and marching
+    scales evaluate their components and derivatives."""
+
+    TEXTS = ("2*sin(3*s) + s^2", "exp(cos(s))/(1 + s^2)", "sqrt(1 + s^2)*sin(s)")
+
+    def trees(self):
+        return [e for text in self.TEXTS
+                for e in (expr.parse(text, "s"), *expr.derivatives(expr.parse(text, "s"), 3))]
+
+    def test_values_equal_per_tree_evaluation_bit_for_bit(self):
+        trees = self.trees()
+        xs = np.random.default_rng(7).uniform(-2.0, 2.0, (5, 3))
+        shared = expr.evaluate(trees, xs)
+        assert isinstance(shared, list) and len(shared) == len(trees)
+        for tree, value in zip(trees, shared):
+            assert value.shape == xs.shape
+            assert np.array_equal(value, expr.evaluate(tree, xs)), expr.to_string(tree)
+        floats = expr.evaluate(trees, 0.3)
+        assert all(isinstance(v, float) for v in floats)
+        assert floats == [expr.evaluate(tree, 0.3) for tree in trees]
+
+    @pytest.mark.parametrize("text", ["t + sqrt(t)", "ln(t)*t^2", "1/(t - 2) + t"])
+    @pytest.mark.parametrize("derivatives_first", [False, True])
+    def test_domain_fault_keeps_message_and_offset(self, text, derivatives_first):
+        # the first faulting tree may come after trees that share some of its
+        # nodes; nodes made by differentiation carry no offset (None)
+        e = expr.parse(text, "t")
+        derivs = expr.derivatives(e, 2)
+        trees = [*derivs[::-1], e] if derivatives_first else [e, *derivs]
+        xs = np.array([3.0, 2.5, -1.0, 2.0, 0.0])
+        first = next(tree for tree in trees if _faults(tree, xs))
+        with pytest.raises(EvalDomainError) as alone:
+            expr.evaluate(first, xs)
+        with pytest.raises(EvalDomainError) as shared:
+            expr.evaluate(trees, xs)
+        assert str(shared.value) == str(alone.value)
+        assert shared.value.position == alone.value.position
+        if not derivatives_first:
+            assert shared.value.position is not None
+
+
+def _faults(tree, xs) -> bool:
+    try:
+        expr.evaluate(tree, xs)
+    except EvalDomainError:
+        return True
+    return False
+
+
 def nested_sin(depth: int) -> str:
     return "sin(" * depth + "s" + ")" * depth
 

@@ -127,6 +127,21 @@ class TestEvalSurface:
             want = p.point_array(float(S[idx[0], idx[1], 0]), float(T[0, 0, idx[2]]))
             assert np.array_equal(got[idx], want)
 
+    @pytest.mark.parametrize("s_shape, t_shape", [
+        ((500, 5, 1), (500, 1, 5)),  # oracle stencils: 13 blocks of 40 points
+        ((700,), (3, 1)),            # sweep: rows of 2800 values, one per block
+        ((1100,), (2, 1)),           # a row longer than a block
+        ((), ()),                    # one point
+    ])
+    def test_blocked_assembly_equals_one_expression(self, s_shape, t_shape):
+        # _point sums in place block by block; the bits are those of the one
+        # expression gamma + A V2 + B V4
+        rng = np.random.default_rng(8)
+        gamma, V2, V4 = (rng.normal(size=s_shape + (4,)) for _ in range(3))
+        A, B = (rng.normal(size=t_shape + (1,)) for _ in range(2))
+        got = pc._point(gamma, V2, V4, A, B)
+        assert np.array_equal(got, gamma + A * V2 + B * V4)
+
     def test_spine_regularity_violation(self):
         # On the planar unit circle with A == 1 == 1/kappa1 and B == t the
         # point t = 0 has a = 0 and b = 0: the patch is singular there.
