@@ -12,9 +12,10 @@ subcommands sweep it:
     pencil4 export      --config scene.json --out base [--projection SPEC]
 
 CSV output is deterministic: fixed 17-significant-digit formatting, rows
-t-major then s, no timestamps.  Rows are formatted in blocks of whole
-t-rows, each distinct value (bit pattern) of a block once; export streams
-its OBJ and CSV files block by block.  Grid points violating a regularity
+t-major then s, no timestamps.  The s and t columns are formatted once per
+command, the other fields in blocks of whole t-rows, each distinct value (bit
+pattern) of a block once; export streams its OBJ and CSV files block by block,
+OBJ lines through one %-template per block.  Grid points violating a regularity
 condition become rows with a status marker instead of aborting the sweep
 (verify excludes them from comparison).  Any other exception ends in exit 1
 with one ``internal error`` line.
@@ -91,10 +92,11 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-# Grid points per formatting block.  A block's strings are alive together,
-# so peak memory grows with it: against per-row formatting, the verify
-# benchmark's peak RSS read -0.2..+0.6% at 256 points, +1.4% at 1024 and
-# +2.3% at 4096, while 128-point blocks cost grid formatting 13-30% more time.
+# Grid points per formatting block.  A block's strings are alive together, so
+# peak memory grows with it.  Measured before s and t were formatted once per
+# call: against per-row formatting the verify benchmark's peak RSS read -0.2..+0.6%
+# at 256 points, +1.4% at 1024 and +2.3% at 4096, and 128-point blocks cost grid
+# formatting 13-30% more time.
 _BLOCK_POINTS = 256
 _MARKERS = np.array(["ok", *(f"regularity:{c}" for c in pc.CONDITIONS[1:])], dtype=object)
 _VERIFY_MARKERS = np.array(["ok", *["regularity"] * (len(pc.CONDITIONS) - 1)], dtype=object)
@@ -352,22 +354,39 @@ def _grid(scene: Scene):
     return ss, ts
 
 
+def _text(values: np.ndarray) -> np.ndarray:
+    """The ``%.17g`` strings of a float array, each distinct bit pattern once:
+    bits, not values, because 0.0 and -0.0 print differently and NaN != NaN."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    # one %-call for them all: ~40% less time than one call per value
+    text = ",".join(["%.17g"] * len(bits)) % tuple(bits.view(np.float64).tolist())
+    return np.array(text.split(","), dtype=object)[inverse.reshape(values.shape)]
+
+
 def _blocks(fields, status=None, markers=_MARKERS):
     """The ``%.17g`` text of broadcastable (rows, columns) float fields, one
     (points, fields) array of strings per block of whole rows, points in
     row-major order, and given the status codes a last column of markers.
-    Each distinct bit pattern of a block is formatted once: bits, not
-    values, because 0.0 and -0.0 print differently and NaN != NaN."""
+    Fields constant along an axis (a zero stride: s (columns,), t (rows, 1))
+    are formatted once per call, the others once per block."""
     fields = np.broadcast_arrays(*fields)
+    along_s = [j for j, f in enumerate(fields) if not f.strides[0]]
+    along_t = [j for j, f in enumerate(fields) if f.strides[0] and not f.strides[1]]
+    grid = [j for j, f in enumerate(fields) if f.strides[0] and f.strides[1]]
+
+    def text(group, *index):  # a group's fields at index, stacked last
+        return _text(np.stack([f[index] for f in fields], axis=-1)[..., group])
+
+    s_text, t_text = text(along_s, slice(0, 1)), text(along_t, slice(None), slice(0, 1))
     step = max(1, _BLOCK_POINTS // fields[0].shape[1])
     for start in range(0, fields[0].shape[0], step):
         rows = slice(start, start + step)
-        block = np.stack([f[rows] for f in fields], axis=-1)
-        bits, inverse = np.unique(block.view(np.int64), return_inverse=True)
-        # one %-call for them all: ~40% less time than one call per value
-        text = ",".join(["%.17g"] * len(bits)) % tuple(bits.view(np.float64).tolist())
-        text = np.array(text.split(","), dtype=object)[inverse.ravel()].reshape(-1, len(fields))
-        yield text if status is None else np.column_stack([text, markers[status[rows].ravel()]])
+        block = np.empty((*fields[0][rows].shape, len(fields) + (status is not None)), object)
+        block[..., along_s], block[..., along_t] = s_text, t_text[rows]
+        block[..., grid] = text(grid, rows)
+        if status is not None:
+            block[..., -1] = markers[status[rows]]
+        yield block.reshape(-1, block.shape[-1])
 
 
 def _lines(text: np.ndarray) -> str:
@@ -552,12 +571,13 @@ def run_export(scene: Scene, out_base: Path, projection: dict) -> list[Path]:
         for text in _blocks(fields, sweep.status):  # [projected x, y, z,] CSV columns
             csv.write(_lines(text[:, -8:]))
             for f in obj:
-                f.write("".join(map("v %s %s %s\n".__mod__, map(tuple, text[:, :3].tolist()))))
+                f.write(("v %s %s %s\n" * len(text)) % tuple(text[:, :3].ravel().tolist()))
         ok = sweep.status == pc.OK
         it, i_s = np.nonzero(ok[:-1, :-1] & ok[:-1, 1:] & ok[1:, 1:] & ok[1:, :-1])
         corners = np.add.outer(it * scene.ns + i_s + 1, [0, 1, scene.ns + 1, scene.ns])
         for f in obj:
-            f.write("".join(map("f %d %d %d %d\n".__mod__, map(tuple, corners.tolist()))))
+            for quads in np.split(corners, range(_BLOCK_POINTS, len(corners), _BLOCK_POINTS)):
+                f.write(("f %d %d %d %d\n" * len(quads)) % tuple(quads.ravel().tolist()))
     return written
 
 

@@ -563,6 +563,11 @@ def _raise_first(x: np.ndarray, name: str, pos: int | None, out, *operands) -> N
     """Raise EvalDomainError at the first element of ``x`` where one of
     ``name``'s domain faults holds; at that element the earliest listed
     fault is reported."""
+    # Each fault but a pole gives a non-finite value, for ``^`` only from finite
+    # operands ((-0.5)^inf is 0): none holds where these sums are all finite.
+    checked = (out, *operands) if name == "^" else (out,)
+    if name not in ("tan", "sec") and all(math.isfinite(v.sum()) for v in checked):
+        return
     faults = [(holds(*operands), message) for holds, message in _FAULTS[name]]
     if name in _OVERFLOW:
         overflow = np.isinf(out)

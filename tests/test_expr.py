@@ -523,3 +523,80 @@ class TestDerivativeBudget:
             expr.derivatives(e, 4)
         assert ei.value.position == 1  # the root '*'
         assert "nodes" in str(ei.value)
+
+
+def reference_raise_first(x, name, pos, out, *operands):
+    """The fault check as it was before its finite-value shortcut: every
+    fault mask computed at every node."""
+    faults = [(holds(*operands), message) for holds, message in expr._FAULTS[name]]
+    if name in expr._OVERFLOW:
+        overflow = np.isinf(out)
+        for operand in operands:
+            overflow = overflow & np.isfinite(operand)
+        faults.append((overflow, expr._OVERFLOW[name]))
+    if not any(np.asarray(mask).any() for mask, _ in faults):
+        return
+    masks = [np.broadcast_to(mask, x.shape).ravel() for mask, _ in faults]
+    first = int(np.argmax(np.logical_or.reduce(masks)))
+    message = next(msg for mask, (_, msg) in zip(masks, faults) if mask[first])
+    if np.ndim(x) == 0:
+        raise EvalDomainError(message, pos)
+    where = np.unravel_index(first, x.shape)
+    raise EvalDomainError(f"{message} at element {list(map(int, where))} "
+                          f"(variable = {float(x[where])!r})", pos)
+
+
+# zeros, negatives, non-integers, poles of tan and sec, overflow and non-finite values
+_FAULT_POOL = [0.0, -0.0, 1.0, -1.0, 2.0, -0.5, 0.5, -2.5, 3.0, math.pi / 2, -math.pi / 2,
+               3 * math.pi / 2, 710.0, 1e300, -1e300, 5e-324, math.inf, -math.inf, math.nan]
+
+
+class TestFaultCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(name=st.sampled_from(sorted(expr._FAULTS)), n=st.integers(0, 6), data=st.data())
+    def test_matches_every_mask_reference(self, name, n, data):
+        """The shortcut for finite values raises the same error, message and
+        offset as computing every fault mask, or neither raises."""
+        def value(constant):  # a constant subtree, or an array of 0 dimensions, is a scalar
+            pool = st.sampled_from(_FAULT_POOL) | st.floats()
+            if not n or constant:
+                return np.float64(data.draw(pool))
+            return np.array(data.draw(st.lists(pool, min_size=n, max_size=n)))
+
+        x = value(False)
+        operands = [value(data.draw(st.booleans())) for _ in range(2 if name in "/^" else 1)]
+        with np.errstate(all="ignore"):
+            out = (operands[0] / operands[1] if name == "/" else
+                   np.power(*operands) if name == "^" else expr._FUNCTIONS[name](operands[0]))
+
+            def outcome(check):
+                try:
+                    check(x, name, 7, out, *operands)
+                except EvalDomainError as err:
+                    return str(err), err.position
+                return None
+
+            assert outcome(expr._raise_first) == outcome(reference_raise_first)
+
+    @pytest.mark.parametrize("name, operands", [
+        ("/", (1.0, 0.0)), ("/", (0.0, -0.0)), ("/", (math.inf, 0.0)),
+        ("^", (0.0, -1.0)), ("^", (-0.0, -math.inf)), ("^", (-8.0, 1 / 3)), ("^", (10.0, 400.0)),
+        ("^", (-0.5, math.inf)), ("^", (-1.0, -math.inf)), ("^", (-math.inf, -0.5)),
+        ("sin", (math.inf,)), ("cos", (-math.inf,)), ("tan", (math.pi / 2,)),
+        ("sec", (-math.pi / 2,)), ("exp", (710.0,)), ("ln", (0.0,)), ("ln", (-math.inf,)),
+        ("sqrt", (-1e-300,)),
+    ])
+    def test_each_fault_at_its_element(self, name, operands):
+        """Each fault, finite result or not, is named at its element: the
+        second of [2, fault]."""
+        x = np.array([2.0, 3.0])
+        operands = [np.array([2.0, v]) for v in operands]
+        with np.errstate(all="ignore"):
+            out = (operands[0] / operands[1] if name == "/" else
+                   np.power(*operands) if name == "^" else expr._FUNCTIONS[name](operands[0]))
+            with pytest.raises(EvalDomainError) as ei:
+                expr._raise_first(x, name, 7, out, *operands)
+            with pytest.raises(EvalDomainError) as ref:
+                reference_raise_first(x, name, 7, out, *operands)
+        assert str(ei.value) == str(ref.value)
+        assert "at element [1] (variable = 3.0)" in str(ei.value)
