@@ -12,21 +12,26 @@ subcommands sweep it:
     pencil4 export      --config scene.json --out base [--projection SPEC]
 
 CSV output is deterministic: fixed 17-significant-digit formatting, rows
-t-major then s, no timestamps.  The s and t columns are formatted once per
-command, the other fields in blocks of whole t-rows, each distinct value (bit
-pattern) of a block once; export streams its OBJ and CSV files block by block,
-OBJ lines through one %-template per block.  Grid points violating a regularity
-condition become rows with a status marker instead of aborting the sweep
-(verify excludes them from comparison).  Any other exception ends in exit 1
-with one ``internal error`` line.
+t-major then s, no timestamps.  Values are printed as ``"%.17g" % x`` by
+``text.cells``, as fixed-width byte cells.  The s and t columns are formatted
+once per command, the other fields in blocks of whole t-rows, each distinct
+value (bit pattern) of a block once.  A block is one uint8 matrix per line
+template, a row per grid point with separators and status markers as fixed
+bytes, and its text is its non-zero bytes.  Export streams its OBJ and CSV
+files block by block, faces through one %-template per block.  Grid points
+violating a regularity condition become rows with a status marker instead
+of aborting the sweep (verify excludes them from comparison).  Any other
+exception ends in exit 1 with one ``internal error`` line.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
+import string
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +44,7 @@ from . import expr as ex
 from . import families as fam
 from . import oracle as orc
 from . import pencil as pc
+from . import text as tx
 from .curve import (AnalyticCurve, CurveSpec, WCurve, frenet_apparatus, frenet_frames,
                     orthonormal_completion)
 from .errors import (
@@ -92,14 +98,17 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-# Grid points per formatting block.  A block's strings are alive together, so
-# peak memory grows with it.  Measured before s and t were formatted once per
-# call: against per-row formatting the verify benchmark's peak RSS read -0.2..+0.6%
-# at 256 points, +1.4% at 1024 and +2.3% at 4096, and 128-point blocks cost grid
-# formatting 13-30% more time.
-_BLOCK_POINTS = 256
-_MARKERS = np.array(["ok", *(f"regularity:{c}" for c in pc.CONDITIONS[1:])], dtype=object)
-_VERIFY_MARKERS = np.array(["ok", *["regularity"] * (len(pc.CONDITIONS) - 1)], dtype=object)
+# Grid points per block of text.  Measured on the 120x120 grid benchmark
+# scenes (seed 41, in process, medians of 7 runs of eval and export on both
+# scenes): 256-point blocks took 145-150 and 188-196 ms, 512-point blocks
+# 86-93 and 131-143 ms, 1024-point blocks 68-72 and 112-117 ms, and
+# 2048-point blocks no less (71-77 and 123-132 ms).  A block's byte matrix,
+# its cells and its text are alive together: at 2048 points the traced peak
+# of the 120x120 export rose from 3.17 MB (set by the sweep, as before
+# blocks of text) to 3.78 MB.
+_BLOCK_POINTS = 1024
+_MARKERS = ("ok", *(f"regularity:{c}" for c in pc.CONDITIONS[1:]))
+_VERIFY_MARKERS = ("ok", *["regularity"] * (len(pc.CONDITIONS) - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -354,49 +363,76 @@ def _grid(scene: Scene):
     return ss, ts
 
 
-def _text(values: np.ndarray) -> np.ndarray:
-    """The ``%.17g`` strings of a float array, each distinct bit pattern once:
-    bits, not values, because 0.0 and -0.0 print differently and NaN != NaN."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    # one %-call for them all: ~40% less time than one call per value
-    text = ",".join(["%.17g"] * len(bits)) % tuple(bits.view(np.float64).tolist())
-    return np.array(text.split(","), dtype=object)[inverse.reshape(values.shape)]
+def _csv_line(n_fields: int, status: bool) -> str:
+    """The line template of a CSV row: the fields, then the marker."""
+    return ",".join([*(f"{{{j}}}" for j in range(n_fields)), *["{status}"] * status]) + "\n"
 
 
-def _blocks(fields, status=None, markers=_MARKERS):
-    """The ``%.17g`` text of broadcastable (rows, columns) float fields, one
-    (points, fields) array of strings per block of whole rows, points in
-    row-major order, and given the status codes a last column of markers.
-    Fields constant along an axis (a zero stride: s (columns,), t (rows, 1))
-    are formatted once per call, the others once per block."""
+def _template(line: str, marker_width: int):
+    """The constant bytes of a line template as one row of a block, and the
+    name and offset of each hole: ``{j}`` for field j, ``{status}``."""
+    row, holes = bytearray(), []
+    for literal, name, _, _ in string.Formatter().parse(line):
+        row += literal.encode("ascii")
+        if name is not None:
+            holes.append((name if name == "status" else int(name), len(row)))
+            row += bytes(marker_width if name == "status" else tx.WIDTH)
+    return np.frombuffer(bytes(row), np.uint8), holes
+
+
+def _blocks(fields, status=None, markers=_MARKERS, lines=None):
+    """The text of broadcastable (rows, columns) float fields, per block of
+    whole rows, as one (points, bytes) uint8 matrix per line template of
+    ``lines`` (default: the CSV row), points in row-major order.  Each matrix
+    row is its template with ``{j}`` filled by the ``%.17g`` text of field j
+    and ``{status}`` by the point's marker; NUL bytes pad the holes, so a
+    matrix's text is its non-zero bytes.  Fields constant along an axis (a
+    zero stride: s (columns,), t (rows, 1)) are formatted once per call, the
+    others once per block."""
     fields = np.broadcast_arrays(*fields)
     along_s = [j for j, f in enumerate(fields) if not f.strides[0]]
     along_t = [j for j, f in enumerate(fields) if f.strides[0] and not f.strides[1]]
     grid = [j for j, f in enumerate(fields) if f.strides[0] and f.strides[1]]
+    marks = np.array(markers, dtype="S")
+    marks = marks.view(np.uint8).reshape(len(markers), marks.itemsize)
+    templates = [_template(line, marks.shape[1])
+                 for line in lines or [_csv_line(len(fields), status is not None)]]
 
-    def text(group, *index):  # a group's fields at index, stacked last
-        return _text(np.stack([f[index] for f in fields], axis=-1)[..., group])
+    def formatted(group, *index):  # a group's cells at index, (..., len(group), WIDTH)
+        return tx.cells(np.stack([f[index] for f in fields], axis=-1)[..., group])
 
-    s_text, t_text = text(along_s, slice(0, 1)), text(along_t, slice(None), slice(0, 1))
-    step = max(1, _BLOCK_POINTS // fields[0].shape[1])
-    for start in range(0, fields[0].shape[0], step):
+    s_cells = formatted(along_s, slice(0, 1))
+    t_cells = formatted(along_t, slice(None), slice(0, 1))
+    n_rows, n_columns = fields[0].shape
+    step = max(1, _BLOCK_POINTS // n_columns)
+    for start in range(0, n_rows, step):
         rows = slice(start, start + step)
-        block = np.empty((*fields[0][rows].shape, len(fields) + (status is not None)), object)
-        block[..., along_s], block[..., along_t] = s_text, t_text[rows]
-        block[..., grid] = text(grid, rows)
+        cells = dict(zip(along_s, np.moveaxis(s_cells, -2, 0)))
+        cells.update(zip(along_t, np.moveaxis(t_cells[rows], -2, 0)))
+        if grid:
+            cells.update(zip(grid, np.moveaxis(formatted(grid, rows), -2, 0)))
         if status is not None:
-            block[..., -1] = markers[status[rows]]
-        yield block.reshape(-1, block.shape[-1])
+            cells["status"] = marks[status[rows]]
+        shape = fields[0][rows].shape
+        blocks = []
+        for row, holes in templates:
+            block = np.empty((*shape, len(row)), np.uint8)
+            block[...] = row
+            for name, at in holes:
+                block[..., at:at + cells[name].shape[-1]] = cells[name]
+            blocks.append(block.reshape(-1, len(row)))
+        yield blocks
 
 
-def _lines(text: np.ndarray) -> str:
-    """One CSV line per row of a 2-D array of strings."""
-    return "\n".join(map(",".join, text.tolist())) + "\n"
+def _lines(block: np.ndarray) -> str:
+    """The text of a block: its non-zero bytes."""
+    return block[block != 0].tobytes().decode("ascii")
 
 
 def _csv(header: list[str], fields, status=None, markers=_MARKERS) -> str:
     """CSV text: the header line, then one line per grid point."""
-    return "".join([",".join(header) + "\n", *map(_lines, _blocks(fields, status, markers))])
+    return "".join([",".join(header) + "\n",
+                    *(_lines(block) for (block,) in _blocks(fields, status, markers))])
 
 
 def run_frenet(scene: Scene) -> str:
@@ -560,18 +596,18 @@ def run_export(scene: Scene, out_base: Path, projection: dict) -> list[Path]:
     sweep = scene.surface.sweep(*_grid(scene))
     fields = [sweep.s, sweep.t[:, None], *np.moveaxis(sweep.points, -1, 0),
               cu.invariants_from_forms(sweep.forms).K]
-    written = [out_base.with_suffix(".csv")]
+    written, lines = [out_base.with_suffix(".csv")], [_csv_line(len(fields), True)]
     if scene.output_format == "obj":
         projected = project_points(sweep.points.reshape(-1, 4), projection)
-        fields[:0] = projected.T.reshape(3, *sweep.status.shape)
+        fields += list(projected.T.reshape(3, *sweep.status.shape))
         written.insert(0, out_base.with_suffix(".obj"))
+        lines.insert(0, "v {7} {8} {9}\n")  # the projected x, y, z
     with contextlib.ExitStack() as stack:
-        *obj, csv = [stack.enter_context(p.open("w", encoding="utf-8")) for p in written]
+        *obj, csv = files = [stack.enter_context(p.open("w", encoding="utf-8")) for p in written]
         csv.write("s,t,x1,x2,x3,x4,K,status\n")
-        for text in _blocks(fields, sweep.status):  # [projected x, y, z,] CSV columns
-            csv.write(_lines(text[:, -8:]))
-            for f in obj:
-                f.write(("v %s %s %s\n" * len(text)) % tuple(text[:, :3].ravel().tolist()))
+        for blocks in _blocks(fields, sweep.status, lines=lines):
+            for f, block in zip(files, blocks):
+                f.write(_lines(block))
         ok = sweep.status == pc.OK
         it, i_s = np.nonzero(ok[:-1, :-1] & ok[:-1, 1:] & ok[1:, 1:] & ok[1:, :-1])
         corners = np.add.outer(it * scene.ns + i_s + 1, [0, 1, scene.ns + 1, scene.ns])
@@ -586,7 +622,10 @@ def run_export(scene: Scene, out_base: Path, projection: dict) -> list[Path]:
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: building it takes
+    ~1.3 ms, about 5% of a small verify run."""
     parser = argparse.ArgumentParser(
         prog="pencil4",
         description="Surface pencils through a curve in E^4: evaluation, "
@@ -635,8 +674,7 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         scene = load_scene(args.config, args.grid)
         _check_numeric_options(args, scene)

@@ -3,6 +3,8 @@
 import importlib.util
 import json
 import math
+import shutil
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 
 from pencil4 import cli
 from pencil4 import pencil as pc
+from pencil4 import text as tx
 
 SQ3 = math.sqrt(3.0)
 
@@ -232,6 +235,42 @@ class TestConfig:
         assert sorted(ran) == sorted([("grid", "curvature"), ("grid", "export")] * 2
                                      + [("verify", "verify")] * 3
                                      + [("verify", "flat-design")])
+
+    @pytest.mark.parametrize("scale", ["tiny", "full"])
+    @pytest.mark.parametrize("workload", ["grid", "verify"])
+    def test_benchmark_run_is_correct(self, tmp_path, workload, scale):
+        # one timed pass of the benchmark itself, on a copy of bench/ with the
+        # sources linked in: its output digests, goldens and checks must pass.
+        # Tiny grids print through % alone (text.SMALL); full ones reach the
+        # kernel, in ~2 s for grid
+        root = Path(__file__).resolve().parents[1]
+        shutil.copy(root / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
+        shutil.copytree(root / "bench", tmp_path / "bench",
+                        ignore=shutil.ignore_patterns("__pycache__", ".pytest_cache"))
+        (tmp_path / "src").symlink_to(root / "src", target_is_directory=True)
+        proc = subprocess.run(
+            [sys.executable, str(tmp_path / "bench" / "run.py"), "--workload", workload,
+             "--scale", scale, "--seconds", "0"],
+            cwd=tmp_path, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert (result["correct"], result["failed"]) == (True, 0), proc.stderr
+
+    def test_one_parser_for_subcommands_in_one_process(self, tmp_path, capsys):
+        path = write_config(tmp_path, seed_scene(marching={"kind": "ruled"}))
+        cli._parser()
+        built = cli._parser.cache_info().misses
+        code, out, _ = run(capsys, ["verify", "--config", path, "--tol", "1e-300"])
+        assert code == cli.EXIT_VERIFY_FAILED and "overall: FAIL" in out
+        code, out, _ = run(capsys, ["eval", "--config", path])
+        assert code == 0 and out.startswith("s,t,x1,x2,x3,x4,status\n")
+        code, out, _ = run(capsys, ["verify", "--config", path])  # --tol back to its default
+        assert code == 0 and "overall: PASS" in out
+        assert cli._parser.cache_info().misses == built
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["eval"])
+        assert usage.value.code == cli.EXIT_CONFIG
+        assert "the following arguments are required: --config" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value", [
         ("--step", "inf"), ("--step", "0"), ("--step", "nan"), ("--step", "1e-300"),
@@ -653,10 +692,16 @@ def reference_csv(header, fields, status=None, markers=cli._MARKERS):
     return "\n".join([",".join(header), *rows]) + "\n"
 
 
-def reference_blocks(fields, status=None, markers=cli._MARKERS):
-    """``cli._blocks`` as one block of per-row template text."""
-    lines = reference_csv([], fields, status, markers).split("\n")[1:-1]
-    yield np.array([line.split(",") for line in lines], dtype=object)
+def reference_blocks(fields, status=None, markers=cli._MARKERS, lines=None):
+    """``cli._blocks`` as one block: each line template filled per row by
+    ``str.format`` with ``%.17g`` strings, rows NUL-padded to one width."""
+    table = np.stack(np.broadcast_arrays(*fields), axis=-1).reshape(-1, len(fields))
+    codes = [0] * len(table) if status is None else status.ravel().tolist()
+    texts = [["%.17g" % v for v in row] for row in table.tolist()]
+    yield [np.array([line.format(*row, status=markers[code]).encode()
+                     for row, code in zip(texts, codes)], dtype="S").view(np.uint8)
+           .reshape(len(texts), -1)
+           for line in lines or [cli._csv_line(len(fields), status is not None)]]
 
 
 def reference_obj(scene):
@@ -684,8 +729,9 @@ class TestBlockFormatting:
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data(), ns=st.integers(1, 9), nt=st.integers(1, 7),
-           block=st.integers(1, 20), n_fields=st.integers(0, 4), with_status=st.booleans())
-    def test_matches_per_row_template(self, data, ns, nt, block, n_fields, with_status):
+           block=st.integers(1, 20), n_fields=st.integers(0, 4), with_status=st.booleans(),
+           chunk=st.integers(1, 40))
+    def test_matches_per_row_template(self, data, ns, nt, block, n_fields, with_status, chunk):
         def draw_field(shape):
             values = data.draw(st.lists(st.sampled_from(_POOL) | st.floats(), min_size=1,
                                         max_size=ns * nt))
@@ -698,9 +744,15 @@ class TestBlockFormatting:
         status = data.draw(st.lists(st.integers(0, 2), min_size=ns * nt, max_size=ns * nt))
         status = np.array(status, dtype=np.int8).reshape(nt, ns) if with_status else None
         header = [f"c{i}" for i in range(len(fields))]
+        expected = reference_csv(header, fields, status)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_BLOCK_POINTS", block)  # blocks narrower and wider than ns
-            assert cli._csv(header, fields, status) == reference_csv(header, fields, status)
+            assert cli._csv(header, fields, status) == expected
+            # these grids hold too few values for the kernel unless the
+            # small-set route is off; small chunks split its calls
+            mp.setattr(tx, "SMALL", 0)
+            mp.setattr(tx, "CHUNK", chunk)
+            assert cli._csv(header, fields, status) == expected
 
     def test_module_block_size_on_uneven_grids(self):
         rng = np.random.default_rng(7)
@@ -763,22 +815,22 @@ class TestBlockFormatting:
         cfg["output"] = {"format": "obj"}
         path = write_config(tmp_path, cfg)
         ns, nt = map(int, grid.split("x"))
-        text, blocks = cli._text, cli._blocks
+        cells, blocks = tx.cells, cli._blocks
         formatted, expected = [], []
 
-        def counting_text(values):
+        def counting_cells(values):
             formatted.append(len(np.unique(values.view(np.int64))))
-            return text(values)
+            return cells(values)
 
-        def expecting_blocks(fields, *args):
+        def expecting_blocks(fields, *args, **kwargs):
             grid_fields = [f for f in fields if np.shape(f) == (nt, ns)]
             rows = max(1, cli._BLOCK_POINTS // ns)
             expected.append(ns + nt + sum(
                 len(np.unique(np.stack([f[r:r + rows] for f in grid_fields]).view(np.int64)))
                 for r in range(0, nt, rows)))
-            return blocks(fields, *args)
+            return blocks(fields, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "_text", counting_text)
+        monkeypatch.setattr(tx, "cells", counting_cells)
         monkeypatch.setattr(cli, "_blocks", expecting_blocks)
         for command in ("eval", "curvature", "export"):
             formatted.clear()
@@ -789,10 +841,12 @@ class TestBlockFormatting:
 
 
 class TestTracedMemory:
-    """Traced peaks of the 120x120 seed scene.  Before per-axis formatting
-    and the block-wise OBJ templates they were 5.025-5.028 MB (eval, the
-    finished text held twice; unchanged since, and given 0.2% for the ~2 kB
-    it moves between runs) and 6.99 MB (export, now ~3.17 MB)."""
+    """Traced peaks of the 120x120 seed scene.  Eval peaks at 5.020-5.023 MB
+    where the finished text is held twice (5.025-5.028 MB with one string
+    per value; the bound gives 0.2% for the ~2 kB it moves between runs).
+    Export peaks at 3.165 MB, in the sweep rather than in its 1024-point
+    blocks of text; it was 6.99 MB before per-axis formatting and the
+    block-wise OBJ lines, and reads 3.78 MB with 2048-point blocks."""
 
     @pytest.mark.parametrize("command, bound", [("eval", 5_040_000), ("export", 3_400_000)])
     def test_peak(self, tmp_path, command, bound):
