@@ -16,11 +16,10 @@ __version__ = "0.1.0"
 
 from .curve import (  # noqa: F401
     AnalyticCurve,
-    FrenetApparatus,
+    FrenetFrames,
     WCurve,
-    complete_frame,
     frenet_apparatus,
-    is_w_curve,
+    frenet_frames,
 )
 from .pencil import (  # noqa: F401
     FundamentalForms,

@@ -30,13 +30,11 @@ __all__ = [
     "WCurve",
     "AnalyticCurve",
     "CurveSpec",
-    "FrenetApparatus",
     "FrenetFrames",
     "frenet_frames",
     "frenet_apparatus",
-    "complete_frame",
+    "gram_schmidt",
     "orthonormal_completion",
-    "is_w_curve",
 ]
 
 KAPPA_TOL = 1e-9  # below this a curvature is treated as structurally zero
@@ -155,12 +153,14 @@ CurveSpec = WCurve | AnalyticCurve
 
 
 @dataclass(frozen=True, eq=False)
-class FrenetApparatus:
-    """Orthonormal moving frame V1..V4 with curvatures at one parameter.
+class FrenetFrames:
+    """Orthonormal moving frames V1..V4 with curvatures at n parameters.
 
-    ``kappa2``/``kappa3`` are the canonical curvature magnitudes read off
-    Gram-Schmidt (zero for a completed degenerate frame).  ``connection``
-    holds the coefficients (w1, w2, w3) of the actual frame ODE
+    ``frame`` is (n, 4, 4) with rows V1..V4 per parameter.  ``kappas`` (n, 3)
+    holds the canonical curvature magnitudes kappa1..kappa3 read off
+    Gram-Schmidt (kappa2 = kappa3 = 0 for a completed degenerate frame).
+    ``connection`` (n, 3) holds the coefficients (w1, w2, w3) of the actual
+    frame ODE
 
         V1' = w1 V2,  V2' = -w1 V1 + w2 V3,
         V3' = -w2 V2 + w3 V4,  V4' = -w3 V3;
@@ -169,40 +169,15 @@ class FrenetApparatus:
     explicit completion of a degenerate rotation generator rotates with
     (kappa1, 0, -c).  Surface formulas must use ``connection``.
 
-    ``degenerate`` flags which kappa_i fell below KAPPA_TOL.
+    ``rank`` (n,) is 4, 3 where the curve lies in a 3-space (kappa3 below
+    KAPPA_TOL, V4 completed), or 2 for a completed degenerate frame: kappa_i
+    is structurally zero exactly where rank <= i.
     """
-
-    frame: np.ndarray  # 4x4, rows V1..V4
-    kappa1: float
-    kappa2: float
-    kappa3: float
-    degenerate: tuple[bool, bool, bool]
-    rank: int
-    connection: tuple[float, float, float]
-
-    @property
-    def kappas(self) -> tuple[float, float, float]:
-        return (self.kappa1, self.kappa2, self.kappa3)
-
-
-@dataclass(frozen=True, eq=False)
-class FrenetFrames:
-    """Frames and curvatures at n parameters: ``frame`` is (n, 4, 4) with
-    rows V1..V4 per parameter, ``kappas`` and ``connection`` are (n, 3) as on
-    FrenetApparatus, and ``rank`` (n,) is 4, 3 where the curve lies in a
-    3-space (kappa3 below KAPPA_TOL) or 2 for a completed degenerate frame."""
 
     frame: np.ndarray
     kappas: np.ndarray
     connection: np.ndarray
     rank: np.ndarray
-
-    def apparatus(self, i: int) -> FrenetApparatus:
-        """The frame at the i-th parameter."""
-        rank = int(self.rank[i])
-        return FrenetApparatus(self.frame[i], *self.kappas[i].tolist(),
-                               degenerate=(rank <= 1, rank <= 2, rank <= 3), rank=rank,
-                               connection=tuple(self.connection[i].tolist()))
 
 
 _EYE = np.eye(4)
@@ -217,6 +192,22 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _norm(a: np.ndarray) -> np.ndarray:
     """Row-wise norms, shape (..., 1): ``np.linalg.norm`` of a row bit for bit."""
     return np.sqrt(_dot(a, a))
+
+
+def gram_schmidt(vectors: Sequence[np.ndarray]):
+    """Classical Gram-Schmidt on the (n, 4) arrays ``vectors``, per row: each
+    loses its projections on the unit vectors before it, every projection
+    taken of the original vector, and is divided by its residual norm.
+    Returns the unit vectors and the residual norms, each (n, 1).  A zero
+    residual divides by zero; callers decide under which ``np.errstate``."""
+    units, norms = [], []
+    for x in vectors:
+        e = x
+        for u in units:
+            e = e - _dot(x, u) * u
+        norms.append(_norm(e))
+        units.append(e / norms[-1])
+    return units, norms
 
 
 def orthonormal_completion(rows: Sequence[np.ndarray], count: int,
@@ -251,7 +242,7 @@ def frenet_frames(curve: CurveSpec, s) -> FrenetFrames:
     step one array operation over all of s.
 
     Degenerate double-rotation generators get the explicit completion of
-    ``complete_frame``.  Where kappa3 falls below KAPPA_TOL (the curve lies
+    ``_completed_frames``.  Where kappa3 falls below KAPPA_TOL (the curve lies
     in a 3-space) V4 is the normal complement of V1..V3, canonical up to
     the sign that det = +1 fixes.  Any other rank loss raises
     DegenerateFrameError carrying the achieved rank, at the first such s.
@@ -262,15 +253,9 @@ def frenet_frames(curve: CurveSpec, s) -> FrenetFrames:
 
     d = curve.derivative_arrays(s, 4)
     with np.errstate(divide="ignore", invalid="ignore"):
-        v, norms = [d[0] / _norm(d[0])], []
-        for dk in d[1:]:
-            e = dk
-            for vj in v:
-                e = e - _dot(dk, vj) * vj
-            norms.append(_norm(e))
-            v.append(e / norms[-1])
-        kappa1, kappa2 = norms[0], norms[1] / norms[0]
-        in_3_space = (norms[2] / (kappa1 * kappa2))[:, 0] < KAPPA_TOL
+        v, norms = gram_schmidt(d)
+        kappa1, kappa2 = norms[1], norms[2] / norms[1]
+        in_3_space = (norms[3] / (kappa1 * kappa2))[:, 0] < KAPPA_TOL
     fault = np.flatnonzero((kappa1 < KAPPA_TOL) | (kappa2 < KAPPA_TOL))
     if fault.size:
         i = fault[0]
@@ -291,33 +276,22 @@ def frenet_frames(curve: CurveSpec, s) -> FrenetFrames:
                         rank=np.where(in_3_space, 3, 4))
 
 
-def frenet_apparatus(curve: CurveSpec, s: float) -> FrenetApparatus:
+def frenet_apparatus(curve: CurveSpec, s: float) -> FrenetFrames:
     """Frame and curvatures at ``s``: ``frenet_frames`` on a batch of one."""
-    return frenet_frames(curve, np.array([float(s)])).apparatus(0)
+    return frenet_frames(curve, np.array([float(s)]))
 
 
-def complete_frame(curve: CurveSpec, s: float) -> FrenetApparatus:
+def _completed_frames(curve: WCurve, s: np.ndarray) -> FrenetFrames:
     """Explicit frame completion for a degenerate double-rotation generator
-    (equal rates c = d, or a planar circle with b = 0).
-
-    Returns the frame with
+    (equal rates c = d, or a planar circle with b = 0), at every entry of
+    the 1-D array ``s``:
 
         V3(s) = (-b sin cs, b cos cs, a sin cs, -a cos cs) / sqrt(a^2+b^2)
         V4(s) = ( b cos cs, b sin cs, -a cos cs, -a sin cs) / sqrt(a^2+b^2)
 
     and kappa2 = kappa3 = 0 (the curve is a planar circle, so only kappa1
-    survives).  The completion itself rotates: its frame ODE coefficients
-    are (kappa1, 0, -c), recorded on ``connection``.
+    survives), while the completion itself rotates with (kappa1, 0, -c).
     """
-    return _completed_frames(curve, np.array([float(s)])).apparatus(0)
-
-
-def _completed_frames(curve: CurveSpec, s: np.ndarray) -> FrenetFrames:
-    """``complete_frame`` at every entry of the 1-D array ``s``."""
-    if not isinstance(curve, WCurve):
-        raise UnsupportedCompletionError(
-            "frame completion is only defined for degenerate double-rotation generators"
-        )
     a, b, c, d = curve.a, curve.b, curve.c, curve.d
     if abs(b) <= 1e-12:
         rate = c
@@ -346,14 +320,3 @@ def _completed_frames(curve: CurveSpec, s: np.ndarray) -> FrenetFrames:
                         connection=np.tile([kappa1, 0.0, -rate], (n, 1)),
                         rank=np.full(n, 2))
 
-
-def is_w_curve(samples: Sequence[FrenetApparatus]) -> bool:
-    """True when every curvature is constant across the samples (max-min
-    spread of each kappa_i at most 1e-8)."""
-    if len(samples) < 16:
-        raise ValueError("need at least 16 frame samples")
-    for pick in (lambda f: f.kappa1, lambda f: f.kappa2, lambda f: f.kappa3):
-        values = [pick(f) for f in samples]
-        if max(values) - min(values) > 1e-8:
-            return False
-    return True

@@ -108,9 +108,8 @@ def _frame_gauge_sign(curve: WCurve) -> float:
     The linear profile inversion below needs the orientation the frame
     actually uses, which flips with sign(a b c d (c^2 - d^2)) under the
     det = +1 convention."""
-    app = frenet_apparatus(curve, 0.0)
     w = np.array([curve.b * curve.d**2, 0.0, -curve.a * curve.c**2, 0.0])
-    dot = float(app.frame[3] @ w)
+    dot = float(frenet_apparatus(curve, 0.0).frame[0, 3] @ w)
     return 1.0 if dot >= 0.0 else -1.0
 
 
@@ -362,31 +361,28 @@ def _check_case_preconditions(case: str, c1: float, c2: float, curve: CurveSpec,
             )
         return
     frames = frenet_frames(curve, s_samples)
-    apps = [frames.apparatus(i) for i in range(len(s_samples))]
+    kappa1, kappa2, kappa3 = frames.kappas.T
     if case == "ii":
-        for app in apps:
-            if app.rank < 4:
-                raise ConstraintViolationError("case ii: generator frame degenerates")
-            denom = c2 + app.kappa1
-            if abs(denom) < 1e-12:
-                raise ConstraintViolationError("case ii: c2 + kappa1 vanishes")
-            want = c1 * app.kappa2 / denom
-            if abs(app.kappa3 - want) > PROFILE_CONSTRAINT_TOL:
-                raise ConstraintViolationError(
-                    "case ii: kappa3 != c1 kappa2 / (c2 + kappa1) "
-                    f"(|deviation| = {abs(app.kappa3 - want):.3e})"
-                )
-        return
-    if case == "iv":
+        denom = c2 + kappa1
+        with np.errstate(divide="ignore", invalid="ignore"):
+            deviation = np.abs(kappa3 - c1 * kappa2 / denom)
+        failing = np.stack([frames.rank < 4, np.abs(denom) < 1e-12,
+                            deviation > PROFILE_CONSTRAINT_TOL])
+        messages = ["case ii: generator frame degenerates", "case ii: c2 + kappa1 vanishes",
+                    "case ii: kappa3 != c1 kappa2 / (c2 + kappa1) (|deviation| = {:.3e})"]
+    elif case == "iv":
         if c1 == 0.0:
             raise ConstraintViolationError("case iv: c1 must be nonzero")
-        for app in apps:
-            if abs(app.kappa1 - 1.0 / c1) > PROFILE_CONSTRAINT_TOL:
-                raise ConstraintViolationError(
-                    f"case iv: kappa1 != 1/c1 (|deviation| = {abs(app.kappa1 - 1.0 / c1):.3e})"
-                )
-        return
-    raise ValueError(f"unknown flat design case {case!r}")
+        deviation = np.abs(kappa1 - 1.0 / c1)
+        failing = (deviation > PROFILE_CONSTRAINT_TOL)[None]
+        messages = ["case iv: kappa1 != 1/c1 (|deviation| = {:.3e})"]
+    else:
+        raise ValueError(f"unknown flat design case {case!r}")
+    # the first failing sample raises the message of its first failing check
+    bad = np.flatnonzero(failing.any(axis=0))
+    if bad.size:
+        i = bad[0]
+        raise ConstraintViolationError(messages[np.argmax(failing[:, i])].format(deviation[i]))
 
 
 def flat_polar_solution(
@@ -502,8 +498,8 @@ def w_curve_with_equal_curvatures(c: float, d: float) -> WCurve:
     b = 0.5 * (lo + hi)
     a = math.sqrt(1.0 - b * b * d * d) / c
     curve = WCurve(a, b, c, d)
-    app = frenet_apparatus(curve, 0.0)
-    residual = abs(app.kappa2 - app.kappa3)
+    _, k2, k3 = frenet_apparatus(curve, 0.0).kappas[0].tolist()
+    residual = abs(k2 - k3)
     if residual > 1e-12:
         raise ConstraintViolationError(
             f"equal-curvature construction missed: |k2 - k3| = {residual:.3e}"

@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .curvature import invariants_from_forms
-from .curve import _dot, orthonormal_completion
+from .curve import _dot, gram_schmidt, orthonormal_completion
 from .errors import RankDeficiencyError, StepUnderflowError
 from .pencil import FundamentalForms
 
@@ -239,12 +239,9 @@ def _normal_basis(x_u: np.ndarray, x_v: np.ndarray, seed_order=(0, 1, 2, 3)):
     """Orthonormal tangents t1, t2 and normals n1, n2 per point, plus the
     rank fault per point: 1 where the tangents are dependent, 2 where no
     normal basis could be assembled, else 0."""
-    t1 = x_u / np.sqrt(_dot(x_u, x_u))
-    r = x_v - _dot(x_v, t1) * t1
-    rn = np.sqrt(_dot(r, r))[:, 0]
-    t2 = r / rn[:, None]
+    (t1, t2), (_, rn) = gram_schmidt((x_u, x_v))
     (n1, n2), found = orthonormal_completion((t1, t2), 2, seed_order)
-    fault = np.where(rn * rn < _GRAM_TOL, 1, np.where(found != 2, 2, 0))
+    fault = np.where((rn * rn)[:, 0] < _GRAM_TOL, 1, np.where(found != 2, 2, 0))
     return t1, t2, n1, n2, fault
 
 

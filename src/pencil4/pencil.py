@@ -7,9 +7,9 @@ diagonal (E = a^2 + b^2, F = 0, G = A'^2 + B'^2), and the second
 fundamental form has exactly four nonzero coefficients.
 
 Coefficient source: by default the k_i are the frame-ODE ("connection")
-coefficients of the apparatus, which is what differentiating the actual
-frame requires; for completed degenerate frames these differ from the
-curve's own curvatures (which are zero past kappa1).  Flatness bookkeeping
+coefficients of the spine's ``FrenetFrames``, which is what differentiating
+the actual frame requires; for completed degenerate frames these differ
+from the curve's own curvatures (which are zero past kappa1).  Flatness bookkeeping
 that follows the curve-curvature convention passes ``source="curve"``.
 
 Each pencil formula is written once over broadcastable arrays, and
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .curve import CurveSpec, FrenetApparatus, WCurve, frenet_apparatus, frenet_frames
+from .curve import CurveSpec, FrenetFrames, WCurve, frenet_apparatus, frenet_frames
 from .errors import RegularityViolationError
 
 __all__ = [
@@ -269,7 +269,8 @@ class PencilSurface:
 
     # -- frames ---------------------------------------------------------
 
-    def frame(self, s: float) -> FrenetApparatus:
+    def frame(self, s: float) -> FrenetFrames:
+        """The spine's frame at ``s``: a ``FrenetFrames`` with one entry."""
         return frenet_apparatus(self.curve, s)
 
     def _spine(self, s: np.ndarray, source: str):

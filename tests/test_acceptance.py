@@ -72,7 +72,7 @@ def _seed_surfaces():
     # two ruled pencils
     seeds.append(("ruled", fam.ruled_pencil(SEED_CURVE, (0.0, 0.5)), (0.0, 5.0), (0.03, 0.45)))
     w3 = _random_w_curve(rng)
-    k1_w3 = cv.frenet_apparatus(w3, 0.0).kappa1
+    k1_w3 = cv.frenet_apparatus(w3, 0.0).kappas[0, 0]
     t_hi = min(0.4, 0.55 * math.sqrt(2.0) / k1_w3)
     seeds.append(("ruled", fam.ruled_pencil(w3, (0.0, t_hi)), (0.0, 5.0), (0.03, t_hi - 0.02)))
 
@@ -237,9 +237,9 @@ def test_criterion_5_equal_curvature_ruled_pencils():
             w = fam.w_curve_with_equal_curvatures(c, d)
         except Exception:
             continue
-        app = cv.frenet_apparatus(w, 0.0)
-        assert abs(app.kappa2 - app.kappa3) <= 1e-12
-        t_hi = min(0.4, 0.55 * math.sqrt(2.0) / app.kappa1)
+        k1, k2, k3 = cv.frenet_apparatus(w, 0.0).kappas[0]
+        assert abs(k2 - k3) <= 1e-12
+        t_hi = min(0.4, 0.55 * math.sqrt(2.0) / k1)
         p = fam.ruled_pencil(w, (0.0, t_hi))
         for s in np.linspace(0.0, 3.0, 6):
             for t in np.linspace(0.0, t_hi * 0.9, 6):
@@ -278,7 +278,7 @@ def test_criterion_6_flat_polar_cases():
             # desk numbers: c1 = 2/sqrt(7) matches kappa1 = sqrt(7)/2, and
             # the radius ODE closes to full precision
             assert c1 == pytest.approx(2.0 / math.sqrt(7.0))
-            assert abs(cv.frenet_apparatus(curve, 0.0).kappa1 - 1.0 / c1) <= 1e-12
+            assert abs(cv.frenet_apparatus(curve, 0.0).kappas[0, 0] - 1.0 / c1) <= 1e-12
             assert v.max_ode_residual_1 <= 1e-12
     _report(True, "criterion 6: four flat polar designs verified", "; ".join(details))
 
@@ -335,20 +335,16 @@ def test_criterion_8_frenet_suite():
     worst_orth = worst_res = 0.0
     for _ in range(20):
         w = _random_w_curve(rng)
-        samples = np.linspace(0.0, 2.0 * math.pi, 256)
-        for s in samples:
-            app = cv.frenet_apparatus(w, float(s))
-            gram = app.frame @ app.frame.T
-            orth = float(np.max(np.abs(gram - np.eye(4))))
-            worst_orth = max(worst_orth, orth)
-            assert orth <= 1e-10
-        for s in np.linspace(0.3, 5.9, 16):  # ODE residuals on a subsample
-            app = cv.frenet_apparatus(w, float(s))
-            plus = cv.frenet_apparatus(w, float(s) + h)
-            minus = cv.frenet_apparatus(w, float(s) - h)
-            dframe = (plus.frame - minus.frame) / (2 * h)
-            k1, k2, k3 = app.kappas
-            V1, V2, V3, V4 = app.frame
+        frame = cv.frenet_frames(w, np.linspace(0.0, 2.0 * math.pi, 256)).frame
+        orth = float(np.max(np.abs(frame @ frame.swapaxes(1, 2) - np.eye(4))))
+        worst_orth = max(worst_orth, orth)
+        assert orth <= 1e-10
+        s = np.linspace(0.3, 5.9, 16)  # ODE residuals on a subsample
+        here, plus, minus = (cv.frenet_frames(w, x) for x in (s, s + h, s - h))
+        for i in range(len(s)):
+            dframe = (plus.frame[i] - minus.frame[i]) / (2 * h)
+            k1, k2, k3 = here.kappas[i]
+            V1, V2, V3, V4 = here.frame[i]
             residuals = [
                 np.linalg.norm(dframe[0] - k1 * V2),
                 np.linalg.norm(dframe[1] + k1 * V1 - k2 * V3),
@@ -358,11 +354,9 @@ def test_criterion_8_frenet_suite():
             worst_res = max(worst_res, max(residuals))
             assert max(residuals) <= 1e-6
     _, kappas_fd = fd_frenet(SEED_CURVE.point, 0.8, h=0.02)
-    app = cv.frenet_apparatus(SEED_CURVE, 0.8)
-    assert app.kappas == pytest.approx(kappas_fd, abs=1e-6)
-    assert app.kappa1 == pytest.approx(1.322876, abs=1e-6)
-    assert app.kappa2 == pytest.approx(0.981981, abs=1e-6)
-    assert app.kappa3 == pytest.approx(1.511858, abs=1e-6)
+    kappas = cv.frenet_apparatus(SEED_CURVE, 0.8).kappas[0]
+    assert kappas == pytest.approx(kappas_fd, abs=1e-6)
+    assert kappas == pytest.approx([1.322876, 0.981981, 1.511858], abs=1e-6)
     _report(True, "criterion 8: frame suite for 20 random generators",
             f"worst orthonormality {worst_orth:.2e}, worst ODE residual {worst_res:.2e}")
 

@@ -299,6 +299,16 @@ class TestConfig:
         assert code == cli.EXIT_REGULARITY
         assert "regularity" in err
 
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out_file"])
+    def test_failing_command_writes_nothing(self, tmp_path, capsys, to_file):
+        # the regularity check fails before the first row: no stdout, no file
+        cfg = seed_scene(marching={"kind": "expressions", "A": "0", "B": "0"})
+        target = tmp_path / "eval.csv"
+        code, out, err = run(capsys, ["eval", "--config", write_config(tmp_path, cfg),
+                                      *["--out", str(target)] * to_file])
+        assert code == cli.EXIT_REGULARITY and err.startswith("regularity violation: ")
+        assert out == "" and not target.exists()
+
     def test_unexpected_exception_is_one_line_exit_1(self, tmp_path, capsys, monkeypatch):
         def broken(scene):
             raise RuntimeError("boom\n  in a second line")
@@ -334,6 +344,22 @@ class TestFrenet:
         }
         code, _, err = run(capsys, ["frenet", "--config", write_config(tmp_path, cfg)])
         assert code == cli.EXIT_DEGENERATE
+
+    @pytest.mark.parametrize("command", ["frenet", "eval"])
+    @pytest.mark.parametrize("c, d, message", [
+        (2.0, 2.0, "no completion convention for a generator collapsed onto the second plane"),
+        (1.0, 2.0, "no completion convention for this curve (need c = d or b = 0)"),
+    ], ids=["equal_rates", "unequal_rates"])
+    def test_collapsed_generator_exit_code(self, tmp_path, capsys, command, c, d, message):
+        # a = 0: a degenerate rotation that has no completion convention
+        cfg = seed_scene()
+        cfg["curve"] = {"kind": "w_curve", "a": 0.0, "b": 1.0 / d, "c": c, "d": d}
+        target = tmp_path / "out.csv"
+        code, out, err = run(capsys, [command, "--config", write_config(tmp_path, cfg),
+                                      "--out", str(target)])
+        assert code == cli.EXIT_DEGENERATE
+        assert err == f"degenerate frame: {message}\n"
+        assert out == "" and not target.exists()
 
 
 def singular_ray_scene():
@@ -629,6 +655,34 @@ class TestExport:
         )
         assert code == 0
 
+    @pytest.mark.parametrize("projection, message", [
+        ({"kind": "orthographic", "basis": "abc"},
+         "orthographic projection needs basis of three 4-vectors"),
+        ({"kind": "orthographic", "basis": [[1, 0, 0, 0], [0, 1, 0], [0, 0, 1, 0]]},
+         "orthographic projection needs basis of three 4-vectors"),
+        ({"kind": "orthographic", "basis": [[1, 0, 0, 0], [0, 1, "x", 0], [0, 0, 1, 0]]},
+         "projection.basis[1][2] must be a number"),
+        ({"kind": "orthographic", "basis": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, True, 0]]},
+         "projection.basis[2][2] must be a number"),
+        ({"kind": "stereographic", "pole": ["a", 0, 0, 1]}, "projection.pole[0] must be a number"),
+        ({"kind": "stereographic", "pole": [0, 0, 0, True]},
+         "projection.pole[3] must be a number"),
+        ({"kind": "drop_axis", "axis": True}, "projection.axis must be a number"),
+        ({"kind": "drop_axis", "axis": "4"}, "projection.axis must be a number"),
+    ], ids=["basis_string", "basis_ragged", "basis_entry_string", "basis_entry_bool",
+            "pole_entry_string", "pole_entry_bool", "axis_bool", "axis_string"])
+    def test_non_numeric_projection_entry_is_config_error(self, tmp_path, capsys, projection,
+                                                          message):
+        cfg = seed_scene(domain={"s": [0.0, 2.0], "t": [0.0, 0.2], "ns": 3, "nt": 3},
+                         output={"format": "obj", "projection": projection})
+        base = tmp_path / "mesh"
+        code, out, err = run(
+            capsys, ["export", "--config", write_config(tmp_path, cfg), "--out", str(base)]
+        )
+        assert code == cli.EXIT_CONFIG
+        assert err == f"config error: {message}\n"
+        assert out == "" and not list(tmp_path.glob("mesh.*"))
+
     def test_bad_projection_flag_is_config_error(self, tmp_path, capsys):
         cfg = seed_scene(output={"format": "obj"})
         code, _, err = run(
@@ -747,12 +801,12 @@ class TestBlockFormatting:
         expected = reference_csv(header, fields, status)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_BLOCK_POINTS", block)  # blocks narrower and wider than ns
-            assert cli._csv(header, fields, status) == expected
+            assert "".join(cli._csv(header, fields, status)) == expected
             # these grids hold too few values for the kernel unless the
             # small-set route is off; small chunks split its calls
             mp.setattr(tx, "SMALL", 0)
             mp.setattr(tx, "CHUNK", chunk)
-            assert cli._csv(header, fields, status) == expected
+            assert "".join(cli._csv(header, fields, status)) == expected
 
     def test_module_block_size_on_uneven_grids(self):
         rng = np.random.default_rng(7)
@@ -760,8 +814,8 @@ class TestBlockFormatting:
             fields = [np.linspace(0.0, 1.0, ns), np.linspace(-1.0, 1.0, nt)[:, None],
                       rng.choice(_POOL, (nt, ns)), np.repeat(rng.normal(size=(nt, 1)), ns, 1)]
             status = rng.integers(0, 3, (nt, ns)).astype(np.int8)
-            assert cli._csv(list("stuv"), fields, status) == reference_csv(list("stuv"), fields,
-                                                                           status)
+            assert "".join(cli._csv(list("stuv"), fields, status)) \
+                == reference_csv(list("stuv"), fields, status)
 
     @pytest.mark.parametrize("grid", ["7x5", "300x3"])
     def test_singular_ray_outputs_match_per_row_template(self, tmp_path, capsys, monkeypatch,
@@ -841,21 +895,21 @@ class TestBlockFormatting:
 
 
 class TestTracedMemory:
-    """Traced peaks of the 120x120 seed scene.  Eval peaks at 5.020-5.023 MB
-    where the finished text is held twice (5.025-5.028 MB with one string
-    per value; the bound gives 0.2% for the ~2 kB it moves between runs).
-    Export peaks at 3.165 MB, in the sweep rather than in its 1024-point
-    blocks of text; it was 6.99 MB before per-axis formatting and the
-    block-wise OBJ lines, and reads 3.78 MB with 2048-point blocks."""
+    """Traced peaks of the 120x120 seed scene, the text written to a file.
+    Both peak in the sweep rather than in their 1024-point blocks of text:
+    eval at 3.166 MB, export at 3.177 MB.  Eval peaked at 5.02 MB
+    while it joined its whole text before writing it; export was 6.99 MB
+    before per-axis formatting and the block-wise OBJ lines, and reads
+    3.78 MB with 2048-point blocks."""
 
-    @pytest.mark.parametrize("command, bound", [("eval", 5_040_000), ("export", 3_400_000)])
+    @pytest.mark.parametrize("command, bound", [("eval", 3_400_000), ("export", 3_400_000)])
     def test_peak(self, tmp_path, command, bound):
         cfg = seed_scene(domain={"s": [0.0, 6.0], "t": [-0.25, 0.25], "ns": 120, "nt": 120},
                          output={"format": "obj"})
         scene = cli.load_scene(write_config(tmp_path, cfg))
         if command == "eval":
             def job():
-                cli.run_eval(scene)
+                cli._emit(cli.run_eval(scene), tmp_path / "eval.csv")
         else:
             def job():
                 cli.run_export(scene, tmp_path / "mesh", scene.projection)

@@ -96,31 +96,29 @@ class TestDerivatives:
 
 
 class TestFrenetApparatus:
+    """``frenet_apparatus``: a ``FrenetFrames`` with one entry."""
+
     def test_seed_curve_kappas(self):
         for s in (0.0, 0.9, 2.2):
-            app = cv.frenet_apparatus(SEED_CURVE, s)
-            assert app.kappa1 == pytest.approx(SEED_KAPPAS[0], abs=1e-12)
-            assert app.kappa2 == pytest.approx(SEED_KAPPAS[1], abs=1e-12)
-            assert app.kappa3 == pytest.approx(SEED_KAPPAS[2], abs=1e-12)
-            assert app.rank == 4
-            assert app.degenerate == (False, False, False)
+            one = cv.frenet_apparatus(SEED_CURVE, s)
+            assert one.frame.shape == (1, 4, 4)
+            assert one.kappas[0].tolist() == pytest.approx(SEED_KAPPAS, abs=1e-12)
+            assert one.rank.tolist() == [4]
 
     def test_matches_finite_difference_oracle(self):
         frame_fd, kappas_fd = fd_frenet(SEED_CURVE.point, 0.8, h=0.02)
-        app = cv.frenet_apparatus(SEED_CURVE, 0.8)
-        assert app.kappas == pytest.approx(kappas_fd, abs=1e-6)
-        assert app.frame == pytest.approx(frame_fd, abs=1e-6)
+        one = cv.frenet_apparatus(SEED_CURVE, 0.8)
+        assert one.kappas[0].tolist() == pytest.approx(kappas_fd, abs=1e-6)
+        assert one.frame[0] == pytest.approx(frame_fd, abs=1e-6)
 
     def test_orthonormality(self):
-        for s in np.linspace(0.0, 6.0, 7):
-            app = cv.frenet_apparatus(SEED_CURVE, float(s))
-            gram = app.frame @ app.frame.T
-            assert np.max(np.abs(gram - np.eye(4))) < 1e-10
+        frame = cv.frenet_frames(SEED_CURVE, np.linspace(0.0, 6.0, 7)).frame
+        gram = frame @ frame.swapaxes(1, 2)
+        assert np.max(np.abs(gram - np.eye(4))) < 1e-10
 
     def test_determinant_is_plus_one(self):
-        for s in np.linspace(0.0, 6.0, 7):
-            app = cv.frenet_apparatus(SEED_CURVE, float(s))
-            assert np.linalg.det(app.frame.T) == pytest.approx(1.0, abs=1e-10)
+        frame = cv.frenet_frames(SEED_CURVE, np.linspace(0.0, 6.0, 7)).frame
+        assert np.linalg.det(frame) == pytest.approx(np.ones(7), abs=1e-10)
 
     def test_planar_circle_degenerates_at_rank_2(self):
         circle = cv.AnalyticCurve.from_strings(["cos(s)", "sin(s)", "0", "0"], (0.0, 6.0))
@@ -138,12 +136,10 @@ class TestFrenetApparatus:
     def test_frenet_residuals_small(self):
         h = 1e-5
         for s in (0.3, 1.7):
-            app = cv.frenet_apparatus(SEED_CURVE, s)
-            plus = cv.frenet_apparatus(SEED_CURVE, s + h)
-            minus = cv.frenet_apparatus(SEED_CURVE, s - h)
-            dframe = (plus.frame - minus.frame) / (2 * h)
-            k1, k2, k3 = app.kappas
-            V1, V2, V3, V4 = app.frame
+            here, plus, minus = (cv.frenet_apparatus(SEED_CURVE, x) for x in (s, s + h, s - h))
+            dframe = (plus.frame[0] - minus.frame[0]) / (2 * h)
+            k1, k2, k3 = here.kappas[0]
+            V1, V2, V3, V4 = here.frame[0]
             residuals = [
                 np.linalg.norm(dframe[0] - k1 * V2),
                 np.linalg.norm(dframe[1] + k1 * V1 - k2 * V3),
@@ -154,11 +150,11 @@ class TestFrenetApparatus:
 
     def test_analytic_curve_apparatus(self):
         inv = make_involute()
-        app = cv.frenet_apparatus(inv, 1.0)
-        gram = app.frame @ app.frame.T
+        one = cv.frenet_apparatus(inv, 1.0)
+        gram = one.frame[0] @ one.frame[0].T
         assert np.max(np.abs(gram - np.eye(4))) < 1e-9
         # closed form: kappa1(s) = sqrt((p^2+q^2)/(8s)) with p=1, q=2
-        assert app.kappa1 == pytest.approx(math.sqrt(5.0 / 8.0), rel=1e-9)
+        assert one.kappas[0, 0] == pytest.approx(math.sqrt(5.0 / 8.0), rel=1e-9)
 
     def test_kappa1_closed_form_for_random_w_curves(self):
         rng = np.random.default_rng(11)
@@ -169,15 +165,12 @@ class TestFrenetApparatus:
             theta = rng.uniform(0.2, math.pi / 2 - 0.2)
             a, b = math.cos(theta) / c, math.sin(theta) / d
             w = cv.WCurve(a, b, c, d)
-            app = cv.frenet_apparatus(w, 0.37)
             want = math.sqrt(a * a * c**4 + b * b * d**4)
-            assert app.kappa1 == pytest.approx(want, abs=1e-10)
+            assert cv.frenet_apparatus(w, 0.37).kappas[0, 0] == pytest.approx(want, abs=1e-10)
 
     def test_kappas_stationary_along_w_curve(self):
-        apps = [cv.frenet_apparatus(SEED_CURVE, s) for s in np.linspace(0.0, 5.0, 9)]
-        for pick in (lambda f: f.kappa1, lambda f: f.kappa2, lambda f: f.kappa3):
-            vals = [pick(a) for a in apps]
-            assert max(vals) - min(vals) < 1e-10
+        kappas = cv.frenet_frames(SEED_CURVE, np.linspace(0.0, 5.0, 9)).kappas
+        assert np.all(np.ptp(kappas, axis=0) < 1e-10)
 
 
 def _num(v: float) -> str:
@@ -227,11 +220,10 @@ class TestFrenetFrames:
         assert frames.kappas.shape == frames.connection.shape == (len(s), 3)
         for i, x in enumerate(s):
             one = cv.frenet_apparatus(curve, x)
-            assert np.array_equal(frames.frame[i], one.frame)
-            assert tuple(frames.kappas[i]) == one.kappas
-            assert tuple(frames.connection[i]) == one.connection
-            assert frames.rank[i] == one.rank
-            assert frames.apparatus(i).degenerate == one.degenerate
+            assert np.array_equal(frames.frame[i], one.frame[0])
+            assert np.array_equal(frames.kappas[i], one.kappas[0])
+            assert np.array_equal(frames.connection[i], one.connection[0])
+            assert frames.rank[i] == one.rank[0]
         want_rank = {"equal_rates": 2, "planar": 2, "helix_in_3_space": 3}.get(kind, 4)
         assert np.all(frames.rank == want_rank)
 
@@ -250,15 +242,16 @@ class TestFrenetFrames:
         assert np.all(np.linalg.det(frames.frame) > 0.0)
         for i, x in enumerate(s):
             one = cv.frenet_apparatus(Mirrored(), x)
-            assert np.array_equal(frames.frame[i], one.frame)
-            assert tuple(frames.kappas[i]) == one.kappas
+            assert np.array_equal(frames.frame[i], one.frame[0])
+            assert np.array_equal(frames.kappas[i], one.kappas[0])
         assert np.sign(frames.kappas[:, 2]).tolist() == [1.0, -1.0, 1.0, -1.0]
 
     def test_helix_frame_is_completed_in_its_3_space(self):
-        app = cv.frenet_apparatus(batch_curve("helix_in_3_space", 1.0, 2.0, 0.6), 0.9)
-        assert app.degenerate == (False, False, True)
-        assert np.linalg.det(app.frame) == pytest.approx(1.0, abs=1e-12)
-        assert np.abs(app.frame[3]) == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-12)
+        one = cv.frenet_apparatus(batch_curve("helix_in_3_space", 1.0, 2.0, 0.6), 0.9)
+        assert one.rank.tolist() == [3]  # kappa3 is flagged zero, kappa1 and kappa2 are not
+        assert abs(one.kappas[0, 2]) < cv.KAPPA_TOL < one.kappas[0, :2].min()
+        assert np.linalg.det(one.frame[0]) == pytest.approx(1.0, abs=1e-12)
+        assert np.abs(one.frame[0, 3]) == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-12)
 
     def test_degenerate_frame_names_the_first_faulting_s(self):
         # a circle (kappa2 = 0) and a line (kappa1 = 0) fault at every s: the
@@ -289,36 +282,45 @@ class TestFrenetFrames:
 
 
 class TestCompleteFrame:
+    """The explicit completion of degenerate double-rotation generators,
+    which ``frenet_frames`` routes them to."""
+
     def test_explicit_completion_vectors(self):
         w = cv.WCurve(1 / math.sqrt(2), 1 / math.sqrt(2), 1.0, 1.0)
-        app = cv.complete_frame(w, 0.0)
-        assert app.frame[2] == pytest.approx(
-            [0.0, 1 / math.sqrt(2), 0.0, -1 / math.sqrt(2)], abs=1e-12
-        )
-        assert app.frame[3] == pytest.approx(
-            [1 / math.sqrt(2), 0.0, -1 / math.sqrt(2), 0.0], abs=1e-12
-        )
-        gram = app.frame @ app.frame.T
+        one = cv.frenet_apparatus(w, 0.0)
+        frame = one.frame[0]
+        assert frame[2] == pytest.approx([0.0, 1 / math.sqrt(2), 0.0, -1 / math.sqrt(2)],
+                                         abs=1e-12)
+        assert frame[3] == pytest.approx([1 / math.sqrt(2), 0.0, -1 / math.sqrt(2), 0.0],
+                                         abs=1e-12)
+        gram = frame @ frame.T
         assert np.max(np.abs(gram - np.eye(4))) < 1e-12
-        assert app.kappa2 == 0.0 and app.kappa3 == 0.0
-        assert app.rank == 2
+        assert one.kappas[0, 1:].tolist() == [0.0, 0.0]
+        assert one.rank.tolist() == [2]
 
     def test_orthonormal_at_any_s(self):
         w = cv.WCurve(0.6, 0.8, 1.0, 1.0)
-        for s in np.linspace(0.0, 6.0, 13):
-            app = cv.complete_frame(w, float(s))
-            gram = app.frame @ app.frame.T
-            assert np.max(np.abs(gram - np.eye(4))) < 1e-12
+        frame = cv.frenet_frames(w, np.linspace(0.0, 6.0, 13)).frame
+        gram = frame @ frame.swapaxes(1, 2)
+        assert np.max(np.abs(gram - np.eye(4))) < 1e-12
 
-    def test_nondegenerate_curve_rejected(self):
-        with pytest.raises(UnsupportedCompletionError):
-            cv.complete_frame(SEED_CURVE, 0.0)
+    @pytest.mark.parametrize("c, d, message", [
+        (2.0, 2.0, "no completion convention for a generator collapsed onto the second plane"),
+        (1.0, 2.0, "no completion convention for this curve (need c = d or b = 0)"),
+    ], ids=["equal_rates", "unequal_rates"])
+    def test_collapsed_generator_has_no_completion(self, c, d, message):
+        # a = 0: the curve is the circle of radius b in the second plane
+        w = cv.WCurve(0.0, 1.0 / d, c, d)
+        assert w.is_degenerate_rotation
+        with pytest.raises(UnsupportedCompletionError) as ei:
+            cv.frenet_frames(w, np.array([0.0, 1.0]))
+        assert str(ei.value) == message
 
     def test_frenet_apparatus_routes_degenerate_curves_here(self):
         w = cv.WCurve(0.6, 0.8, 1.0, 1.0)
-        app = cv.frenet_apparatus(w, 0.3)
-        assert app.rank == 2
-        assert app.connection == pytest.approx((1.0, 0.0, -1.0))
+        one = cv.frenet_apparatus(w, 0.3)
+        assert one.rank.tolist() == [2]
+        assert one.connection[0].tolist() == pytest.approx([1.0, 0.0, -1.0])
 
     def test_completion_frame_ode_coefficients(self):
         # The completion rotates: numerical frame derivatives must satisfy
@@ -326,12 +328,10 @@ class TestCompleteFrame:
         w = cv.WCurve(0.6, 0.8, 1.0, 1.0)
         h = 1e-6
         s = 0.9
-        app = cv.complete_frame(w, s)
-        plus = cv.complete_frame(w, s + h)
-        minus = cv.complete_frame(w, s - h)
-        dframe = (plus.frame - minus.frame) / (2 * h)
-        w1, w2, w3 = app.connection
-        V1, V2, V3, V4 = app.frame
+        here, plus, minus = cv.frenet_frames(w, np.array([s, s + h, s - h])).frame
+        dframe = (plus - minus) / (2 * h)
+        w1, w2, w3 = cv.frenet_apparatus(w, s).connection[0]
+        V1, V2, V3, V4 = here
         residuals = [
             np.linalg.norm(dframe[0] - w1 * V2),
             np.linalg.norm(dframe[1] + w1 * V1 - w2 * V3),
@@ -342,27 +342,7 @@ class TestCompleteFrame:
 
     def test_planar_circle_completion(self):
         w = cv.WCurve(0.5, 0.0, 2.0, 2.0)  # radius 1/2, rate 2
-        app = cv.frenet_apparatus(w, 0.4)
-        assert app.kappa1 == pytest.approx(2.0, abs=1e-12)
-        gram = app.frame @ app.frame.T
+        one = cv.frenet_apparatus(w, 0.4)
+        assert one.kappas[0, 0] == pytest.approx(2.0, abs=1e-12)
+        gram = one.frame[0] @ one.frame[0].T
         assert np.max(np.abs(gram - np.eye(4))) < 1e-12
-
-
-class TestIsWCurve:
-    def test_w_curve_samples(self):
-        apps = [cv.frenet_apparatus(SEED_CURVE, s) for s in np.linspace(0.0, 5.0, 16)]
-        assert cv.is_w_curve(apps)
-
-    def test_nonconstant_curvature_detected(self):
-        inv = make_involute()
-        apps = [cv.frenet_apparatus(inv, s) for s in np.linspace(0.7, 2.3, 16)]
-        assert not cv.is_w_curve(apps)
-
-    def test_single_repeated_sample(self):
-        app = cv.frenet_apparatus(SEED_CURVE, 1.0)
-        assert cv.is_w_curve([app] * 16)
-
-    def test_too_few_samples_rejected(self):
-        app = cv.frenet_apparatus(SEED_CURVE, 1.0)
-        with pytest.raises(ValueError):
-            cv.is_w_curve([app] * 15)

@@ -334,6 +334,51 @@ class TestFlatPolarSolution:
             fam.flat_polar_solution("i", 1.0, 0.0, circle, (2.8, 3.6))  # sin t = 0 at pi
 
 
+def reference_case_message(case, c1, c2, frames):
+    """The per-sample loop over the case preconditions: the message of the
+    first failing check at the first failing sample, or None."""
+    tol = fam.PROFILE_CONSTRAINT_TOL
+    for (k1, k2, k3), rank in zip(frames.kappas.tolist(), frames.rank.tolist()):
+        if case == "iv":
+            if abs(k1 - 1.0 / c1) > tol:
+                return f"case iv: kappa1 != 1/c1 (|deviation| = {abs(k1 - 1.0 / c1):.3e})"
+            continue
+        if rank < 4:
+            return "case ii: generator frame degenerates"
+        if abs(c2 + k1) < 1e-12:
+            return "case ii: c2 + kappa1 vanishes"
+        want = c1 * k2 / (c2 + k1)
+        if abs(k3 - want) > tol:
+            return ("case ii: kappa3 != c1 kappa2 / (c2 + kappa1) "
+                    f"(|deviation| = {abs(k3 - want):.3e})")
+    return None
+
+
+class TestCasePreconditions:
+    def test_array_checks_match_per_sample_loop(self, monkeypatch):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            case = rng.choice(["ii", "iv"])
+            c1, c2 = rng.choice([0.5, 2.0]), rng.choice([-1.0, 0.25])
+            n = int(rng.integers(1, 6))
+            kappas = rng.choice([0.5, 1.0, 2.0], size=(n, 3))
+            # about half the samples satisfy the case's relation
+            keep = rng.random(n) < 0.5
+            with np.errstate(divide="ignore"):
+                kappas[keep, 2] = c1 * kappas[keep, 1] / (c2 + kappas[keep, 0])
+            kappas[keep & (case == "iv"), 0] = 1.0 / c1
+            frames = cv.FrenetFrames(frame=np.zeros((n, 4, 4)), kappas=kappas,
+                                     connection=kappas, rank=rng.choice([3, 4, 4], size=n))
+            monkeypatch.setattr(fam, "frenet_frames", lambda curve, s: frames)
+            want = reference_case_message(case, c1, c2, frames)
+            if want is None:
+                fam._check_case_preconditions(case, c1, c2, SEED_CURVE, np.zeros(n))
+            else:
+                with pytest.raises(ConstraintViolationError) as ei:
+                    fam._check_case_preconditions(case, c1, c2, SEED_CURVE, np.zeros(n))
+                assert str(ei.value) == want
+
+
 class TestFlatOdeResiduals:
     def test_known_solution(self):
         eps1, _ = fam.flat_ode_residuals(
@@ -356,8 +401,8 @@ class TestFlatOdeResiduals:
 class TestEqualCurvatureConstruction:
     def test_basic(self):
         w = fam.w_curve_with_equal_curvatures(1.0, 3.0)
-        app = cv.frenet_apparatus(w, 0.7)
-        assert abs(app.kappa2 - app.kappa3) <= 1e-12
+        _, k2, k3 = cv.frenet_apparatus(w, 0.7).kappas[0]
+        assert abs(k2 - k3) <= 1e-12
 
     def test_infeasible_rates(self):
         with pytest.raises(ConstraintViolationError):
@@ -374,6 +419,6 @@ class TestEqualCurvatureConstruction:
                 w = fam.w_curve_with_equal_curvatures(c, d)
             except ConstraintViolationError:
                 continue
-            app = cv.frenet_apparatus(w, 0.0)
-            assert abs(app.kappa2 - app.kappa3) <= 1e-12
+            _, k2, k3 = cv.frenet_apparatus(w, 0.0).kappas[0]
+            assert abs(k2 - k3) <= 1e-12
             found += 1

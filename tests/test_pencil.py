@@ -109,8 +109,8 @@ class TestEvalSurface:
 
     def test_frame_combination(self):
         p = poly_pencil()
-        app = p.frame(0.0)
-        want = SEED_CURVE.point(0.0) + 0.1 * app.frame[1] + 0.01 * app.frame[3]
+        frame = p.frame(0.0).frame[0]
+        want = SEED_CURVE.point(0.0) + 0.1 * frame[1] + 0.01 * frame[3]
         got = p.point(0.0, 0.1)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -159,9 +159,9 @@ class TestTangentFrame:
         p = pc.PencilSurface(
             SEED_CURVE, pc.MarchingScale.from_expressions("t", "t", (-0.3, 0.3))
         )
-        app = p.frame(0.9)
+        frame = p.frame(0.9).frame[0]
         _, x_t = p.tangent_frame(0.9, 0.0)
-        assert x_t == pytest.approx(app.frame[1] + app.frame[3], abs=1e-12)
+        assert x_t == pytest.approx(frame[1] + frame[3], abs=1e-12)
         assert np.linalg.norm(x_t) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_orthogonality(self):
@@ -186,16 +186,16 @@ class TestNormalFrame:
         p = pc.PencilSurface(
             SEED_CURVE, pc.MarchingScale.from_expressions("t", "t", (-0.3, 0.3))
         )
-        app = p.frame(0.4)
+        frame = p.frame(0.4).frame[0]
         n1, _ = p.normal_frame(0.4, 0.1)
-        want = (-app.frame[1] + app.frame[3]) / math.sqrt(2.0)
+        want = (-frame[1] + frame[3]) / math.sqrt(2.0)
         assert n1 == pytest.approx(want, abs=1e-12)
 
     def test_n2_is_v3_when_b_vanishes(self):
         p = poly_pencil()
-        app = p.frame(1.2)
+        frame = p.frame(1.2).frame[0]
         _, n2 = p.normal_frame(1.2, 0.0)  # b = 0, a = 1 at the spine
-        assert n2 == pytest.approx(app.frame[2], abs=1e-12)
+        assert n2 == pytest.approx(frame[2], abs=1e-12)
 
     def test_gram_matrix(self):
         p = poly_pencil()
