@@ -5,8 +5,8 @@ Frenet frame of a unit-speed curve.  The package provides:
 
 * ``expr``      -- the expression language with exact symbolic derivatives
 * ``curve``     -- curves in E^4 and their moving frames
-* ``pencil``    -- pencil surfaces, frames, fundamental forms
-* ``curvature`` -- Gaussian/normal/mean curvature and flatness residuals
+* ``pencil``    -- pencil surfaces, frames, fundamental forms, flatness residuals
+* ``curvature`` -- Gaussian, normal and mean curvature
 * ``families``  -- rotation, Vranceanu, Lawson, ruled and flat-polar designs
 * ``oracle``    -- finite-difference ground truth for any E^4 immersion
 * ``cli``       -- the ``pencil4`` command-line front end
@@ -27,5 +27,5 @@ from .pencil import (  # noqa: F401
     PencilCoefficients,
     PencilSurface,
 )
-from .curvature import CurvatureReport, flatness_residuals, report  # noqa: F401
+from .curvature import CurvatureReport, report  # noqa: F401
 from .oracle import Immersion, OracleReport, compare, numeric_forms  # noqa: F401

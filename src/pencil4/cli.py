@@ -122,7 +122,6 @@ _VERIFY_MARKERS = ("ok", *["regularity"] * (len(pc.CONDITIONS) - 1))
 
 @dataclass(frozen=True)
 class Scene:
-    curve: CurveSpec
     surface: pc.PencilSurface
     marching_kind: str
     s_range: tuple[float, float]
@@ -265,7 +264,6 @@ def load_scene(path: str | Path, grid_override: str | None = None) -> Scene:
                     "matching marching.a/b (or omit the curve section)"
                 )
         surface = fam.vranceanu(vr_radius, a, b, t_range)
-        curve = surface.curve
     else:
         curve = _build_curve(_need(cfg, "curve", "config"))
         if kind == "expressions":
@@ -305,7 +303,6 @@ def load_scene(path: str | Path, grid_override: str | None = None) -> Scene:
         raise ConfigError("output.projection must be an object")
 
     return Scene(
-        curve=curve,
         surface=surface,
         marching_kind=kind,
         s_range=s_range,
@@ -485,7 +482,7 @@ def run_frenet(scene: Scene):
     for k in range(1, 5):
         header.extend(f"v{k}_{i}" for i in range(1, 5))
     header += ["kappa1", "kappa2", "kappa3"]
-    frames = frenet_frames(scene.curve, ss)
+    frames = frenet_frames(scene.surface.curve, ss)
     table = np.column_stack([ss, frames.frame.reshape(-1, 16), frames.kappas])
     return _csv(header, table.T[..., None])
 
@@ -564,7 +561,7 @@ def _ruled_adjudication(scene: Scene, ts: np.ndarray) -> list[str]:
     factor of ~2 while the shortcut normal curvature matches."""
     t0 = float(ts[int(np.argmin(np.abs(ts)))])
     s_mid = float(0.5 * (scene.s_range[0] + scene.s_range[1]))
-    k1, k2, k3 = frenet_apparatus(scene.curve, s_mid).kappas[0].tolist()
+    k1, k2, k3 = frenet_apparatus(scene.surface.curve, s_mid).kappas[0].tolist()
     rep = cu.report(scene.surface, s_mid, t0)
     ref_k = fam.ruled_reference_gaussian(k1, k2, k3, t0)
     ref_kn = fam.ruled_reference_normal_curvature(k1, k2, k3, t0)
@@ -616,7 +613,7 @@ def run_flat_design(scene: Scene, step: float | None) -> tuple[str, bool]:
         )
         ss, ts = _grid(scene)
         max_k = orc.grid_max_abs_gaussian(im, ss, ts)
-        res = cu.flatness_residuals(scene.surface, ts, ss, source="frame")
+        res = scene.surface.sweep(ss, ts)
         flat = max_k <= fam.FLAT_GAUSSIAN_TOL
         lines = [
             f"vranceanu design: r(t) = {ex.to_string(scene.vranceanu_radius)}",

@@ -7,30 +7,26 @@ test suite holds the two together to 1e-10 (they are the same algebra
 rearranged).  Both read one 1x1 ``PencilSurface.sweep`` per point, so an
 irregular point raises RegularityViolationError on either route.
 
-Flatness checks follow the curve-curvature convention (``source="curve"``):
-for a completed degenerate frame the b-coefficient is conventionally zero
-there, which is what makes the planar flat-design cases come out flat by
-construction; ``flatness_residuals`` returns the sweep, with its ``flat``
-verdict.  Everything else defaults to the frame-connection source,
-which matches the numerical oracle on every surface including those built
-on completed frames.
+Every invariant is read from the connection of the frame the surface is
+swept with, so it is a quantity of the surface the points describe and
+matches the numerical oracle, completed degenerate frames included.  The
+flatness residuals and their verdict are fields of the sweep
+(``Sweep.rho1``, ``Sweep.rho2``, ``Sweep.flat``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .pencil import FundamentalForms, PencilSurface, Sweep, form_numerators, metric
+from .pencil import FundamentalForms, PencilSurface, form_numerators, metric
 
 __all__ = [
     "CurvatureReport",
     "report",
     "gaussian",
     "normal_curvature",
-    "flatness_residuals",
     "gaussian_closed_form",
     "normal_curvature_closed_form",
     "mean_closed_form",
@@ -77,22 +73,21 @@ def invariants_from_forms(f: FundamentalForms) -> CurvatureReport:
     return CurvatureReport(K=K, K_N=K_N, H1=H1, H2=H2, H_norm_sq=H1 * H1 + H2 * H2)
 
 
-def report(p: PencilSurface, s: float, t: float, source: str = "frame") -> CurvatureReport:
-    return invariants_from_forms(p.fundamental_forms(s, t, source))
+def report(p: PencilSurface, s: float, t: float) -> CurvatureReport:
+    return invariants_from_forms(p.fundamental_forms(s, t))
 
 
-def gaussian(p: PencilSurface, s: float, t: float, source: str = "frame") -> float:
-    return report(p, s, t, source).K
+def gaussian(p: PencilSurface, s: float, t: float) -> float:
+    return report(p, s, t).K
 
 
-def normal_curvature(p: PencilSurface, s: float, t: float, source: str = "frame") -> float:
-    return report(p, s, t, source).K_N
+def normal_curvature(p: PencilSurface, s: float, t: float) -> float:
+    return report(p, s, t).K_N
 
 
-def mean_vector_ambient(p: PencilSurface, s: float, t: float,
-                        source: str = "frame") -> np.ndarray:
+def mean_vector_ambient(p: PencilSurface, s: float, t: float) -> np.ndarray:
     """The mean-curvature vector as an ambient E^4 vector (basis free)."""
-    sw = p.sweep([s], [t], source).require_regular()
+    sw = p.sweep([s], [t]).require_regular()
     r = invariants_from_forms(sw.forms)
     n1, n2 = sw.normal_frame()
     return (r.H1[..., None] * n1 + r.H2[..., None] * n2)[0, 0]
@@ -103,53 +98,30 @@ def mean_vector_ambient(p: PencilSurface, s: float, t: float,
 # ---------------------------------------------------------------------------
 
 
-def _shorthand(p: PencilSurface, s: float, t: float, source: str):
+def _shorthand(p: PencilSurface, s: float, t: float):
     """(E, G, q1, q2, sigma, rho2) at one regular point, as floats."""
-    sw = p.sweep([s], [t], source).require_regular()
+    sw = p.sweep([s], [t]).require_regular()
     co, (dA, dB, ddA, ddB) = sw.coefficients(), sw.marching[2:]
     return [x.item() for x in (*metric(co, dA, dB),
                                *form_numerators(sw.k, co, dA, dB, ddA, ddB))]
 
 
-def gaussian_closed_form(p: PencilSurface, s: float, t: float,
-                         source: str = "frame") -> float:
+def gaussian_closed_form(p: PencilSurface, s: float, t: float) -> float:
     """K = [E q2 q1 - G rho2^2] / (EG)^2 with the shorthand above."""
-    E, G, q1, q2, _, rho2 = _shorthand(p, s, t, source)
+    E, G, q1, q2, _, rho2 = _shorthand(p, s, t)
     return (E * q2 * q1 - G * rho2 * rho2) / (E * G) ** 2
 
 
-def normal_curvature_closed_form(p: PencilSurface, s: float, t: float,
-                                 source: str = "frame") -> float:
+def normal_curvature_closed_form(p: PencilSurface, s: float, t: float) -> float:
     """K_N = rho2 (G q1 - E q2) / (EG)^2."""
-    E, G, q1, q2, _, rho2 = _shorthand(p, s, t, source)
+    E, G, q1, q2, _, rho2 = _shorthand(p, s, t)
     return rho2 * (G * q1 - E * q2) / (E * G) ** 2
 
 
-def mean_closed_form(p: PencilSurface, s: float, t: float,
-                     source: str = "frame") -> tuple[float, float, float]:
+def mean_closed_form(p: PencilSurface, s: float, t: float) -> tuple[float, float, float]:
     """H1 = (E q2 + G q1) / (2 E G^{3/2}), H2 = sigma / (2 E^{3/2})."""
-    E, G, q1, q2, sigma, _ = _shorthand(p, s, t, source)
+    E, G, q1, q2, sigma, _ = _shorthand(p, s, t)
     h1 = (E * q2 + G * q1) / (2.0 * E * G**1.5)
     h2 = sigma / (2.0 * E**1.5)
     return (h1, h2, h1 * h1 + h2 * h2)
 
-
-# ---------------------------------------------------------------------------
-# Flatness condition
-# ---------------------------------------------------------------------------
-
-
-def flatness_residuals(
-    p: PencilSurface,
-    t_values: Sequence[float],
-    s_values: Sequence[float],
-    source: str = "curve",
-) -> Sweep:
-    """The sweep over ``t_values x s_values``, whose ``rho1``, ``rho2``,
-    ``max_rho1``, ``max_rho2`` and ``flat`` are the two flatness residual
-    fields and their verdict.
-
-    The default ``source="curve"`` evaluates rho2 with the curve's own
-    curvature values (the convention under which a completed planar frame
-    has b = 0 identically)."""
-    return p.sweep(list(s_values), list(t_values), source)

@@ -49,6 +49,11 @@ class WCurve:
 
     Unit speed requires a^2 c^2 + b^2 d^2 = 1; construction rejects
     anything else rather than silently reparametrizing.
+
+    ``parallel`` picks the completion of a degenerate generator (see
+    ``_completed_frames``; a nondegenerate curve ignores it): off, V3 and V4
+    rotate with the circle; on, they stay at their s = 0 values, so a pencil
+    sweeps a cone over the circle.
     """
 
     a: float
@@ -56,6 +61,7 @@ class WCurve:
     c: float
     d: float
     domain: tuple[float, float] = (0.0, 2.0 * math.pi)
+    parallel: bool = False
 
     def __post_init__(self):
         speed_sq = self.a**2 * self.c**2 + self.b**2 * self.d**2
@@ -167,7 +173,8 @@ class FrenetFrames:
 
     for a nondegenerate curve these equal the curvatures, while the
     explicit completion of a degenerate rotation generator rotates with
-    (kappa1, 0, -c).  Surface formulas must use ``connection``.
+    (kappa1, 0, -c), or is parallel with (kappa1, 0, 0) for
+    ``WCurve.parallel``.  Surface formulas must use ``connection``.
 
     ``rank`` (n,) is 4, 3 where the curve lies in a 3-space (kappa3 below
     KAPPA_TOL, V4 completed), or 2 for a completed degenerate frame: kappa_i
@@ -291,6 +298,8 @@ def _completed_frames(curve: WCurve, s: np.ndarray) -> FrenetFrames:
 
     and kappa2 = kappa3 = 0 (the curve is a planar circle, so only kappa1
     survives), while the completion itself rotates with (kappa1, 0, -c).
+    With ``curve.parallel`` V3 and V4 keep their s = 0 values, the
+    constant normal plane of the circle, and the connection is (kappa1, 0, 0).
     """
     a, b, c, d = curve.a, curve.b, curve.c, curve.d
     if abs(b) <= 1e-12:
@@ -309,14 +318,16 @@ def _completed_frames(curve: WCurve, s: np.ndarray) -> FrenetFrames:
     r = math.hypot(a, b)
     kappa1 = rate * rate * r  # |gamma''| for the planar circle of radius r
     c1, s1 = np.cos(rate * s), np.sin(rate * s)
+    c3, s3 = (np.ones_like(s), np.zeros_like(s)) if curve.parallel else (c1, s1)
     frame = np.stack([
         np.stack([-a * rate * s1, a * rate * c1, -b * rate * s1, b * rate * c1], axis=-1),
         np.stack([-a * c1, -a * s1, -b * c1, -b * s1], axis=-1) / r,
-        np.stack([-b * s1, b * c1, a * s1, -a * c1], axis=-1) / r,
-        np.stack([b * c1, b * s1, -a * c1, -a * s1], axis=-1) / r,
+        np.stack([-b * s3, b * c3, a * s3, -a * c3], axis=-1) / r,
+        np.stack([b * c3, b * s3, -a * c3, -a * s3], axis=-1) / r,
     ], axis=1)
     n = s.size
     return FrenetFrames(frame=frame, kappas=np.tile([kappa1, 0.0, 0.0], (n, 1)),
-                        connection=np.tile([kappa1, 0.0, -rate], (n, 1)),
+                        connection=np.tile([kappa1, 0.0, 0.0 if curve.parallel else -rate],
+                                           (n, 1)),
                         rank=np.full(n, 2))
 

@@ -114,9 +114,6 @@ class Expr:
     def __call__(self, x: float) -> float:
         return evaluate(self, x)
 
-    def derivative(self) -> "Expr":
-        return differentiate(self)
-
     def __str__(self) -> str:
         return to_string(self)
 

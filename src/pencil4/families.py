@@ -22,7 +22,7 @@ kept so the verification report can show the measured ratio.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -43,7 +43,6 @@ __all__ = [
     "RotationProfile",
     "rotation_marching",
     "rotation_pencil",
-    "rotation_immersion",
     "vranceanu",
     "vranceanu_immersion",
     "LawsonSurface",
@@ -63,6 +62,7 @@ PROFILE_CONSTRAINT_TOL = 1e-8
 FLAT_GAUSSIAN_TOL = 1e-8
 _R_POSITIVITY_SAMPLES = 64
 _R_MAGNITUDE_CAP = 1e8
+_VERIFY_GRID = (9, 33)  # (ns, nt) of a flat design's verification record
 
 
 # ---------------------------------------------------------------------------
@@ -144,14 +144,6 @@ def rotation_marching(profile: RotationProfile,
 def rotation_pencil(profile: RotationProfile,
                     t_domain: tuple[float, float] = (0.0, 1.0)) -> PencilSurface:
     return PencilSurface(profile.generator(), rotation_marching(profile, t_domain))
-
-
-def rotation_immersion(profile: RotationProfile,
-                       s_domain: tuple[float, float],
-                       t_domain: tuple[float, float]) -> Immersion:
-    """The rotation surface itself as an oracle immersion (independent of
-    the pencil route)."""
-    return Immersion(profile.point, s_domain, t_domain)
 
 
 # ---------------------------------------------------------------------------
@@ -392,31 +384,32 @@ def flat_polar_solution(
     curve: CurveSpec,
     t_domain: tuple[float, float],
     s_domain: tuple[float, float] | None = None,
-    grid: tuple[int, int] = (9, 33),
 ) -> FlatPolarDesign:
     """Instantiate one of the four flat polar designs and verify it.
 
     The verification record holds the maxima of both flatness residuals and
-    of |K| on a grid, plus the radius-ODE residuals; for the planar cases
-    the curve-curvature convention applies (the completion reports zero
-    higher curvatures), which is exactly the regime in which the design's
-    radius family closes the residuals.
+    of |K| on a grid, plus the radius-ODE residuals.  The planar cases i and
+    iii sweep the circle with its parallel completion (``WCurve.parallel``):
+    V3 and V4 are constant, kappa2 = kappa3 = 0 holds for the frame the
+    points use, and the surface is a cone over the circle.
     """
     case = case.lower()
     if case not in _CASE_CONSTRAINTS:
         raise ValueError(f"unknown flat design case {case!r}")
     if s_domain is None:
         s_domain = curve.domain
-    ns, nt = grid
+    ns, nt = _VERIFY_GRID
     s_samples = np.linspace(s_domain[0], s_domain[1], ns)
     _check_case_preconditions(case, c1, c2, curve, s_samples)
+    if case in ("i", "iii"):
+        curve = replace(curve, parallel=True)
 
     r = _flat_radius(case, c1, c2)
     marching = polar_marching(r, t_domain)
     surface = PencilSurface(curve, marching, s_domain=s_domain)
 
     t_samples = np.linspace(t_domain[0], t_domain[1], nt)
-    sw = surface.sweep(s_samples, t_samples, source="curve").require_regular()
+    sw = surface.sweep(s_samples, t_samples).require_regular()
     max_k = float(np.max(np.abs(cu.invariants_from_forms(sw.forms).K)))
     ode_t = np.linspace(t_domain[0], t_domain[1], 64)
     eps1, eps2 = flat_ode_residuals(r, curve, ode_t, s_samples)
@@ -467,12 +460,14 @@ def flat_ode_residuals(
 
 
 def w_curve_with_equal_curvatures(c: float, d: float) -> WCurve:
-    """A unit-speed double-rotation generator with kappa2 = kappa3, found by
-    1-D bisection over b (a follows from unit speed, c and d stay fixed).
+    """A unit-speed double-rotation generator with kappa2 = kappa3 and the
+    rates c, d.
 
     kappa2 = |a b c d (c^2-d^2)|/kappa1 and kappa3 = c d/kappa1 coincide
-    exactly when |a b (c^2 - d^2)| = 1, which is solvable iff
-    |c^2 - d^2| >= 2 c d."""
+    exactly when |a b (c^2 - d^2)| = 1.  With a = sqrt(1 - b^2 d^2)/c (unit
+    speed) and u = b^2 that is d^2 u^2 - u + c^2/gap^2 = 0, gap = |c^2 - d^2|,
+    solvable iff gap >= 2 c d; b^2 is its smaller root, written without
+    cancellation."""
     if c <= 0.0 or d <= 0.0 or abs(c - d) < 1e-9:
         raise ConstraintViolationError("need distinct positive rates")
     gap = abs(c * c - d * d)
@@ -481,22 +476,9 @@ def w_curve_with_equal_curvatures(c: float, d: float) -> WCurve:
             f"no equal-curvature generator for rates ({c}, {d}): "
             f"|c^2 - d^2| = {gap:.6g} < 2 c d = {2 * c * d:.6g}"
         )
-
-    def f(b: float) -> float:
-        a = math.sqrt(max(0.0, 1.0 - b * b * d * d)) / c
-        return a * b * gap - 1.0
-
-    lo, hi = 1e-12, 1.0 / (d * math.sqrt(2.0))
-    if f(hi) < 0.0:
-        raise ConstraintViolationError("bisection bracket failed")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    b = 0.5 * (lo + hi)
-    a = math.sqrt(1.0 - b * b * d * d) / c
+    b_sq = 2.0 * c * c / (gap * gap * (1.0 + math.sqrt(1.0 - (2.0 * c * d / gap) ** 2)))
+    b = math.sqrt(b_sq)
+    a = math.sqrt(1.0 - b_sq * d * d) / c
     curve = WCurve(a, b, c, d)
     _, k2, k3 = frenet_apparatus(curve, 0.0).kappas[0].tolist()
     residual = abs(k2 - k3)

@@ -6,11 +6,11 @@ spanned by X_s = a V1 + b V3 and X_t = A' V2 + B' V4, the metric is
 diagonal (E = a^2 + b^2, F = 0, G = A'^2 + B'^2), and the second
 fundamental form has exactly four nonzero coefficients.
 
-Coefficient source: by default the k_i are the frame-ODE ("connection")
-coefficients of the spine's ``FrenetFrames``, which is what differentiating
-the actual frame requires; for completed degenerate frames these differ
-from the curve's own curvatures (which are zero past kappa1).  Flatness bookkeeping
-that follows the curve-curvature convention passes ``source="curve"``.
+The k_i are the frame-ODE ("connection") coefficients of the spine's
+``FrenetFrames``: the frame the points are swept with is the frame whose
+derivatives the forms use.  For a completed degenerate frame they differ
+from the curve's own curvatures (zero past kappa1) unless the completion is
+parallel (``WCurve.parallel``).
 
 Each pencil formula is written once over broadcastable arrays, and
 ``PencilSurface.sweep`` is the one place they are evaluated: spine data per
@@ -125,7 +125,7 @@ class Sweep:
     """A pencil on the tensor grid ``t x s``, t-major: leading axes
     ``(nt, ns)``.  ``forms`` is NaN where ``status`` is not OK.  The
     per-axis data the grid fields come from is kept: frames (rows V1..V4),
-    the coefficient triple ``k``, its s-rates ``dk`` and the ``marching``
+    the connection triple ``k``, its s-rates ``dk`` and the ``marching``
     values A, B, A', B', A'', B''.  ``rho1`` (``(nt, 1)``) and ``rho2`` are
     the unmasked flatness residuals A' B'' - B' A'' = sqrt(G) c1_22 and
     a b_t - b a_t = sqrt(E) c2_12, whose joint vanishing forces K = 0."""
@@ -273,8 +273,8 @@ class PencilSurface:
         """The spine's frame at ``s``: a ``FrenetFrames`` with one entry."""
         return frenet_apparatus(self.curve, s)
 
-    def _spine(self, s: np.ndarray, source: str):
-        """Frames (n, 4, 4), coefficient triples and their s-rates (n, 3)
+    def _spine(self, s: np.ndarray):
+        """Frames (n, 4, 4), connection triples and their s-rates (n, 3)
         at the 1-D array ``s``, from one ``frenet_frames`` batch.
 
         The rates are exactly zero for W-curves; elsewhere no closed form
@@ -282,13 +282,9 @@ class PencilSurface:
         differences over s +- h, or one-sided second-order differences over
         s, s + h, s + 2h (s, s - h, s - 2h) where s - h (s + h) leaves the
         domain."""
-        if source not in ("frame", "curve"):
-            raise ValueError(f"unknown coefficient source {source!r}")
-        pick = "connection" if source == "frame" else "kappas"
         if isinstance(self.curve, WCurve):
             frames = frenet_frames(self.curve, s)
-            k = getattr(frames, pick)
-            return frames.frame, k, np.zeros_like(k)
+            return frames.frame, frames.connection, np.zeros_like(frames.connection)
         h = _KAPPA_FD_STEP
         lo, hi = self.s_domain
         below = s - h < lo
@@ -297,15 +293,15 @@ class PencilSurface:
         near = np.where(edge, s + sign * h, s + h)
         far = np.where(edge, s + 2.0 * sign * h, s - h)
         frames = frenet_frames(self.curve, np.concatenate([s, near, far]))
-        k0, k1, k2 = np.split(getattr(frames, pick), 3)
+        k0, k1, k2 = np.split(frames.connection, 3)
         rate = np.where(edge[:, None], sign[:, None] * (-3.0 * k0 + 4.0 * k1 - k2) / (2.0 * h),
                         (k1 - k2) / (2.0 * h))
         return frames.frame[:s.size], k0, rate
 
     # -- geometry at one point: a sweep over the 1x1 grid [s] x [t] --------
 
-    def coefficients(self, s: float, t: float, source: str = "frame") -> PencilCoefficients:
-        return _first(self.sweep([s], [t], source).coefficients())
+    def coefficients(self, s: float, t: float) -> PencilCoefficients:
+        return _first(self.sweep([s], [t]).coefficients())
 
     def point_array(self, s, t) -> np.ndarray:
         """X(s,t) without regularity checks (the point itself is always
@@ -331,22 +327,22 @@ class PencilSurface:
     def normal_frame(self, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
         return tuple(v[0, 0] for v in self.sweep([s], [t]).require_regular().normal_frame())
 
-    def fundamental_forms(self, s: float, t: float, source: str = "frame") -> FundamentalForms:
-        return _first(self.sweep([s], [t], source).require_regular().forms)
+    def fundamental_forms(self, s: float, t: float) -> FundamentalForms:
+        return _first(self.sweep([s], [t]).require_regular().forms)
 
-    def second_derivative_s(self, s: float, t: float, source: str = "frame") -> np.ndarray:
-        return self.sweep([s], [t], source).second_derivative_s()[0, 0]
+    def second_derivative_s(self, s: float, t: float) -> np.ndarray:
+        return self.sweep([s], [t]).second_derivative_s()[0, 0]
 
     # -- geometry on a grid ----------------------------------------------
 
-    def sweep(self, ss, ts, source: str = "frame") -> Sweep:
+    def sweep(self, ss, ts) -> Sweep:
         """Points, forms and regularity status on the grid ``ts x ss``.
         Spine data comes from one frame batch over s and the marching
         values from one evaluation over t; an irregular point gets a status
         code, never an exception."""
         s = np.array(ss, dtype=float).reshape(-1)
         t = np.array(ts, dtype=float).reshape(-1)
-        frames, k, dk = self._spine(s, source)
+        frames, k, dk = self._spine(s)
         k, dk = k.T[:, None, :], dk.T[:, None, :]
         gamma = self.curve.point(s)
         marching = np.stack(self.marching.values(t))[:, :, None]

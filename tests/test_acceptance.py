@@ -176,7 +176,7 @@ def test_criterion_3_flatness_condition_families():
         np.linspace(0.82, 1.28, 9),
     ))
     cases.append((
-        "flat polar case i (planar generator, curve convention)",
+        "flat polar case i (planar generator)",
         fam.flat_polar_solution("i", 1.0, 0.0, circle, (1.0, 2.6)).surface,
         np.linspace(1.05, 2.55, 9),
     ))
@@ -184,11 +184,11 @@ def test_criterion_3_flatness_condition_families():
     worst = 0.0
     s_vals = np.linspace(0.0, 4.0, 7)
     for name, p, t_vals in cases:
-        res = cu.flatness_residuals(p, t_vals, s_vals, source="curve")
+        res = p.sweep(s_vals, t_vals)
         assert res.flat, name
         for t in t_vals:
             for s in s_vals:
-                k = abs(cu.gaussian(p, float(s), float(t), source="curve"))
+                k = abs(cu.gaussian(p, float(s), float(t)))
                 worst = max(worst, k)
                 assert k <= 1e-8, (name, s, t, k)
     _report(True, "criterion 3: analytically-flat marching families",

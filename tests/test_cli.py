@@ -579,6 +579,38 @@ class TestFlatDesign:
         assert code == cli.EXIT_CONFIG
 
 
+class TestCaseIScene:
+    """The planar flat design is one surface for every command: the frames
+    it is swept with, the invariants reported on it and the oracle's
+    measurement of its points all describe the same flat cone."""
+
+    CFG = {
+        "curve": {"kind": "w_curve", "a": 1.0, "b": 0.0, "c": 1.0, "d": 1.0},
+        "marching": {"kind": "flat_polar", "case": "i", "c1": 1.0, "c2": 0.0},
+        "domain": {"s": [0.0, 6.0], "t": [1.0, 2.6], "ns": 12, "nt": 12},
+    }
+
+    def test_flat_design_curvature_and_verify_agree(self, tmp_path, capsys):
+        config = write_config(tmp_path, self.CFG)
+        code, out, _ = run(capsys, ["flat-design", "--config", config])
+        assert code == 0 and "verdict: FLAT" in out
+        code, out, _ = run(capsys, ["curvature", "--config", config])
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert len(rows) == 144 and all(row[-1] == "ok" for row in rows)
+        assert max(abs(float(row[4])) for row in rows) <= 1e-8
+        code, out, _ = run(capsys, ["verify", "--config", config])
+        assert code == 0 and "overall: PASS" in out
+
+    def test_frenet_prints_the_swept_frames(self, tmp_path, capsys):
+        code, out, _ = run(capsys, ["frenet", "--config", write_config(tmp_path, self.CFG)])
+        assert code == 0
+        table = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+        v3_v4 = table[:, 9:17]
+        assert np.array_equal(v3_v4, np.broadcast_to(v3_v4[0], v3_v4.shape))
+        assert not np.array_equal(table[:, 1:9], np.broadcast_to(table[0, 1:9], (12, 8)))
+
+
 class TestExport:
     def test_obj_and_csv(self, tmp_path, capsys):
         cfg = seed_scene(

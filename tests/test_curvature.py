@@ -60,7 +60,7 @@ class TestGaussian:
         p = pc.PencilSurface(
             w, pc.MarchingScale.from_expressions("0.7*t", "0.7*t", (-0.2, 0.3))
         )
-        res = cu.flatness_residuals(p, np.linspace(-0.15, 0.25, 9), np.linspace(0, 2, 5))
+        res = p.sweep(np.linspace(0, 2, 5), np.linspace(-0.15, 0.25, 9))
         assert res.flat
         for s in np.linspace(0.0, 2.0, 5):
             for t in np.linspace(-0.15, 0.25, 5):
@@ -199,7 +199,7 @@ class TestFlatnessResiduals:
         p = pc.PencilSurface(
             SEED_CURVE, pc.MarchingScale.from_expressions("t", "t", (-0.3, 0.3))
         )
-        res = cu.flatness_residuals(p, np.linspace(-0.25, 0.25, 9), [0.0, 1.0])
+        res = p.sweep([0.0, 1.0], np.linspace(-0.25, 0.25, 9))
         assert res.max_rho1 <= 1e-15
 
     def test_diagonal_marching_rho2_is_curvature_gap(self):
@@ -207,16 +207,14 @@ class TestFlatnessResiduals:
         p = pc.PencilSurface(
             SEED_CURVE, pc.MarchingScale.from_expressions("t", "t", (-0.3, 0.3))
         )
-        res = cu.flatness_residuals(p, np.linspace(-0.25, 0.25, 9), np.linspace(0, 3, 5))
+        res = p.sweep(np.linspace(0, 3, 5), np.linspace(-0.25, 0.25, 9))
         assert res.rho2 == pytest.approx(np.full_like(res.rho2, K2 - K3), abs=1e-12)
         assert not res.flat
 
     def test_secant_design_rho2_vanishes(self):
         c1 = 2.0 / math.sqrt(7.0)
         design = fam.flat_polar_solution("iv", c1, 0.0, SEED_CURVE, (0.8, 1.3))
-        res = cu.flatness_residuals(
-            design.surface, np.linspace(0.8, 1.3, 9), np.linspace(0.0, 3.0, 5)
-        )
+        res = design.surface.sweep(np.linspace(0.0, 3.0, 5), np.linspace(0.8, 1.3, 9))
         assert res.max_rho2 <= 1e-12
         assert res.flat
 
@@ -236,11 +234,11 @@ class TestFlatnessResiduals:
         for p in cases:
             t_vals = np.linspace(p.t_domain[0] + 0.01, p.t_domain[1] - 0.01, 9)
             s_vals = np.linspace(0.0, 3.0, 5)
-            res = cu.flatness_residuals(p, t_vals, s_vals, source="curve")
+            res = p.sweep(s_vals, t_vals)
             assert res.flat
             for t in t_vals:
                 for s in s_vals:
-                    assert abs(cu.gaussian(p, float(s), float(t), source="curve")) <= 1e-8
+                    assert abs(cu.gaussian(p, float(s), float(t))) <= 1e-8
 
 
 class TestIrregularPoints:

@@ -322,23 +322,44 @@ class TestCompleteFrame:
         assert one.rank.tolist() == [2]
         assert one.connection[0].tolist() == pytest.approx([1.0, 0.0, -1.0])
 
-    def test_completion_frame_ode_coefficients(self):
-        # The completion rotates: numerical frame derivatives must satisfy
-        # the frame ODE with the recorded connection coefficients.
-        w = cv.WCurve(0.6, 0.8, 1.0, 1.0)
-        h = 1e-6
-        s = 0.9
+    @staticmethod
+    def frame_ode_residual(w, s=0.9, h=1e-6):
+        """Largest residual of the frame ODE with the recorded connection
+        coefficients, against central differences of the frame."""
         here, plus, minus = cv.frenet_frames(w, np.array([s, s + h, s - h])).frame
         dframe = (plus - minus) / (2 * h)
         w1, w2, w3 = cv.frenet_apparatus(w, s).connection[0]
         V1, V2, V3, V4 = here
-        residuals = [
+        return max(
             np.linalg.norm(dframe[0] - w1 * V2),
             np.linalg.norm(dframe[1] + w1 * V1 - w2 * V3),
             np.linalg.norm(dframe[2] + w2 * V2 - w3 * V4),
             np.linalg.norm(dframe[3] + w3 * V3),
-        ]
-        assert max(residuals) < 1e-8
+        )
+
+    def test_completion_frame_ode_coefficients(self):
+        # The completion rotates: numerical frame derivatives must satisfy
+        # the frame ODE with the recorded connection coefficients.
+        assert self.frame_ode_residual(cv.WCurve(0.6, 0.8, 1.0, 1.0)) < 1e-8
+
+    def test_parallel_completion_frame_ode_coefficients(self):
+        assert self.frame_ode_residual(cv.WCurve(0.6, 0.8, 1.0, 1.0, parallel=True)) < 1e-8
+
+    @pytest.mark.parametrize("a, b", [(1.0, 0.0), (0.6, 0.8)], ids=["planar", "equal_rates"])
+    def test_parallel_completion_keeps_the_s0_normal_plane(self, a, b):
+        s = np.linspace(0.0, 6.0, 13)
+        parallel = cv.frenet_frames(cv.WCurve(a, b, 1.0, 1.0, parallel=True), s)
+        rotating = cv.frenet_frames(cv.WCurve(a, b, 1.0, 1.0), s)
+        assert np.array_equal(parallel.frame[:, :2], rotating.frame[:, :2])
+        assert np.array_equal(parallel.frame[:, 2:],
+                              np.broadcast_to(rotating.frame[:1, 2:], (13, 2, 4)))
+        assert np.array_equal(parallel.kappas, rotating.kappas)
+        assert np.array_equal(parallel.connection, parallel.kappas)  # (kappa1, 0, 0)
+        gram = parallel.frame @ parallel.frame.swapaxes(1, 2)
+        assert np.max(np.abs(gram - np.eye(4))) < 1e-12
+        # the orientation of the rotating completion, which is det = -1
+        assert np.linalg.det(parallel.frame) == pytest.approx(np.linalg.det(rotating.frame),
+                                                              abs=1e-12)
 
     def test_planar_circle_completion(self):
         w = cv.WCurve(0.5, 0.0, 2.0, 2.0)  # radius 1/2, rate 2

@@ -328,6 +328,23 @@ class TestFlatPolarSolution:
         assert v.max_abs_gaussian <= 1e-8
         assert v.flat
 
+    @pytest.mark.parametrize("case, t_domain", [("i", (1.0, 2.6)), ("iii", (3.8, 4.6))])
+    @pytest.mark.parametrize("circle", [cv.WCurve(1.0, 0.0, 1.0, 1.0),
+                                        cv.WCurve(0.6, 0.8, 1.0, 1.0)],
+                             ids=["planar", "equal_rates"])
+    def test_circular_cases_oracle_flat(self, case, t_domain, circle):
+        # cases i and iii are cones over the circle: the oracle measures the
+        # points the design sweeps, so it must read them flat as well
+        design = fam.flat_polar_solution(case, 1.0, 0.5, circle, t_domain)
+        assert design.params.verification.flat
+        im = orc.Immersion(
+            design.surface.point_array, (-1.0, 7.0), padded(t_domain), step=FLAT_STEP
+        )
+        worst = orc.grid_max_abs_gaussian(
+            im, np.linspace(0.0, 6.0, 6), np.linspace(t_domain[0] + 0.05, t_domain[1] - 0.05, 6)
+        )
+        assert worst <= 1e-8
+
     def test_pole_in_range_rejected(self):
         circle = cv.WCurve(1.0, 0.0, 1.0, 1.0)
         with pytest.raises(DomainError):
@@ -404,9 +421,25 @@ class TestEqualCurvatureConstruction:
         _, k2, k3 = cv.frenet_apparatus(w, 0.7).kappas[0]
         assert abs(k2 - k3) <= 1e-12
 
+    @pytest.mark.parametrize("c, d", [(1.0, 3.0), (1.0, 3.5), (0.5, 2.0), (2.0, 0.3)])
+    def test_closed_form_root(self, c, d):
+        w = fam.w_curve_with_equal_curvatures(c, d)
+        assert (w.c, w.d) == (c, d)
+        speed = np.linalg.norm(w.derivative_arrays(np.linspace(0.0, 6.0, 7), 1)[0], axis=-1)
+        assert np.max(np.abs(speed - 1.0)) <= 1e-12
+        _, k2, k3 = cv.frenet_apparatus(w, 0.4).kappas[0]
+        assert abs(k2 - k3) <= 1e-12
+
     def test_infeasible_rates(self):
         with pytest.raises(ConstraintViolationError):
             fam.w_curve_with_equal_curvatures(1.0, 1.5)  # |c^2-d^2| < 2cd
+
+    @pytest.mark.parametrize("c, d", [(1.0, 2.4), (0.3, 0.4), (1.0, 1.0), (-1.0, 3.0),
+                                      (1.0, 0.0)])
+    def test_infeasible_pairs_still_raise(self, c, d):
+        # |c^2 - d^2| < 2 c d, equal rates, or a rate that is not positive
+        with pytest.raises(ConstraintViolationError):
+            fam.w_curve_with_equal_curvatures(c, d)
 
     def test_five_rate_pairs(self):
         rng = np.random.default_rng(31)

@@ -294,10 +294,8 @@ class TestFundamentalForms:
             fd_s, fd_t = fd_surface_first_derivatives(p.point_array, s, t, h=1e-5)
             assert x_s == pytest.approx(fd_s, abs=1e-7)
             assert x_t == pytest.approx(fd_t, abs=1e-7)
-            # curve-convention coefficients differ once b != 0 in truth
-            co_frame = p.coefficients(s, t, source="frame")
-            co_curve = p.coefficients(s, t, source="curve")
-            assert co_curve.b == 0.0
+            # the rotating completion makes b != 0 in truth
+            co_frame = p.coefficients(s, t)
             assert co_frame.b != 0.0
 
 
@@ -328,8 +326,8 @@ class TestSweep:
         fields["second_derivative_s"] = sw.second_derivative_s()[T, S]
         return fields
 
-    def assert_grid_is_its_points(self, p, ss, ts, source):
-        sw = p.sweep(ss, ts, source)
+    def assert_grid_is_its_points(self, p, ss, ts):
+        sw = p.sweep(ss, ts)
         assert sw.points.shape == (len(ts), len(ss), 4)
         assert sw.status.shape == sw.forms.E.shape == sw.rho2.shape == (len(ts), len(ss))
         S, T = np.meshgrid(ss, ts)
@@ -337,7 +335,7 @@ class TestSweep:
         K = cu.invariants_from_forms(sw.forms).K
         for it, t in enumerate(ts):
             for i_s, s in enumerate(ss):
-                one = p.sweep([s], [t], source)
+                one = p.sweep([s], [t])
                 got, want = self.cell(sw, it, i_s), self.cell(one, 0, 0)
                 for name in want:
                     assert np.array_equal(got[name], want[name], equal_nan=True), (name, s, t)
@@ -356,10 +354,9 @@ class TestSweep:
         c=st.floats(0.7, 1.2), ratio=st.floats(1.6, 2.2), th=st.floats(0.45, 1.1),
         s0=st.floats(0.6, 1.0), a1=st.floats(0.6, 1.0), a2=st.floats(-0.5, 0.5),
         b1=st.floats(0.5, 1.5), b2=st.floats(-0.3, 0.3),
-        source=st.sampled_from(["frame", "curve"]),
     )
     def test_every_field_matches_scalar_route(self, spine, c, ratio, th, s0,
-                                              a1, a2, b1, b2, source):
+                                              a1, a2, b1, b2):
         d = c * ratio
         a, b = math.cos(th) / c, math.sin(th) / d
         s_dom = (s0, s0 + 1.5)
@@ -377,13 +374,13 @@ class TestSweep:
         ss = np.linspace(*s_dom, 5).tolist()
         ts = np.linspace(-0.25, 0.25, 4).tolist()
         self.assert_grid_is_its_points(pc.PencilSurface(curve, marching, s_domain=s_dom),
-                                       ss, ts, source)
+                                       ss, ts)
 
     def test_singular_ray_is_a_status_not_an_error(self):
         w = cv.WCurve(1.0, 0.0, 1.0, 1.0)
         m = pc.MarchingScale.from_expressions("1 + 0*t", "t", (-0.5, 0.5))
         ts = [-0.2, 0.0, 0.3]
-        self.assert_grid_is_its_points(pc.PencilSurface(w, m), [0.0, 0.3, 1.0], ts, "frame")
+        self.assert_grid_is_its_points(pc.PencilSurface(w, m), [0.0, 0.3, 1.0], ts)
         sw = pc.PencilSurface(w, m).sweep([0.0, 0.3, 1.0], ts)
         assert sw.status.tolist() == [[0, 0, 0], [pc.SPINE] * 3, [0, 0, 0]]
         with pytest.raises(RegularityViolationError) as ei:
@@ -394,7 +391,7 @@ class TestSweep:
         # A' = B' = 0 at t = 0.3, which the 64 construction samples miss
         m = pc.MarchingScale.from_expressions("(t - 0.3)^2", "(t - 0.3)^3", (0.0, 1.0))
         ts = [0.1, 0.3, 0.5]
-        self.assert_grid_is_its_points(pc.PencilSurface(SEED_CURVE, m), [0.0, 2.0], ts, "frame")
+        self.assert_grid_is_its_points(pc.PencilSurface(SEED_CURVE, m), [0.0, 2.0], ts)
         sw = pc.PencilSurface(SEED_CURVE, m).sweep([0.0, 2.0], ts)
         assert sw.status.tolist() == [[0, 0], [pc.MARCHING] * 2, [0, 0]]
 
