@@ -3,7 +3,7 @@
 A pencil sweeps X(s,t) = gamma(s) + A(t) V2(s) + B(t) V4(s) along the
 Frenet frame of a unit-speed curve.  The package provides:
 
-* ``expr``      -- the expression language with exact symbolic derivatives
+* ``expr``      -- the expression language, evaluated with its derivatives
 * ``curve``     -- curves in E^4 and their moving frames
 * ``pencil``    -- pencil surfaces, frames, fundamental forms, flatness residuals
 * ``curvature`` -- Gaussian, normal and mean curvature

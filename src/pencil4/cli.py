@@ -272,10 +272,10 @@ def load_scene(path: str | Path, grid_override: str | None = None) -> Scene:
                 _parse_expr(_need(marching_cfg, "B", "marching"), "t", "marching.B"),
                 t_range,
             )
-            surface = pc.PencilSurface(curve, marching, s_domain=s_range)
+            surface = pc.PencilSurface(curve, marching)
         elif kind == "polar":
             r = _parse_expr(_need(marching_cfg, "r", "marching"), "t", "marching.r")
-            surface = pc.PencilSurface(curve, fam.polar_marching(r, t_range), s_domain=s_range)
+            surface = pc.PencilSurface(curve, fam.polar_marching(r, t_range))
         elif kind == "ruled":
             surface = fam.ruled_pencil(curve, t_range)
         elif kind == "flat_polar":

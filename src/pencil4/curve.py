@@ -14,7 +14,7 @@ safe to call from any number of workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -120,19 +120,15 @@ class AnalyticCurve:
 
     components: tuple[ex.Expr, ex.Expr, ex.Expr, ex.Expr]
     domain: tuple[float, float]
-    _derivs: tuple = field(init=False, repr=False, compare=False, default=())
 
     def __post_init__(self):
         if len(self.components) != 4:
             raise ConstraintViolationError("an analytic curve needs exactly 4 components")
-        columns = [(e, *ex.derivatives(e, 4)) for e in self.components]
-        object.__setattr__(self, "_derivs", tuple(zip(*columns)))
         s0, s1 = self.domain
         if not s1 > s0:
             raise ConstraintViolationError("empty parameter domain")
-        samples = np.linspace(s0, s1, 256)
-        speed = np.sqrt(sum(v ** 2 for v in ex.evaluate(self._derivs[1], samples)))
-        worst = float(np.max(np.abs(speed - 1.0)))
+        (speed,) = self.derivative_arrays(np.linspace(s0, s1, 256), 1)
+        worst = float(np.max(np.abs(_norm(speed)[:, 0] - 1.0)))
         if not worst <= UNIT_SPEED_TOL_ANALYTIC:
             raise ConstraintViolationError(
                 f"analytic curve is not unit speed (max | ||gamma'|| - 1 | = {worst:.3e})"
@@ -146,13 +142,13 @@ class AnalyticCurve:
 
     def point(self, s) -> np.ndarray:
         """gamma(s) for a float (shape (4,)) or an array of s (shape (..., 4))."""
-        return np.stack(ex.evaluate(self._derivs[0], s), axis=-1)
+        return np.stack(ex.evaluate(self.components, s), axis=-1)
 
     def derivative_arrays(self, s, order: int) -> list[np.ndarray]:
         """gamma'(s), ..., gamma^(order)(s), each of shape (4,) for a float
-        or (..., 4) for an array of s, from one evaluation of the trees."""
-        values = ex.evaluate([e for k in range(1, order + 1) for e in self._derivs[k]], s)
-        return [np.stack(values[i:i + 4], axis=-1) for i in range(0, 4 * order, 4)]
+        or (..., 4) for an array of s, from one jet evaluation of the
+        components."""
+        return list(np.stack(ex.evaluate(self.components, s, order=order), axis=-1)[1:])
 
 
 CurveSpec = WCurve | AnalyticCurve
@@ -179,12 +175,16 @@ class FrenetFrames:
     ``rank`` (n,) is 4, 3 where the curve lies in a 3-space (kappa3 below
     KAPPA_TOL, V4 completed), or 2 for a completed degenerate frame: kappa_i
     is structurally zero exactly where rank <= i.
+
+    ``rates`` (n, 3), when asked for, holds the s-derivatives of
+    ``connection``; otherwise it is None.
     """
 
     frame: np.ndarray
     kappas: np.ndarray
     connection: np.ndarray
     rank: np.ndarray
+    rates: np.ndarray | None = None
 
 
 _EYE = np.eye(4)
@@ -243,7 +243,7 @@ def orthonormal_completion(rows: Sequence[np.ndarray], count: int,
     return out, found
 
 
-def frenet_frames(curve: CurveSpec, s) -> FrenetFrames:
+def frenet_frames(curve: CurveSpec, s, rates: bool = False) -> FrenetFrames:
     """Frames and curvatures at every entry of the 1-D array ``s`` by
     Gram-Schmidt orthonormalization of the first four derivatives, each
     step one array operation over all of s.
@@ -253,14 +253,21 @@ def frenet_frames(curve: CurveSpec, s) -> FrenetFrames:
     in a 3-space) V4 is the normal complement of V1..V3, canonical up to
     the sign that det = +1 fixes.  Any other rank loss raises
     DegenerateFrameError carrying the achieved rank, at the first such s.
+
+    With ``rates`` the connection's s-derivatives are filled in: zero for a
+    W-curve, else exact from the Frenet equations, by which gamma^(3) has
+    kappa1' on V2, gamma^(4) has 2 kappa1' kappa2 + kappa1 kappa2' on V3,
+    and gamma^(5) has kappa1 kappa2 kappa3' + kappa3 (3 kappa1' kappa2 +
+    2 kappa1 kappa2') on V4.
     """
     s = np.asarray(s, dtype=float)
     if isinstance(curve, WCurve) and curve.is_degenerate_rotation:
-        return _completed_frames(curve, s)
+        return _completed_frames(curve, s, rates)
 
-    d = curve.derivative_arrays(s, 4)
+    analytic_rates = rates and not isinstance(curve, WCurve)
+    d = curve.derivative_arrays(s, 5 if analytic_rates else 4)
     with np.errstate(divide="ignore", invalid="ignore"):
-        v, norms = gram_schmidt(d)
+        v, norms = gram_schmidt(d[:4])
         kappa1, kappa2 = norms[1], norms[2] / norms[1]
         in_3_space = (norms[3] / (kappa1 * kappa2))[:, 0] < KAPPA_TOL
     fault = np.flatnonzero((kappa1 < KAPPA_TOL) | (kappa2 < KAPPA_TOL))
@@ -278,9 +285,17 @@ def frenet_frames(curve: CurveSpec, s) -> FrenetFrames:
         completed, _ = orthonormal_completion(frame[in_3_space, :3].swapaxes(0, 1), 1)
         frame[in_3_space, 3] = completed[0]
     frame[np.linalg.det(frame) < 0.0, 3] *= -1.0
-    kappas = np.concatenate([kappa1, kappa2, _dot(d[3], frame[:, 3]) / (kappa1 * kappa2)], 1)
+    kappa3 = _dot(d[3], frame[:, 3]) / (kappa1 * kappa2)
+    kappas = np.concatenate([kappa1, kappa2, kappa3], 1)
+    rate = np.zeros((s.size, 3)) if rates else None
+    if analytic_rates:
+        rate1 = _dot(d[2], frame[:, 1])
+        rate2 = (_dot(d[3], frame[:, 2]) - 2.0 * rate1 * kappa2) / kappa1
+        rate3 = (_dot(d[4], frame[:, 3])
+                 - kappa3 * (3.0 * rate1 * kappa2 + 2.0 * kappa1 * rate2)) / (kappa1 * kappa2)
+        rate = np.concatenate([rate1, rate2, rate3], 1)
     return FrenetFrames(frame=frame, kappas=kappas, connection=kappas,
-                        rank=np.where(in_3_space, 3, 4))
+                        rank=np.where(in_3_space, 3, 4), rates=rate)
 
 
 def frenet_apparatus(curve: CurveSpec, s: float) -> FrenetFrames:
@@ -288,7 +303,7 @@ def frenet_apparatus(curve: CurveSpec, s: float) -> FrenetFrames:
     return frenet_frames(curve, np.array([float(s)]))
 
 
-def _completed_frames(curve: WCurve, s: np.ndarray) -> FrenetFrames:
+def _completed_frames(curve: WCurve, s: np.ndarray, rates: bool) -> FrenetFrames:
     """Explicit frame completion for a degenerate double-rotation generator
     (equal rates c = d, or a planar circle with b = 0), at every entry of
     the 1-D array ``s``:
@@ -329,5 +344,5 @@ def _completed_frames(curve: WCurve, s: np.ndarray) -> FrenetFrames:
     return FrenetFrames(frame=frame, kappas=np.tile([kappa1, 0.0, 0.0], (n, 1)),
                         connection=np.tile([kappa1, 0.0, 0.0 if curve.parallel else -rate],
                                            (n, 1)),
-                        rank=np.full(n, 2))
+                        rank=np.full(n, 2), rates=np.zeros((n, 3)) if rates else None)
 

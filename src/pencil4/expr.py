@@ -1,4 +1,4 @@
-"""A small arithmetic expression language with exact symbolic derivatives.
+"""A small arithmetic expression language, evaluated with its derivatives.
 
 This is the input language for curve components and marching-scale
 functions.  One free variable, real literals, ``+ - * / ^`` with the usual
@@ -7,10 +7,13 @@ precedence (``^`` binds tighter than unary minus, which binds tighter than
 rest left), the functions ``sin cos tan sec exp ln sqrt`` and the named
 constants ``pi`` and ``e``.
 
-Derivatives are symbolic so that fourth-order curve derivatives stay exact;
-the only rewriting performed is constant folding plus the obvious
-0/1-identities, which keeps derivative trees small without pretending to be
-a CAS.  Correctness is judged by evaluation, not by canonical form.
+Derivatives come from evaluating the tree on truncated Taylor series
+("jets", Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13):
+``evaluate(e, x, order=k)`` gives the value and the first k derivatives in
+one pass, at a cost linear in the tree, and exact up to rounding.
+``differentiate`` still builds a symbolic derivative tree, rewriting only by
+constant folding and the obvious 0/1-identities; its correctness is judged
+by evaluation, not by canonical form.
 
 Expression values are immutable; evaluation is a pure function of the tree
 and the binding, so concurrent reads are safe.
@@ -36,8 +39,6 @@ __all__ = [
     "Call",
     "parse",
     "differentiate",
-    "derivatives",
-    "tree_size",
     "evaluate",
     "to_string",
     "constant",
@@ -57,9 +58,10 @@ _POLE_TOL = 1e-14
 # Evaluation and differentiation recurse once per tree level.
 MAX_DEPTH = 100
 
-# Largest derivative tree, counted with shared subtrees expanded, that
-# ``derivatives`` returns: evaluation time grows with this count.
-MAX_NODES = 20_000
+# Highest derivative ``evaluate`` gives, the fifth of a curve for its kappa
+# rates: a jet's sums of at most 6 terms keep their order in every batch
+# shape (see ``_conv``).
+MAX_ORDER = 5
 
 
 # ---------------------------------------------------------------------------
@@ -490,33 +492,50 @@ _FUNCTIONS = {
 }
 
 
-def evaluate(e: Expr | Sequence[Expr], x):
+def evaluate(e: Expr | Sequence[Expr], x, order: int = 0):
     """Evaluate ``e`` with the free variable bound to ``x`` in IEEE double
     precision, with numpy ufuncs.  ``x`` is a float (the result is a float:
     a batch of one) or an ndarray (the result has the shape of ``x``).
     ``e`` may also be a sequence of expressions, evaluated in order with one
-    memo (a curve's components and their derivatives share subtrees): the
-    result is then the list of their values.  A subtree shared within ``e``
-    is evaluated once.  Domain faults raise EvalDomainError carrying the
-    source offset of the offending subtree; for an array the message also
-    names the first faulting element."""
+    memo (a curve's components share subtrees): the result is then the list
+    of their values.  A subtree shared within ``e`` is evaluated once.
+    Domain faults raise EvalDomainError carrying the source offset of the
+    offending subtree; for an array the message also names the first
+    faulting element.
+
+    With ``order`` k > 0 each result is instead an array ``(k + 1,
+    *x.shape)`` of the value and its first k derivatives, from one pass
+    over truncated Taylor series (``_jet``); row 0 is the order-0 result bit
+    for bit.  A derivative that is not finite where its value is (``sqrt``
+    at 0) is a domain fault too, of the node that first produces it."""
+    if not 0 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be between 0 and {MAX_ORDER}, got {order!r}")
     arr = np.asarray(x, dtype=float)
     bound, memo = (arr if arr.ndim else arr[()]), {}
+    if order:
+        bound = np.zeros((order + 1, *arr.shape))
+        bound[0], bound[1] = arr, 1.0
     with np.errstate(all="ignore"):
-        out = [np.array(np.broadcast_to(_evaluate(tree, bound, memo), arr.shape))
+        out = [_evaluate(tree, bound, memo, _jet if order else _value)
                for tree in ((e,) if isinstance(e, Expr) else e)]
-    if not isinstance(x, np.ndarray):
-        out = [float(value) for value in out]
+    if order:  # rows times k!; a constant's derivative rows vanish
+        factorial = _ramp(bound, _FACTORIAL)
+        out = [(v if isinstance(v, np.ndarray) else np.broadcast_to(
+            np.where(_ramp(bound) == 0.0, v, 0.0), bound.shape)) * factorial for v in out]
+    else:
+        out = [np.array(np.broadcast_to(value, arr.shape)) for value in out]
+        if not isinstance(x, np.ndarray):
+            out = [float(value) for value in out]
     return out[0] if isinstance(e, Expr) else out
 
 
-def _evaluate(e: Expr, x, memo: dict):
-    """The value of ``e`` over ``x``; ``memo`` maps the id of each node
-    evaluated so far (``e`` keeps its nodes, and so their ids, alive) to
-    its value."""
+def _evaluate(e: Expr, x, memo: dict, node):
+    """The value of ``e`` over ``x`` by ``node`` (``_value``, or ``_jet`` over
+    the variable's jet); ``memo`` maps the id of each node evaluated so far
+    (``e`` keeps its nodes, and so their ids, alive) to its value."""
     key = id(e)
     if key not in memo:
-        memo[key] = _value(e, x, *(_evaluate(c, x, memo) for c in _children(e)))
+        memo[key] = node(e, x, *(_evaluate(c, x, memo, node) for c in _children(e)))
     return memo[key]
 
 
@@ -556,7 +575,52 @@ def _value(e: Expr, x, *v):
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _raise_first(x: np.ndarray, name: str, pos: int | None, out, *operands) -> None:
+def _jet(e: Expr, x: np.ndarray, *v):
+    """The jet of node ``e`` from its children's jets ``v``, where ``x`` is
+    the variable's: an array ``(order + 1, *shape)`` of the Taylor
+    coefficients f^(k)/k!, or a numpy scalar for a subtree free of the
+    variable.  Row 0 is ``_value`` of the rows 0, faults included.  Where
+    ``_FAULTS`` checks row 0, a derivative row that is not finite where row
+    0 is raises too (elsewhere only unchecked overflow makes one so)."""
+    if isinstance(e, Literal):
+        return np.float64(e.value)
+    if isinstance(e, Variable):
+        return x
+    if isinstance(e, Neg) or np.ndarray not in map(type, v):
+        return _value(e, x[0], *v)
+    name = e.op if isinstance(e, BinOp) else e.fn
+    w = _linear(name, *v) if name in "+-*/" else None
+    if w is None:
+        w = np.empty(x.shape)
+        w[0] = _value(e, x[0], *(c[0] if isinstance(c, np.ndarray) else c for c in v))
+        _TAYLOR[name](w, *v)
+    elif name == "/":
+        _raise_first(x[0], name, e.pos, w[0], v[0][0], v[1])
+    if name in _FAULTS and not math.isfinite(np.add.reduce(w[1:], axis=None)):
+        bad = np.isfinite(w[0]) & ~np.isfinite(w[1:]).all(axis=0)
+        if bad.any():
+            what = {"/": "quotient", "^": "power"}.get(name, name)
+            _raise(x[0], int(np.argmax(bad)), f"{what} has no finite derivative", e.pos)
+    return w
+
+
+def _linear(name: str, l, r) -> np.ndarray | None:
+    """The jet of ``l name r`` by one operation on whole jets where it is
+    linear in them, else None; row 0 is the same IEEE operation on rows 0
+    (``l - r_0`` is ``(-r_0) + l``)."""
+    lj, rj = isinstance(l, np.ndarray), isinstance(r, np.ndarray)
+    if name == "*":
+        return None if lj and rj else l * r
+    if name == "/":
+        return None if rj else l / r
+    if lj and rj:
+        return l + r if name == "+" else l - r
+    w = l.copy() if lj else r.copy() if name == "+" else -r
+    w[0] += l if rj else r if name == "+" else -r
+    return w
+
+
+def _raise_first(x, name: str, pos: int | None, out, *operands) -> None:
     """Raise EvalDomainError at the first element of ``x`` where one of
     ``name``'s domain faults holds; at that element the earliest listed
     fault is reported."""
@@ -575,12 +639,119 @@ def _raise_first(x: np.ndarray, name: str, pos: int | None, out, *operands) -> N
         return
     masks = [np.broadcast_to(mask, x.shape).ravel() for mask, _ in faults]
     first = int(np.argmax(np.logical_or.reduce(masks)))
-    message = next(msg for mask, (_, msg) in zip(masks, faults) if mask[first])
+    _raise(x, first, next(msg for mask, (_, msg) in zip(masks, faults) if mask[first]), pos)
+
+
+def _raise(x, first: int, message: str, pos: int | None) -> None:
+    """Raise EvalDomainError with ``message``, naming the element of ``x``
+    at flat index ``first`` when ``x`` is an array."""
     if np.ndim(x) == 0:
         raise EvalDomainError(message, pos)
     where = np.unravel_index(first, x.shape)
     raise EvalDomainError(f"{message} at element {list(map(int, where))} "
                           f"(variable = {float(x[where])!r})", pos)
+
+
+# ---------------------------------------------------------------------------
+# Taylor recurrences (Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+# ch. 13): each fills rows 1.. of a node's jet ``w`` from its row 0 and its
+# children's jets
+# ---------------------------------------------------------------------------
+
+
+# Row numbers and factorials of jets, and each row count's Cauchy-product
+# indices [k, j] -> k - j (n where j > k), made at import, before any large
+# array: built lazily between large arrays they kept the heap from shrinking
+# (3 MB more peak RSS on the 120x120 grid benchmark).
+_ROWS = np.arange(MAX_ORDER + 1.0)
+_FACTORIAL = np.cumprod(np.maximum(_ROWS, 1.0))
+_TOEPLITZ = [np.where(j <= k, k - j, n) for n in range(MAX_ORDER + 2)
+             for k, j in [np.indices((n, n))]]
+_SIGNS = np.array([1.0, -1.0])  # (sin, cos)' = u' (cos, sin) * _SIGNS
+
+
+def _ramp(w: np.ndarray, rows: np.ndarray = _ROWS) -> np.ndarray:
+    """``rows`` (k by default) for the rows k of a jet, shaped to broadcast
+    over it."""
+    return rows[:len(w)].reshape((-1,) + (1,) * (w.ndim - 1))
+
+
+def _conv(a: np.ndarray, b: np.ndarray):
+    """sum_j a_j b_j over rows, in row order below 8 rows whatever the other
+    axes, so a batch and its batches of one agree bit for bit."""
+    return np.add.reduce(a * b, axis=0)
+
+
+def _cauchy(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The jet of u v: w_k = sum_j u_j v_(k-j), in j order."""
+    padded = np.concatenate([v, np.zeros((1, *v.shape[1:]))])
+    return np.add.reduce(u * padded[_TOEPLITZ[len(u)]], axis=1)
+
+
+def _quotient(w, u, v) -> None:
+    """w = u / v: v_0 w_k = u_k - sum_(j<k) w_j v_(k-j)."""
+    for k in range(1, len(w)):
+        w[k] = ((u[k] if isinstance(u, np.ndarray) else 0.0) - _conv(w[:k], v[k:0:-1])) / v[0]
+
+
+def _exp(w, u) -> None:
+    """w = exp(u), w' = u' w: k w_k = sum_(j=1..k) j u_j w_(k-j)."""
+    ju = u * _ramp(w)
+    for k in range(1, len(w)):
+        w[k] = _conv(ju[1:k + 1], w[k - 1::-1]) / k
+
+
+def _log(w, u) -> None:
+    """w = ln(u), u w' = u': u_0 w_k = u_k - sum_(j=1..k-1) (j/k) w_j u_(k-j)."""
+    j = _ramp(w)
+    for k in range(1, len(w)):
+        w[k] = (u[k] - _conv(j[1:k] * w[1:k], u[k - 1:0:-1]) / k) / u[0]
+
+
+def _sincos(u) -> np.ndarray:
+    """sin u and cos u stacked on axis 1: (sin, cos)' = u' (cos, -sin), so
+    k (s_k, c_k) = sum_(j=1..k) j u_j (c_(k-j), -s_(k-j))."""
+    sc = np.empty((len(u), 2, *u.shape[1:]))
+    sc[0, 0], sc[0, 1] = np.sin(u[0]), np.cos(u[0])
+    ju = (u * _ramp(u))[:, None]
+    sign = _SIGNS.reshape((2,) + (1,) * (u.ndim - 1))
+    for k in range(1, len(u)):
+        sc[k] = _conv(ju[1:k + 1], sc[k - 1::-1, ::-1]) * sign / k
+    return sc
+
+
+def _power(w, u, r) -> None:
+    """w = u^r: for a constant integer r by repeated squaring (so t^2 stays
+    exact at t = 0), else as exp(r ln u)."""
+    if not isinstance(r, np.ndarray) and r % 1.0 == 0.0:
+        p, n = None, abs(int(r))
+        while n:
+            if n & 1:
+                p = u if p is None else _cauchy(p, u)
+            n >>= 1
+            if n:
+                u = _cauchy(u, u)
+        if r < 0.0:
+            _quotient(w, 1.0, p)
+        else:
+            w[1:] = 0.0 if p is None else p[1:]
+        return
+    log = np.log(u)  # row 0 of a jet; _log rewrites the rest
+    if isinstance(u, np.ndarray):
+        _log(log, u)
+    both = isinstance(r, np.ndarray) and isinstance(log, np.ndarray)
+    _exp(w, _cauchy(r, log) if both else r * log)
+
+
+_TAYLOR = {
+    "*": lambda w, l, r: np.copyto(w[1:], _cauchy(l, r)[1:]),
+    "/": _quotient, "^": _power, "exp": _exp, "ln": _log,
+    "sqrt": lambda w, u: _power(w, u, 0.5),
+    "sin": lambda w, u: np.copyto(w[1:], _sincos(u)[1:, 0]),
+    "cos": lambda w, u: np.copyto(w[1:], _sincos(u)[1:, 1]),
+    "tan": lambda w, u: _quotient(w, *_sincos(u).swapaxes(0, 1)),
+    "sec": lambda w, u: _quotient(w, 1.0, _sincos(u)[:, 1]),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -660,33 +831,6 @@ def _derivative(e: Expr, *d: Expr) -> Expr:
             return _div(du, _mul(Literal(2.0), e))
         raise AssertionError(f"bad function {fn!r}")
     raise TypeError(f"not an expression node: {e!r}")
-
-
-def tree_size(e: Expr) -> int:
-    """Node count of ``e`` with every shared subtree counted once per use:
-    the number of nodes an evaluation visits.  Costs one visit per
-    distinct node."""
-    return _tree_size(e, {})
-
-
-def _tree_size(e: Expr, memo: dict) -> int:
-    key = id(e)
-    if key not in memo:
-        memo[key] = 1 + sum(_tree_size(c, memo) for c in _children(e))
-    return memo[key]
-
-
-def derivatives(e: Expr, order: int) -> list[Expr]:
-    """``[e', e'', ..., e^(order)]``.  Raises ParseError at the offset of
-    ``e`` when a derivative would visit more than MAX_NODES nodes per
-    evaluation (nested functions multiply under the chain rule)."""
-    out = [e]
-    for k in range(1, order + 1):
-        out.append(differentiate(out[-1]))
-        if tree_size(out[-1]) > MAX_NODES:
-            raise ParseError(f"derivative {k} of the expression expands to more than "
-                             f"{MAX_NODES} nodes", e.pos or 0)
-    return out[1:]
 
 
 # ---------------------------------------------------------------------------

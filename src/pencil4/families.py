@@ -259,7 +259,7 @@ def ruled_reference_normal_curvature(k1: float, k2: float, k3: float, t: float) 
 
 def polar_marching(r: ex.Expr | str,
                    t_domain: tuple[float, float]) -> MarchingScale:
-    """A = r(t) cos t, B = r(t) sin t with exact symbolic derivatives.
+    """A = r(t) cos t, B = r(t) sin t.
 
     Requires r to be finite and positive across the domain; a pole or sign
     change raises DomainError."""
@@ -406,7 +406,7 @@ def flat_polar_solution(
 
     r = _flat_radius(case, c1, c2)
     marching = polar_marching(r, t_domain)
-    surface = PencilSurface(curve, marching, s_domain=s_domain)
+    surface = PencilSurface(curve, marching)
 
     t_samples = np.linspace(t_domain[0], t_domain[1], nt)
     sw = surface.sweep(s_samples, t_samples).require_regular()
@@ -440,12 +440,12 @@ def flat_ode_residuals(
         eps1(t)    = 2 r'^2 - r r'' + r^2
         eps2(s, t) = k1 k3 r^2 + (r' k2 - r k3) cos t - (r' k3 + r k2) sin t
 
-    evaluated with exact symbolic derivatives of r and the curve's own
-    curvature values."""
+    evaluated with the first two derivatives of r from one jet evaluation
+    and the curve's own curvature values."""
     if isinstance(r, str):
         r = ex.parse(r, "t")
     t_arr = np.asarray(list(t_samples), dtype=float)
-    rv, dv, sv = ex.evaluate((r, *ex.derivatives(r, 2)), t_arr)
+    rv, dv, sv = ex.evaluate(r, t_arr, order=2)
     eps1 = 2.0 * dv * dv - rv * sv + rv * rv
     # kappas per s as (ns, 1) columns against the (nt,) radius samples
     k1, k2, k3 = frenet_frames(curve, np.asarray(s_samples, dtype=float)).kappas.T[:, :, None]

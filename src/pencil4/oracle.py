@@ -5,7 +5,7 @@ by central differences with one Richardson extrapolation level (the
 resulting 5-point stencils are 4th-order accurate), a normal basis by
 Gram-Schmidt over the standard basis vectors, and the curvature invariants
 assembled from the measured fundamental-form coefficients.  Nothing here
-touches moving frames or symbolic derivatives: the derivatives, the normals
+touches moving frames or expression derivatives: the derivatives, the normals
 and the second-form coefficients ``c`` are measured independently of every
 closed form in the library.  The last step is shared: the invariants are
 assembled by ``curvature.invariants_from_forms``, the same kernel the closed

@@ -1,10 +1,11 @@
 """Surface pencils X(s,t) = gamma(s) + A(t) V2(s) + B(t) V4(s).
 
-The marching-scale functions A, B are expressions in t with exact symbolic
-derivatives.  Writing a = 1 - k1 A and b = k2 A - k3 B, the tangent plane is
-spanned by X_s = a V1 + b V3 and X_t = A' V2 + B' V4, the metric is
-diagonal (E = a^2 + b^2, F = 0, G = A'^2 + B'^2), and the second
-fundamental form has exactly four nonzero coefficients.
+The marching-scale functions A, B are expressions in t, evaluated with
+their first and second derivatives.  Writing a = 1 - k1 A and
+b = k2 A - k3 B, the tangent plane is spanned by X_s = a V1 + b V3 and
+X_t = A' V2 + B' V4, the metric is diagonal (E = a^2 + b^2, F = 0,
+G = A'^2 + B'^2), and the second fundamental form has exactly four nonzero
+coefficients.
 
 The k_i are the frame-ODE ("connection") coefficients of the spine's
 ``FrenetFrames``: the frame the points are swept with is the frame whose
@@ -21,12 +22,12 @@ methods read a sweep over the 1x1 grid ``[s] x [t]``, a batch of one.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import expr as ex
-from .curve import CurveSpec, FrenetFrames, WCurve, frenet_apparatus, frenet_frames
+from .curve import CurveSpec, FrenetFrames, frenet_apparatus, frenet_frames
 from .errors import RegularityViolationError
 
 __all__ = [
@@ -39,7 +40,6 @@ __all__ = [
 
 REGULARITY_TOL = 1e-12
 FLATNESS_RESIDUAL_TOL = 1e-9
-_KAPPA_FD_STEP = 1e-5  # central step for kappa'(s) on analytic curves
 _BLOCK = 4096  # most values per block of a point assembly (see _point)
 
 # Regularity status codes of a grid point, and the condition each one names.
@@ -54,21 +54,13 @@ class MarchingScale:
     A: ex.Expr
     B: ex.Expr
     domain: tuple[float, float]
-    dA: ex.Expr = field(init=False, repr=False, compare=False, default=None)
-    dB: ex.Expr = field(init=False, repr=False, compare=False, default=None)
-    ddA: ex.Expr = field(init=False, repr=False, compare=False, default=None)
-    ddB: ex.Expr = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
-        for name, e in (("A", self.A), ("B", self.B)):
-            first, second = ex.derivatives(e, 2)
-            object.__setattr__(self, "d" + name, first)
-            object.__setattr__(self, "dd" + name, second)
         t0, t1 = self.domain
         if not t1 > t0:
             raise RegularityViolationError("marching")
         samples = np.linspace(t0, t1, 64)
-        da, db = ex.evaluate((self.dA, self.dB), samples)
+        (_, da), (_, db) = ex.evaluate((self.A, self.B), samples, order=1)
         stalled = np.flatnonzero(da * da + db * db <= REGULARITY_TOL)
         if stalled.size:
             raise RegularityViolationError("marching", t=float(samples[stalled[0]]))
@@ -81,8 +73,9 @@ class MarchingScale:
 
     def values(self, t) -> tuple:
         """(A, B, A', B', A'', B'') at a float ``t``, or an array of each at
-        an array of t, from one evaluation of the six trees."""
-        return tuple(ex.evaluate((self.A, self.B, self.dA, self.dB, self.ddA, self.ddB), t))
+        an array of t, from one order-2 jet evaluation of A and B."""
+        (A, dA, ddA), (B, dB, ddB) = ex.evaluate((self.A, self.B), t, order=2)
+        return A, B, dA, dB, ddA, ddB
 
 
 @dataclass(frozen=True)
@@ -257,11 +250,6 @@ class PencilSurface:
 
     curve: CurveSpec
     marching: MarchingScale
-    s_domain: tuple[float, float] = None
-
-    def __post_init__(self):
-        if self.s_domain is None:
-            object.__setattr__(self, "s_domain", self.curve.domain)
 
     @property
     def t_domain(self) -> tuple[float, float]:
@@ -274,29 +262,11 @@ class PencilSurface:
         return frenet_apparatus(self.curve, s)
 
     def _spine(self, s: np.ndarray):
-        """Frames (n, 4, 4), connection triples and their s-rates (n, 3)
-        at the 1-D array ``s``, from one ``frenet_frames`` batch.
-
-        The rates are exactly zero for W-curves; elsewhere no closed form
-        survives the Gram-Schmidt construction, so they are central
-        differences over s +- h, or one-sided second-order differences over
-        s, s + h, s + 2h (s, s - h, s - 2h) where s - h (s + h) leaves the
-        domain."""
-        if isinstance(self.curve, WCurve):
-            frames = frenet_frames(self.curve, s)
-            return frames.frame, frames.connection, np.zeros_like(frames.connection)
-        h = _KAPPA_FD_STEP
-        lo, hi = self.s_domain
-        below = s - h < lo
-        edge = below | (s + h > hi)
-        sign = np.where(below, 1.0, -1.0)
-        near = np.where(edge, s + sign * h, s + h)
-        far = np.where(edge, s + 2.0 * sign * h, s - h)
-        frames = frenet_frames(self.curve, np.concatenate([s, near, far]))
-        k0, k1, k2 = np.split(frames.connection, 3)
-        rate = np.where(edge[:, None], sign[:, None] * (-3.0 * k0 + 4.0 * k1 - k2) / (2.0 * h),
-                        (k1 - k2) / (2.0 * h))
-        return frames.frame[:s.size], k0, rate
+        """Frames (n, 4, 4), connection triples and their exact s-rates
+        (n, 3) at the 1-D array ``s``, from one ``frenet_frames`` batch over
+        s (the rates are zero for W-curves; see ``frenet_frames``)."""
+        frames = frenet_frames(self.curve, s, rates=True)
+        return frames.frame, frames.connection, frames.rates
 
     # -- geometry at one point: a sweep over the 1x1 grid [s] x [t] --------
 

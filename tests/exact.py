@@ -19,9 +19,12 @@ A point costs a few hundredths of a second.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+import operator
+from typing import Callable, NamedTuple, Sequence
 
 from mpmath import mp
+
+from pencil4 import expr as ex
 
 DPS = 50
 
@@ -110,3 +113,65 @@ def invariants(point: Callable, s: float, t: float) -> Invariants:
             K_N=float((A1 * A2 - A2 * A1)[0, 1]),
             H_norm_sq=float(sum(((S[0, 0] + S[1, 1]) / 2) ** 2 for S in shape)),
         )
+
+
+# ---------------------------------------------------------------------------
+# Analytic curves: expression trees read by mpmath
+# ---------------------------------------------------------------------------
+
+
+_FUNCTIONS = {"sin": mp.sin, "cos": mp.cos, "tan": mp.tan, "sec": mp.sec, "exp": mp.exp,
+              "ln": mp.ln, "sqrt": mp.sqrt}
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+              "^": operator.pow}
+
+
+def expression_function(e: ex.Expr) -> Callable:
+    """The function of one mpf that the pencil4 expression tree ``e``
+    denotes, in mpmath at its working precision; a literal is the exact
+    value of its double."""
+    def value(node, x):
+        if isinstance(node, ex.Literal):
+            return mp.mpf(node.value)
+        if isinstance(node, ex.Variable):
+            return x
+        if isinstance(node, ex.Neg):
+            return -value(node.operand, x)
+        if isinstance(node, ex.Call):
+            return _FUNCTIONS[node.fn](value(node.arg, x))
+        return _OPERATORS[node.op](value(node.left, x), value(node.right, x))
+
+    return lambda x: value(e, x)
+
+
+class Frenet(NamedTuple):
+    frame: list   # rows V1..V4, four mpf each
+    kappas: list  # kappa1, kappa2, kappa3
+
+
+def curve_frenet(components: Sequence[Callable], s) -> Frenet:
+    """Frame and curvatures at ``s`` of the curve whose components are the
+    mpmath functions ``components``: Gram-Schmidt on gamma', ..., gamma''''
+    from ``mp.diffs``, with kappa_i the ratio |e_(i+1)| / |e_i| of
+    successive residual lengths, and kappa3 and V4 signed so that
+    det[V1 V2 V3 V4] = +1."""
+    with mp.workdps(DPS):
+        derivs = [list(mp.diffs(f, mp.mpf(s), 4))[1:] for f in components]
+        frame, lengths = [], []
+        for k in range(4):
+            r = _minus_projections([d[k] for d in derivs], frame)
+            lengths.append(mp.sqrt(_dot(r, r)))
+            frame.append(_unit(r))
+        sign = mp.sign(mp.det(mp.matrix(frame)))
+        frame[3] = [sign * x for x in frame[3]]
+        return Frenet(frame, [lengths[1] / lengths[0], lengths[2] / lengths[1],
+                              sign * lengths[3] / lengths[2]])
+
+
+def kappa_rates(components: Sequence[Callable], s) -> list:
+    """kappa_1'(s), kappa_2'(s), kappa_3'(s) of ``curve_frenet`` by a central
+    difference of step 1e-15 at 50 digits (truncation near 1e-30)."""
+    with mp.workdps(DPS):
+        h = mp.mpf("1e-15")
+        plus, minus = (curve_frenet(components, mp.mpf(s) + d).kappas for d in (h, -h))
+        return [(p - m) / (2 * h) for p, m in zip(plus, minus)]

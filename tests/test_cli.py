@@ -13,10 +13,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
+import exact
 from pencil4 import cli
+from pencil4 import curve as cv
+from pencil4 import expr as ex
 from pencil4 import pencil as pc
 from pencil4 import text as tx
+from test_curve import INVOLUTE_COMPONENTS
+from test_expr import nested_sin
 
 SQ3 = math.sqrt(3.0)
 
@@ -137,13 +143,57 @@ class TestConfig:
             assert f"between 2 and {cli.MAX_GRID}" in err and out == ""
         assert cli.load_scene(path, f"{cli.MAX_GRID}x2").ns == cli.MAX_GRID
 
-    def test_derivative_blow_up_is_expression_error(self, tmp_path, capsys):
-        # 40 nested sines: four derivatives would expand to ~3e7 nodes
+    def test_deeply_nested_component_is_differentiated(self, tmp_path, capsys):
+        # 40 nested sines, scaled to keep the curve unit speed: a fourth
+        # derivative tree would have ~3e7 nodes, the jets visit 41
         cfg = analytic_scene()
-        cfg["curve"]["components"][2] = "sin(" * 40 + "s" + ")" * 40
-        code, out, err = run(capsys, ["frenet", "--config", write_config(tmp_path, cfg)])
-        assert code == cli.EXIT_EVAL_DOMAIN
-        assert "expands to more than" in err and "offset 0" in err and out == ""
+        cfg["curve"]["components"][2] = "0.25*cos(2*s) + 0.0000000001*" + nested_sin(40)
+        path = write_config(tmp_path, cfg)
+        code, out, err = run(capsys, ["frenet", "--config", path])
+        assert code == cli.EXIT_OK and err == "" and len(out.splitlines()) == 6
+        curve = cli.load_scene(path).surface.curve
+        s = np.array([0.4, 2.2, 5.1])
+        fourth = curve.derivative_arrays(s, 4)[3][:, 2]
+        with mp.workdps(30):
+            component = exact.expression_function(curve.components[2])
+            for x, got in zip(s.tolist(), fourth.tolist()):
+                assert got == pytest.approx(float(mp.diff(component, mp.mpf(x), 4)), rel=1e-13)
+
+    def test_loading_and_one_sweep_build_no_derivative_tree(self, tmp_path, monkeypatch):
+        # derivatives come from jets, and the sweep takes its frames and
+        # their exact kappa rates from one batch over its ns values of s
+        differentiated, batches = [], []
+        differentiate, frenet_frames = ex.differentiate, cv.frenet_frames
+
+        def counted(curve, s, *args, **kwargs):
+            batches.append(len(s))
+            return frenet_frames(curve, s, *args, **kwargs)
+
+        monkeypatch.setattr(ex, "differentiate",
+                            lambda e: differentiated.append(e) or differentiate(e))
+        for module in (cv, pc):
+            monkeypatch.setattr(module, "frenet_frames", counted)
+        scene = cli.load_scene(write_config(tmp_path, analytic_scene()))
+        scene.surface.sweep(*cli._grid(scene))
+        assert differentiated == [] and batches == [scene.ns]
+
+    @pytest.mark.parametrize("command", ["frenet", "eval"])
+    @pytest.mark.parametrize("where, offset", [("spine", 3), ("marching", 4)])
+    def test_infinite_derivative_is_expression_error(self, tmp_path, capsys, command, where,
+                                                     offset):
+        # sqrt is finite at 0 and its derivative is not, in a spine component
+        # (the involute's first sqrt(s)) or in marching.A
+        if where == "spine":
+            cfg = analytic_scene()
+            cfg["curve"] = {"kind": "analytic", "components": INVOLUTE_COMPONENTS,
+                            "domain": [0.0, 2.5]}
+        else:
+            cfg = seed_scene(marching={"kind": "expressions", "A": "t + sqrt(t)", "B": "t^2"},
+                             domain={"s": [0.0, 6.0], "t": [0.0, 0.5], "ns": 5, "nt": 4})
+        code, out, err = run(capsys, [command, "--config", write_config(tmp_path, cfg)])
+        assert code == cli.EXIT_EVAL_DOMAIN and out == ""
+        assert err == ("expression error: sqrt has no finite derivative at element [0] "
+                       f"(variable = 0.0) (source offset {offset})\n")
 
     def test_infinite_trig_argument_is_expression_error(self, tmp_path, capsys):
         # 10^308*10 overflows to inf; sin and cos of it are domain faults

@@ -13,7 +13,7 @@ from pencil4 import curve as cv
 from pencil4 import families as fam
 from pencil4 import oracle as orc
 from pencil4 import pencil as pc
-from test_curve import _num
+from test_curve import _num, make_involute
 
 SQ3 = math.sqrt(3.0)
 SEED = (SQ3 / 2, 0.25, 1.0, 2.0)
@@ -68,8 +68,8 @@ def test_closed_forms_match_reference(params, marching):
 
 
 def test_analytic_twin_matches_reference():
-    # the twin is the same surface, with its frame from symbolic derivatives
-    # and its kappa rates from central differences
+    # the twin is the same surface, with its frame and kappa rates from the
+    # jets of its components
     p = pencil(twin(*SECOND), MIXED)
     X = exact.w_curve_pencil(*SECOND, *MIXED[2:])
     for s, t in sample(10, 4):
@@ -120,3 +120,23 @@ def test_oracle_matches_reference():
         # one sign over all points: the orientation of the measured bases
         sign = sign or math.copysign(1.0, rep.k_n_oriented[i] * ref.K_N)
         assert_matches(rep.k_n_oriented[i], sign * ref.K_N, orc.DEFAULT_TOLERANCE)
+
+
+@pytest.mark.parametrize("curve, s", [
+    (make_involute(), np.linspace(0.55, 2.45, 20)),
+    (twin(*SEED), np.linspace(0.1, 6.1, 20)),
+    (twin(*SECOND), np.linspace(0.1, 6.1, 20)),
+], ids=["involute", "seed_twin", "second_twin"])
+def test_analytic_frames_and_kappa_rates_match_reference(curve, s):
+    # the rates that enter a_s and b_s, against 50-digit Gram-Schmidt; the
+    # involute's kappas vary with s, the twins' are constant
+    frames = cv.frenet_frames(curve, s, rates=True)
+    components = [exact.expression_function(e) for e in curve.components]
+    for i, x in enumerate(s.tolist()):
+        ref = exact.curve_frenet(components, x)
+        assert np.abs(frames.frame[i] - np.array(ref.frame, dtype=float)).max() <= 1e-13
+        assert np.abs(frames.kappas[i] - np.array(ref.kappas, dtype=float)).max() <= 1e-13
+        rates = np.array(exact.kappa_rates(components, x), dtype=float)
+        assert np.abs(frames.rates[i] - rates).max() <= 1e-12, (x, frames.rates[i], rates)
+    sw = pencil(curve, MIXED).sweep(s, [0.1])
+    assert np.array_equal(sw.dk[:, 0].T, frames.rates)

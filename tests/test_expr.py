@@ -6,9 +6,12 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import sympy
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
+import exact
 from pencil4 import expr
 from pencil4.errors import EvalDomainError, ParseError, UnknownIdentifierError
 from support import richardson_first_derivative
@@ -436,8 +439,7 @@ class TestSharedMemo:
     TEXTS = ("2*sin(3*s) + s^2", "exp(cos(s))/(1 + s^2)", "sqrt(1 + s^2)*sin(s)")
 
     def trees(self):
-        return [e for text in self.TEXTS
-                for e in (expr.parse(text, "s"), *expr.derivatives(expr.parse(text, "s"), 3))]
+        return [e for text in self.TEXTS for e in derivative_trees(expr.parse(text, "s"), 3)]
 
     def test_values_equal_per_tree_evaluation_bit_for_bit(self):
         trees = self.trees()
@@ -456,8 +458,7 @@ class TestSharedMemo:
     def test_domain_fault_keeps_message_and_offset(self, text, derivatives_first):
         # the first faulting tree may come after trees that share some of its
         # nodes; nodes made by differentiation carry no offset (None)
-        e = expr.parse(text, "t")
-        derivs = expr.derivatives(e, 2)
+        e, *derivs = derivative_trees(expr.parse(text, "t"), 2)
         trees = [*derivs[::-1], e] if derivatives_first else [e, *derivs]
         xs = np.array([3.0, 2.5, -1.0, 2.0, 0.0])
         first = next(tree for tree in trees if _faults(tree, xs))
@@ -469,6 +470,14 @@ class TestSharedMemo:
         assert shared.value.position == alone.value.position
         if not derivatives_first:
             assert shared.value.position is not None
+
+
+def derivative_trees(e: expr.Expr, order: int) -> list[expr.Expr]:
+    """``[e, e', ..., e^(order)]`` as symbolic trees."""
+    out = [e]
+    for _ in range(order):
+        out.append(expr.differentiate(out[-1]))
+    return out
 
 
 def _faults(tree, xs) -> bool:
@@ -484,45 +493,42 @@ def nested_sin(depth: int) -> str:
 
 
 class TestDerivativeBudget:
-    def test_tree_size_counts_shared_subtrees_per_use(self):
-        u = expr.call("sin", expr.variable("t"))
-        assert expr.tree_size(u) == 2
-        assert expr.tree_size(u * u) == 5
+    """Derivatives cost time linear in the tree: jets visit each node once
+    per evaluation, and a symbolic derivative shares what its input shares."""
 
     def test_shared_subtree_is_differentiated_once(self):
         u = expr.call("sin", expr.call("cos", expr.variable("t")))
         d = expr.differentiate(u * u)  # u' u + u u'
         assert d.left.left is d.right.right
 
-    def test_derivatives_within_budget(self):
-        e = expr.parse("sqrt(1 + s^2)", "s")
-        ds = expr.derivatives(e, 4)
-        assert len(ds) == 4 and expr.tree_size(ds[-1]) < expr.MAX_NODES
-        # d^4/ds^4 (1 + s^2)^(1/2) = (12 s^2 - 3) / (1 + s^2)^(7/2)
-        assert expr.evaluate(ds[-1], 0.7) == pytest.approx(
-            (12 * 0.49 - 3) / 1.49 ** 3.5, rel=1e-12)
-
     def test_memos_leave_no_cycles_behind(self):
         # each call's memo is freed by reference counting, not by the cyclic
         # garbage collector
-        third = expr.derivatives(expr.parse("s*sin(2*s) + exp(cos(s))/(1 + s^2)", "s"), 3)[-1]
+        e = expr.parse("s*sin(2*s) + exp(cos(s))/(1 + s^2)", "s")
+        third = derivative_trees(e, 3)[-1]
+        xs = np.linspace(0.1, 2.0, 7)
         gc.collect()
         gc.disable()
         try:
             for _ in range(5):
                 expr.differentiate(third)
             for _ in range(5):
-                expr.tree_size(third)
+                expr.evaluate([e, third], xs, order=5)
             assert gc.collect() == 0
         finally:
             gc.enable()
 
-    def test_blown_up_derivative_is_parse_error_at_offset(self):
-        e = expr.parse("2*" + nested_sin(40), "s")
-        with pytest.raises(ParseError) as ei:
-            expr.derivatives(e, 4)
-        assert ei.value.position == 1  # the root '*'
-        assert "nodes" in str(ei.value)
+    def test_nested_sines_are_linear_in_depth(self):
+        # 40 nested sines: the fourth derivative tree would have ~3e7 nodes;
+        # the jet is one pass over 41 nodes
+        e = expr.parse(nested_sin(40), "s")
+        with mp.workdps(30):
+            f = exact.expression_function(e)
+            for s in (0.3, 1.1, 2.5):
+                jet = expr.evaluate(e, s, order=4)
+                for k in range(5):
+                    want = float(mp.diff(f, mp.mpf(s), k))
+                    assert jet[k] == pytest.approx(want, rel=1e-12, abs=1e-14), (s, k)
 
 
 def reference_raise_first(x, name, pos, out, *operands):
@@ -600,3 +606,163 @@ class TestFaultCheck:
                 reference_raise_first(x, name, 7, out, *operands)
         assert str(ei.value) == str(ref.value)
         assert "at element [1] (variable = 3.0)" in str(ei.value)
+
+
+# ---------------------------------------------------------------------------
+# Jets: evaluate(e, x, order=k)
+# ---------------------------------------------------------------------------
+
+
+_T = sympy.Symbol("t")
+_SYMPY = {"sin": sympy.sin, "cos": sympy.cos, "tan": sympy.tan, "sec": sympy.sec,
+          "exp": sympy.exp, "ln": sympy.log, "sqrt": sympy.sqrt}
+_REFERENCE = {"sin": np.sin, "cos": np.cos, "tan": lambda v: np.sin(v) / np.cos(v),
+              "sec": lambda v: 1.0 / np.cos(v), "exp": np.exp, "ln": np.log, "sqrt": np.sqrt}
+
+
+def to_sympy(e: expr.Expr):
+    """The sympy expression of a tree over t; a literal is the exact value
+    of its double."""
+    if isinstance(e, expr.Literal):
+        return sympy.Rational(e.value)
+    if isinstance(e, expr.Variable):
+        return _T
+    if isinstance(e, expr.Neg):
+        return -to_sympy(e.operand)
+    if isinstance(e, expr.Call):
+        return _SYMPY[e.fn](to_sympy(e.arg))
+    l, r = to_sympy(e.left), to_sympy(e.right)
+    return {"+": l + r, "-": l - r, "*": l * r, "/": l / r, "^": sympy.Pow(l, r)}[e.op]
+
+
+def reference_evaluate(e: expr.Expr, x):
+    """The value of ``e`` as the evaluator computed it before jets, without
+    its fault checks: a numpy scalar for a subtree free of the variable."""
+    if isinstance(e, expr.Literal):
+        return np.float64(e.value)
+    if isinstance(e, expr.Variable):
+        return x
+    if isinstance(e, expr.Neg):
+        return -reference_evaluate(e.operand, x)
+    if isinstance(e, expr.Call):
+        return _REFERENCE[e.fn](reference_evaluate(e.arg, x))
+    l, r = reference_evaluate(e.left, x), reference_evaluate(e.right, x)
+    return {"+": lambda: l + r, "-": lambda: l - r, "*": lambda: l * r, "/": lambda: l / r,
+            "^": lambda: np.power(l, r)}[e.op]()
+
+
+# every operator and function, constant and variable exponents, kept where
+# double precision is well conditioned: a variable exponent gets a base of at
+# least 1, since u^v = exp(v ln u) loses the digits that ln u spends on a
+# small base (ln(t)^(t/t) at t = 1.125 is off by 2e-12 in its fifth
+# derivative), and exp and the trigonometric functions get an argument
+# c/(1 + c^2) in [-1/2, 1/2], since the rounding of a large argument is
+# amplified by its derivatives (sin((1 + 4t^2)^(t^3)) at t = 1.47, an argument
+# near 1,300, is off by 2e-12 in its third)
+_LEAVES = st.just(expr.variable("t")) | st.sampled_from(
+    [0.5, 1.5, 2.0, 2.5, -0.75, -1.25]).map(expr.constant)
+TREES = st.recursive(_LEAVES, lambda children: st.one_of(
+    st.builds(expr.BinOp, st.sampled_from("+-*/"), children, children),
+    st.builds(expr.BinOp, st.just("^"), children,
+              st.sampled_from([2.0, 3.0, -1.0, -2.0, 0.5, 1.5, -0.5]).map(expr.constant)),
+    st.builds(expr.BinOp, st.just("^"), children.map(lambda c: 1.0 + c * c), children),
+    st.builds(expr.Neg, children),
+    st.builds(expr.Call, st.sampled_from(("ln", "sqrt")), children),
+    st.builds(expr.Call, st.sampled_from(("sin", "cos", "tan", "sec", "exp")),
+              children.map(lambda c: c / (1.0 + c * c))),
+), max_leaves=5)
+
+
+def subtrees(e: expr.Expr) -> list[expr.Expr]:
+    """``e`` and every subtree of it."""
+    return [e, *(s for c in expr._children(e) for s in subtrees(c))]
+
+
+class TestJets:
+    # a fixed draw: a tolerance on floating-point rounding is a model, and
+    # a search across runs would find its edges at random
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(e=TREES, x=st.floats(0.5, 1.5), order=st.integers(0, 5))
+    @example(e=expr.parse("sin(t/(1 + t*t)) - cos(t/(2 + t*t))", "t"), x=1.1, order=5)
+    @example(e=expr.parse("tan(t/(1 + t*t)) * sec(t/(2 + t*t))", "t"), x=0.7, order=5)
+    @example(e=expr.parse("exp(t/(1 + t*t)) - ln(1 + t) / sqrt(2 + t)", "t"), x=1.3, order=5)
+    @example(e=expr.parse("(1 + t*t)^(t - 0.5) + (-t)^3 * t^-0.5", "t"), x=0.9, order=5)
+    def test_derivatives_match_sympy(self, e, x, order):
+        # 1e-12 relative to the largest derivative of that order among the
+        # subtrees, the terms a row sums: ln((5^t)^3) at t = 1 has a fifth
+        # derivative of 0 from terms near 3e5
+        try:
+            jet = np.atleast_1d(expr.evaluate(e, x, order=order))
+            terms = np.abs([np.atleast_1d(expr.evaluate(sub, x, order=order))
+                            for sub in subtrees(e)]).max(axis=0)
+        except EvalDomainError:
+            return
+        f = to_sympy(e)
+        for k, got in enumerate(jet.tolist()):
+            want = complex(f.evalf(30, subs={_T: sympy.Rational(x)}))
+            if not (math.isfinite(got) and math.isfinite(want.real)):
+                return
+            assert want.imag == 0.0, (expr.to_string(e), x, k)
+            assert abs(got - want.real) <= 1e-12 * max(1.0, abs(want.real), terms[k]), (
+                expr.to_string(e), x, k, got, want.real)
+            f = f.diff(_T)
+
+    @settings(max_examples=200, deadline=None)
+    @given(e=TREES, xs=st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=4),
+           order=st.integers(0, 5))
+    def test_value_row_is_the_plain_evaluation_bit_for_bit(self, e, xs, order):
+        x = np.array(xs)
+        with np.errstate(all="ignore"):
+            want = np.broadcast_to(reference_evaluate(e, x), x.shape)
+            scalar = reference_evaluate(e, np.float64(xs[0]))
+        try:
+            got = expr.evaluate(e, x, order=order)
+            one = expr.evaluate(e, xs[0], order=order)
+        except EvalDomainError:
+            return
+        assert np.array_equal(got[0] if order else got, want, equal_nan=True)
+        assert np.array_equal(one[0] if order else one, scalar, equal_nan=True)
+        if not order:
+            assert isinstance(one, float)
+
+    def test_integer_powers_at_zero_are_exact(self):
+        for text, want in (("t^2", [0.0, 0.0, 2.0, 0.0, 0.0, 0.0]),
+                           ("t^3", [0.0, 0.0, 0.0, 6.0, 0.0, 0.0]),
+                           ("(2*t)^2 + t^0", [1.0, 0.0, 8.0, 0.0, 0.0, 0.0])):
+            got = expr.evaluate(expr.parse(text, "t"), np.array([0.0, 1.0]), order=5)
+            assert got[:, 0].tolist() == want, text
+
+    def test_shape_and_constants(self):
+        e = expr.parse("2 + 0*t", "t")
+        got = expr.evaluate([e, expr.parse("3", "t")], np.zeros((2, 3)), order=2)
+        assert [g.shape for g in got] == [(3, 2, 3)] * 2
+        assert got[1][0].tolist() == [[3.0] * 3] * 2 and not got[1][1:].any()
+        assert expr.evaluate(e, 0.5, order=1).tolist() == [2.0, 0.0]
+        with pytest.raises(ValueError):
+            expr.evaluate(e, 0.5, order=expr.MAX_ORDER + 1)
+
+    @pytest.mark.parametrize("text, name, offset", [
+        ("t + sqrt(t)", "sqrt", 4), ("1 + t^0.5", "power", 5), ("ln(1 + t)*t^2.5", "power", 11),
+        ("2^t + t^t", "power", 7)])
+    def test_infinite_derivative_is_a_fault_at_its_node(self, text, name, offset):
+        # finite values at t = 0, a non-finite derivative row: the node where
+        # it first appears is named, with the element
+        e = expr.parse(text, "t")
+        xs = np.array([1.0, 0.0])
+        assert np.all(np.isfinite(expr.evaluate(e, xs)))
+        with pytest.raises(EvalDomainError) as ei:
+            expr.evaluate(e, xs, order=3)
+        assert str(ei.value) == (f"{name} has no finite derivative at element [1] "
+                                 f"(variable = 0.0) (source offset {offset})")
+
+    def test_value_faults_keep_their_messages(self):
+        # the value row is checked before the derivative rows
+        for text, message in (("1/(t - 1)", "division by zero"),
+                              ("ln(t - 1)", "ln of a non-positive value"),
+                              ("sqrt(t - 2)", "sqrt of a negative value")):
+            e = expr.parse(text, "t")
+            with pytest.raises(EvalDomainError) as plain:
+                expr.evaluate(e, np.array([3.0, 1.0]))
+            with pytest.raises(EvalDomainError) as jet:
+                expr.evaluate(e, np.array([3.0, 1.0]), order=4)
+            assert str(jet.value) == str(plain.value) and str(plain.value).startswith(message)

@@ -90,12 +90,12 @@ class TestCoefficients:
         inv = cv.AnalyticCurve.from_strings(INVOLUTE_COMPONENTS, (0.5, 2.5))
         p = pc.PencilSurface(
             inv, pc.MarchingScale.from_expressions("0.1*t", "0.1*t^2", (0.0, 0.4)),
-            s_domain=(0.7, 2.3),
         )
         co = p.coefficients(1.0, 0.2)
-        # kappa1(s) = sqrt(5/(8s)) so kappa1'(1) = -sqrt(5/8)/2
+        # kappa1(s) = sqrt(5/(8s)) so kappa1'(1) = -sqrt(5/8)/2, exactly up to
+        # rounding now that the rates come from the jets
         want = -math.sqrt(5.0 / 8.0) / 2.0
-        assert co.a_s == pytest.approx(-want * 0.02, rel=1e-4)
+        assert co.a_s == pytest.approx(-want * 0.02, rel=1e-12)
 
 
 class TestEvalSurface:
@@ -118,7 +118,7 @@ class TestEvalSurface:
     def test_point_array_over_arrays_matches_floats(self, curve):
         # + - * / sqrt sin cos only: numpy and math agree bit for bit on those
         p = pc.PencilSurface(curve, pc.MarchingScale.from_expressions(
-            "0.7*t + t*t*t", "sin(t) - 0.5*t*t", (-0.3, 0.3)), s_domain=(0.6, 2.4))
+            "0.7*t + t*t*t", "sin(t) - 0.5*t*t", (-0.3, 0.3)))
         S = np.linspace(0.7, 2.3, 6)[:, None, None] + np.array([-2e-4, 0.0, 2e-4])[:, None]
         T = np.linspace(-0.2, 0.2, 4)[None, None, :]
         got = p.point_array(S, T)
@@ -373,7 +373,7 @@ class TestSweep:
             (-0.25, 0.25))
         ss = np.linspace(*s_dom, 5).tolist()
         ts = np.linspace(-0.25, 0.25, 4).tolist()
-        self.assert_grid_is_its_points(pc.PencilSurface(curve, marching, s_domain=s_dom),
+        self.assert_grid_is_its_points(pc.PencilSurface(curve, marching),
                                        ss, ts)
 
     def test_singular_ray_is_a_status_not_an_error(self):
@@ -409,7 +409,7 @@ class TestPointViews:
 
         monkeypatch.setattr(pc, "frenet_frames", counted)
         p = pc.PencilSurface(curve, pc.MarchingScale.from_expressions(
-            "0.8*t + 0.1*t^2", "t^2 + 0.2*sin(t)", (-0.3, 0.3)), s_domain=(0.7, 2.3))
+            "0.8*t + 0.1*t^2", "t^2 + 0.2*sin(t)", (-0.3, 0.3)))
         calls = [p.coefficients, p.point, p.tangent_frame, p.normal_frame,
                  p.fundamental_forms, p.second_derivative_s]
         calls += [functools.partial(fn, p) for fn in (
