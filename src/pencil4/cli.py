@@ -37,7 +37,7 @@ import json
 import math
 import string
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -224,6 +224,8 @@ def load_scene(path: str | Path, grid_override: str | None = None) -> Scene:
                          parse_int=lambda text: _finite_number(text, int))
     except json.JSONDecodeError as err:
         raise ConfigError(f"config is not valid JSON: {err}") from err
+    except RecursionError as err:
+        raise ConfigError("config JSON is nested too deeply to parse") from err
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be an object")
 
@@ -503,18 +505,22 @@ def run_curvature(scene: Scene):
                 sweep.status)
 
 
+def _immersion(scene: Scene, step: float | None) -> orc.Immersion:
+    """The surface as the oracle sees it: its domain is the scene's, padded
+    by twice the widest stencil half-width the step policy gives on it (the
+    step grows with |s| and |t|, so it is widest at a corner)."""
+    (s0, s1), (t0, t1) = scene.s_range, scene.t_range
+    im = orc.Immersion(scene.surface.point_array, (s0, s1), (t0, t1), step=step)
+    pad = 4 * float(np.max(im.step_at(np.array([[s0], [s1]]), np.array([t0, t1]))))
+    return replace(im, u_domain=(s0 - pad, s1 + pad), v_domain=(t0 - pad, t1 + pad))
+
+
 def run_verify(scene: Scene, tol: float, step: float | None):
     """Closed-form vs oracle comparison over the grid.
 
     Returns (text_report, csv_lines, all_passed)."""
     sweep = scene.surface.sweep(*_grid(scene))
-    pad = 4 * (step if step is not None else 1e-3)
-    immersion = orc.Immersion(
-        scene.surface.point_array,
-        (scene.s_range[0] - pad - 1.0, scene.s_range[1] + pad + 1.0),
-        (scene.t_range[0] - pad, scene.t_range[1] + pad),
-        step=step,
-    )
+    immersion = _immersion(scene, step)
     rep = cu.invariants_from_forms(sweep.forms)
     ok = sweep.status == pc.OK
     if not ok.any():
@@ -604,16 +610,9 @@ def run_flat_design(scene: Scene, step: float | None) -> tuple[str, bool]:
         return "\n".join(lines) + "\n", v.flat
     if scene.marching_kind == "vranceanu":
         flat_step = step if step is not None else 4e-3
-        pad = 4 * flat_step
-        im = orc.Immersion(
-            scene.surface.point_array,
-            (scene.s_range[0] - pad - 0.5, scene.s_range[1] + pad + 0.5),
-            (scene.t_range[0] - pad, scene.t_range[1] + pad),
-            step=flat_step,
-        )
         ss, ts = _grid(scene)
-        max_k = orc.grid_max_abs_gaussian(im, ss, ts)
-        res = scene.surface.sweep(ss, ts)
+        res = scene.surface.sweep(ss, ts)  # first: it refuses non-finite marching values
+        max_k = orc.grid_max_abs_gaussian(_immersion(scene, flat_step), ss, ts)
         flat = max_k <= fam.FLAT_GAUSSIAN_TOL
         lines = [
             f"vranceanu design: r(t) = {ex.to_string(scene.vranceanu_radius)}",

@@ -10,10 +10,8 @@ constants ``pi`` and ``e``.
 Derivatives come from evaluating the tree on truncated Taylor series
 ("jets", Griewank & Walther, *Evaluating Derivatives*, 2nd ed., ch. 13):
 ``evaluate(e, x, order=k)`` gives the value and the first k derivatives in
-one pass, at a cost linear in the tree, and exact up to rounding.
-``differentiate`` still builds a symbolic derivative tree, rewriting only by
-constant folding and the obvious 0/1-identities; its correctness is judged
-by evaluation, not by canonical form.
+one pass, at a cost linear in the tree, and exact up to rounding.  They
+are the only derivatives the language has: no derivative tree is built.
 
 Expression values are immutable; evaluation is a pure function of the tree
 and the binding, so concurrent reads are safe.
@@ -38,7 +36,6 @@ __all__ = [
     "Neg",
     "Call",
     "parse",
-    "differentiate",
     "evaluate",
     "to_string",
     "constant",
@@ -55,7 +52,7 @@ _POLE_TOL = 1e-14
 
 # Deepest nesting the parser accepts, counted both as parser recursion
 # (parentheses, calls, signs, exponents) and as depth of the parsed tree.
-# Evaluation and differentiation recurse once per tree level.
+# Evaluation recurses once per tree level.
 MAX_DEPTH = 100
 
 # Highest derivative ``evaluate`` gives, the fifth of a curve for its kappa
@@ -73,8 +70,9 @@ class Expr:
     """Base class for expression nodes.
 
     Supports arithmetic operators (with float coercion) so higher modules
-    can assemble expressions programmatically; the results go through the
-    same constant-folding constructors the differentiator uses.
+    can assemble expressions programmatically; the results go through
+    constructors that fold literal arithmetic and the 0/1 identities, so
+    printed trees stay short.
     """
 
     __slots__ = ()
@@ -752,85 +750,6 @@ _TAYLOR = {
     "tan": lambda w, u: _quotient(w, *_sincos(u).swapaxes(0, 1)),
     "sec": lambda w, u: _quotient(w, 1.0, _sincos(u)[:, 1]),
 }
-
-
-# ---------------------------------------------------------------------------
-# Differentiation
-# ---------------------------------------------------------------------------
-
-
-def differentiate(e: Expr) -> Expr:
-    """Exact symbolic derivative with respect to the free variable.
-
-    The output stays inside the same grammar, so repeated application
-    yields higher-order derivatives.  Each node is differentiated once per
-    call, so a subtree shared by the input is shared by the output too.
-    """
-    return _differentiate(e, {})
-
-
-def _differentiate(e: Expr, memo: dict) -> Expr:
-    """The derivative of ``e``; ``memo`` maps the id of each node
-    differentiated so far (the input tree keeps its nodes, and so their ids,
-    alive) to its derivative."""
-    key = id(e)
-    if key not in memo:
-        memo[key] = _derivative(e, *(_differentiate(c, memo) for c in _children(e)))
-    return memo[key]
-
-
-def _derivative(e: Expr, *d: Expr) -> Expr:
-    """The derivative of node ``e`` given the derivatives ``d`` of its
-    children."""
-    if isinstance(e, Literal):
-        return Literal(0.0)
-    if isinstance(e, Variable):
-        return Literal(1.0)
-    if isinstance(e, Neg):
-        return _neg(d[0])
-    if isinstance(e, BinOp):
-        u, v = e.left, e.right
-        du, dv = d
-        op = e.op
-        if op == "+":
-            return _add(du, dv)
-        if op == "-":
-            return _sub(du, dv)
-        if op == "*":
-            return _add(_mul(du, v), _mul(u, dv))
-        if op == "/":
-            return _div(_sub(_mul(du, v), _mul(u, dv)), _pow(v, Literal(2.0)))
-        if op == "^":
-            if _is_const(v):
-                n = v.value
-                return _mul(_mul(Literal(n), _pow(u, Literal(n - 1.0))), du)
-            if _is_const(u) and u.value > 0.0:
-                # c^v -> c^v * ln(c) * v'
-                return _mul(_mul(e, Literal(math.log(u.value))), dv)
-            # u^v -> u^v * (v' ln u + v u'/u)
-            bracket = _add(_mul(dv, Call("ln", u)), _mul(v, _div(du, u)))
-            return _mul(e, bracket)
-        raise AssertionError(f"bad operator {op!r}")
-    if isinstance(e, Call):
-        u = e.arg
-        (du,) = d
-        fn = e.fn
-        if fn == "sin":
-            return _mul(Call("cos", u), du)
-        if fn == "cos":
-            return _neg(_mul(Call("sin", u), du))
-        if fn == "tan":
-            return _mul(_pow(Call("sec", u), Literal(2.0)), du)
-        if fn == "sec":
-            return _mul(_mul(Call("sec", u), Call("tan", u)), du)
-        if fn == "exp":
-            return _mul(e, du)
-        if fn == "ln":
-            return _div(du, u)
-        if fn == "sqrt":
-            return _div(du, _mul(Literal(2.0), e))
-        raise AssertionError(f"bad function {fn!r}")
-    raise TypeError(f"not an expression node: {e!r}")
 
 
 # ---------------------------------------------------------------------------

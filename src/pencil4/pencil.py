@@ -28,7 +28,7 @@ import numpy as np
 
 from . import expr as ex
 from .curve import CurveSpec, FrenetFrames, frenet_apparatus, frenet_frames
-from .errors import RegularityViolationError
+from .errors import EvalDomainError, RegularityViolationError
 
 __all__ = [
     "MarchingScale",
@@ -309,13 +309,18 @@ class PencilSurface:
         """Points, forms and regularity status on the grid ``ts x ss``.
         Spine data comes from one frame batch over s and the marching
         values from one evaluation over t; an irregular point gets a status
-        code, never an exception."""
+        code, never an exception.  Raises EvalDomainError at the first t
+        where a marching value (A, B or a derivative) is not finite."""
         s = np.array(ss, dtype=float).reshape(-1)
         t = np.array(ts, dtype=float).reshape(-1)
         frames, k, dk = self._spine(s)
         k, dk = k.T[:, None, :], dk.T[:, None, :]
         gamma = self.curve.point(s)
         marching = np.stack(self.marching.values(t))[:, :, None]
+        bad = ~np.isfinite(marching).all(axis=(0, 2))
+        if bad.any():  # an unchecked sum or product overflowed
+            raise EvalDomainError(
+                f"marching scale is not finite at t = {float(t[bad.argmax()])!r}")
         A, B, dA, dB, ddA, ddB = marching
 
         co = _coefficients(k, dk, A, B, dA, dB)

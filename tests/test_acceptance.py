@@ -373,8 +373,7 @@ def test_criterion_9_expression_module():
         e = random_expression(rng, rng.randint(1, 5))
         x = rng.uniform(-2.0, 2.0)
         try:
-            value = ex.evaluate(e, x)
-            d = ex.evaluate(ex.differentiate(e), x)
+            value, d = ex.evaluate(e, x, order=1)
             fd = richardson_first_derivative(lambda y: ex.evaluate(e, y), x, h=1e-5)
         except Exception:
             continue

@@ -18,7 +18,6 @@ from mpmath import mp
 import exact
 from pencil4 import cli
 from pencil4 import curve as cv
-from pencil4 import expr as ex
 from pencil4 import pencil as pc
 from pencil4 import text as tx
 from test_curve import INVOLUTE_COMPONENTS
@@ -122,6 +121,13 @@ class TestConfig:
         assert code == cli.EXIT_CONFIG
         assert "is not a finite double" in err
 
+    def test_deeply_nested_json_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100_000, encoding="utf-8")
+        code, out, err = run(capsys, ["eval", "--config", str(path)])
+        assert code == cli.EXIT_CONFIG and out == ""
+        assert err == "config error: config JSON is nested too deeply to parse\n"
+
     def test_too_deep_expression_is_config_error(self, tmp_path, capsys):
         cfg = seed_scene(marching={"kind": "expressions", "A": "t" + "+t" * 2000, "B": "t"})
         code, _, err = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
@@ -159,23 +165,20 @@ class TestConfig:
             for x, got in zip(s.tolist(), fourth.tolist()):
                 assert got == pytest.approx(float(mp.diff(component, mp.mpf(x), 4)), rel=1e-13)
 
-    def test_loading_and_one_sweep_build_no_derivative_tree(self, tmp_path, monkeypatch):
-        # derivatives come from jets, and the sweep takes its frames and
-        # their exact kappa rates from one batch over its ns values of s
-        differentiated, batches = [], []
-        differentiate, frenet_frames = ex.differentiate, cv.frenet_frames
+    def test_loading_and_one_sweep_make_one_frame_batch(self, tmp_path, monkeypatch):
+        # the sweep takes its frames and their exact kappa rates from one
+        # batch over its ns values of s
+        batches, frenet_frames = [], cv.frenet_frames
 
         def counted(curve, s, *args, **kwargs):
             batches.append(len(s))
             return frenet_frames(curve, s, *args, **kwargs)
 
-        monkeypatch.setattr(ex, "differentiate",
-                            lambda e: differentiated.append(e) or differentiate(e))
         for module in (cv, pc):
             monkeypatch.setattr(module, "frenet_frames", counted)
         scene = cli.load_scene(write_config(tmp_path, analytic_scene()))
         scene.surface.sweep(*cli._grid(scene))
-        assert differentiated == [] and batches == [scene.ns]
+        assert batches == [scene.ns]
 
     @pytest.mark.parametrize("command", ["frenet", "eval"])
     @pytest.mark.parametrize("where, offset", [("spine", 3), ("marching", 4)])
@@ -202,6 +205,21 @@ class TestConfig:
         code, out, err = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
         assert code == cli.EXIT_EVAL_DOMAIN
         assert "of an infinite value" in err and out == ""
+
+    @pytest.mark.parametrize("command", ["eval", "curvature", "export", "verify", "flat-design"])
+    def test_overflowed_marching_value_is_expression_error(self, tmp_path, capsys, command):
+        # 10^308*10*t overflows in a product, which no node checks; the sweep
+        # refuses the NaN marching values before any row is written
+        nan = "(10^308*10*t - 10^308*10*t)"
+        cfg = seed_scene(marching={"kind": "expressions", "A": f"t + {nan}", "B": "t^2"})
+        if command == "flat-design":
+            cfg = {"marching": {"kind": "vranceanu", "r": f"1 + {nan}", "a": 0.6, "b": 0.8},
+                   "domain": cfg["domain"]}
+        argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]
+        code, out, err = run(capsys, argv)
+        assert code == cli.EXIT_EVAL_DOMAIN and out == ""
+        assert err == "expression error: marching scale is not finite at t = -0.25\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]
 
     def test_benchmark_scenes_load(self, tmp_path, monkeypatch):
         spec = importlib.util.spec_from_file_location(
@@ -565,6 +583,14 @@ class TestVerify:
         assert len(calls) == 1
         assert np.array_equal(calls[0][0], np.tile(ss, 4))
         assert np.array_equal(calls[0][1], np.repeat(ts, 6))
+
+    def test_stencil_margin_follows_the_step_policy(self, tmp_path, capsys):
+        # the default step 1e-4 max(1, |s|, |t|) reaches 1e-2 at s = 100, so
+        # the stencil needs more room in t than at s near 0
+        cfg = seed_scene(domain={"s": [90.0, 100.0], "t": [-0.25, 0.25], "ns": 5, "nt": 4})
+        code, out, err = run(capsys, ["verify", "--config", write_config(tmp_path, cfg)])
+        assert code == cli.EXIT_OK and err == ""
+        assert out.endswith("overall: PASS\n")
 
     def test_exit_nonzero_on_tolerance_failure(self, tmp_path, capsys):
         cfg = seed_scene(

@@ -1,4 +1,4 @@
-"""Tests for the expression language: parsing, evaluation, differentiation."""
+"""Tests for the expression language: parsing, evaluation, derivatives by jets."""
 
 import gc
 import math
@@ -149,19 +149,19 @@ class TestDepthBound:
 
 
 class TestDifferentiate:
+    """Derivatives as rows of ``evaluate(e, x, order=k)``, the Taylor jets."""
+
     def test_power_rule(self):
-        d = expr.differentiate(expr.parse("t^2", "t"))
-        assert expr.evaluate(d, 3.0) == pytest.approx(6.0, abs=1e-15)
+        d = expr.evaluate(expr.parse("t^2", "t"), 3.0, order=1)[1]
+        assert d == pytest.approx(6.0, abs=1e-15)
 
     def test_sin_rule(self):
-        d = expr.differentiate(expr.parse("sin(t)", "t"))
-        assert expr.evaluate(d, 0.0) == pytest.approx(1.0, abs=1e-15)
+        d = expr.evaluate(expr.parse("sin(t)", "t"), 0.0, order=1)[1]
+        assert d == pytest.approx(1.0, abs=1e-15)
 
     def test_second_derivative_matches_finite_difference(self):
         e = expr.parse("1/(sin(t)-0.5*cos(t))", "t")
-        d1 = expr.differentiate(e)
-        d2 = expr.differentiate(d1)
-        got = expr.evaluate(d2, 1.0)
+        got = expr.evaluate(e, 1.0, order=2)[2]
         want = richardson_first_derivative(
             lambda x: richardson_first_derivative(lambda y: expr.evaluate(e, y), x, h=1e-4),
             1.0,
@@ -171,26 +171,24 @@ class TestDifferentiate:
 
     def test_constant_derivative_is_zero_expression(self):
         for text in ["3.5", "pi", "2*e + 1", "sin(1)"]:
-            d = expr.differentiate(expr.parse(text, "t"))
+            e = expr.parse(text, "t")
             for x in [-2.0, 0.0, 1.7, 42.0]:
-                assert expr.evaluate(d, x) == 0.0
+                assert expr.evaluate(e, x, order=1)[1] == 0.0
 
     def test_quotient_rule(self):
         e = expr.parse("(t^2+1)/(t-2)", "t")
-        d = expr.differentiate(e)
         # hand: ((2t)(t-2) - (t^2+1))/(t-2)^2 at t=3 -> (6 - 10)/1 = -4
-        assert expr.evaluate(d, 3.0) == pytest.approx(-4.0, abs=1e-12)
+        assert expr.evaluate(e, 3.0, order=1)[1] == pytest.approx(-4.0, abs=1e-12)
 
     def test_general_power(self):
         e = expr.parse("t^t", "t")
-        d = expr.differentiate(e)
         # d/dt t^t = t^t (ln t + 1); at t=2: 4 (ln 2 + 1)
-        assert expr.evaluate(d, 2.0) == pytest.approx(4 * (math.log(2) + 1), rel=1e-12)
+        assert expr.evaluate(e, 2.0, order=1)[1] == pytest.approx(4 * (math.log(2) + 1),
+                                                                  rel=1e-12)
 
     def test_constant_base_power(self):
         e = expr.parse("2^t", "t")
-        d = expr.differentiate(e)
-        assert expr.evaluate(d, 3.0) == pytest.approx(8 * math.log(2), rel=1e-12)
+        assert expr.evaluate(e, 3.0, order=1)[1] == pytest.approx(8 * math.log(2), rel=1e-12)
 
     def test_sec_tan_sqrt_ln_rules(self):
         cases = {
@@ -201,15 +199,12 @@ class TestDifferentiate:
             "exp(3*t)": lambda x: 3 * math.exp(3 * x),
         }
         for text, want in cases.items():
-            d = expr.differentiate(expr.parse(text, "t"))
-            assert expr.evaluate(d, 0.7) == pytest.approx(want(0.7), rel=1e-12)
+            d = expr.evaluate(expr.parse(text, "t"), 0.7, order=1)[1]
+            assert d == pytest.approx(want(0.7), rel=1e-12)
 
     def test_fourth_derivative_stays_exact(self):
-        # Chained application stays in the grammar and keeps precision.
+        # the order-4 jet row keeps precision
         e = expr.parse("sin(2*t)*exp(0.3*t)", "t")
-        d = e
-        for _ in range(4):
-            d = expr.differentiate(d)
 
         def f4(x):
             # analytic 4th derivative of exp(at) sin(bt) via complex arithmetic
@@ -217,7 +212,7 @@ class TestDifferentiate:
             return (z**4 * complex(math.cos(2 * x), math.sin(2 * x)) * math.exp(0.3 * x)).imag
 
         for x in [0.0, 0.5, 1.3]:
-            assert expr.evaluate(d, x) == pytest.approx(f4(x), rel=1e-10)
+            assert expr.evaluate(e, x, order=4)[4] == pytest.approx(f4(x), rel=1e-10)
 
 
 # --- random expression generator (shared with the acceptance suite) --------
@@ -263,12 +258,11 @@ def random_expression(rng: random.Random, depth: int) -> expr.Expr:
 
 
 def check_derivative_against_fd(e: expr.Expr, x: float) -> bool:
-    """True when the symbolic derivative matches the Richardson central
+    """True when the jet's derivative row matches the Richardson central
     difference at ``x`` within 1e-5 * max(1, |f(x)|); None-like skips
     (domain faults, wild magnitudes) return True as 'not applicable'."""
     try:
-        value = expr.evaluate(e, x)
-        d = expr.evaluate(expr.differentiate(e), x)
+        value, d = expr.evaluate(e, x, order=1)
         fd = richardson_first_derivative(lambda y: expr.evaluate(e, y), x, h=1e-5)
     except (EvalDomainError, OverflowError):
         return True
@@ -329,8 +323,7 @@ class TestPrintRoundTrip:
 def test_polynomial_evaluation_and_derivative(c, x, y):
     # (c + t*x)^2 has derivative 2x(c + tx); exact identity up to roundoff.
     e = (expr.constant(c) + expr.variable("t") * expr.constant(x)) ** 2.0
-    d = expr.differentiate(e)
-    lhs = expr.evaluate(d, y)
+    lhs = expr.evaluate(e, y, order=1)[1]
     rhs = 2 * x * (c + y * x)
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-9)
 
@@ -439,7 +432,7 @@ class TestSharedMemo:
     TEXTS = ("2*sin(3*s) + s^2", "exp(cos(s))/(1 + s^2)", "sqrt(1 + s^2)*sin(s)")
 
     def trees(self):
-        return [e for text in self.TEXTS for e in derivative_trees(expr.parse(text, "s"), 3)]
+        return [e for text in self.TEXTS for e in shared_trees(expr.parse(text, "s"), "s", 3)]
 
     def test_values_equal_per_tree_evaluation_bit_for_bit(self):
         trees = self.trees()
@@ -457,8 +450,8 @@ class TestSharedMemo:
     @pytest.mark.parametrize("derivatives_first", [False, True])
     def test_domain_fault_keeps_message_and_offset(self, text, derivatives_first):
         # the first faulting tree may come after trees that share some of its
-        # nodes; nodes made by differentiation carry no offset (None)
-        e, *derivs = derivative_trees(expr.parse(text, "t"), 2)
+        # nodes; nodes made by the overloads carry no offset (None)
+        e, *derivs = shared_trees(expr.parse(text, "t"), "t", 2)
         trees = [*derivs[::-1], e] if derivatives_first else [e, *derivs]
         xs = np.array([3.0, 2.5, -1.0, 2.0, 0.0])
         first = next(tree for tree in trees if _faults(tree, xs))
@@ -472,11 +465,17 @@ class TestSharedMemo:
             assert shared.value.position is not None
 
 
-def derivative_trees(e: expr.Expr, order: int) -> list[expr.Expr]:
-    """``[e, e', ..., e^(order)]`` as symbolic trees."""
+def shared_trees(e: expr.BinOp, var: str, order: int) -> list[expr.Expr]:
+    """``[e, e_1, ..., e_order]`` with e_k = (r / x) e_(k-1) + e_(k-1)^2, built
+    by the overload API over e's parsed right operand r and the variable x:
+    each tree refers to the one before it three times, and every new node
+    carries no offset (None).  r / x is evaluated first, so a fault of r
+    (with its offset) or of the division at x = 0 (None) comes before any
+    fault of e_(k-1)."""
+    ratio = e.right / expr.variable(var)
     out = [e]
     for _ in range(order):
-        out.append(expr.differentiate(out[-1]))
+        out.append(ratio * out[-1] + out[-1] * out[-1])
     return out
 
 
@@ -494,24 +493,17 @@ def nested_sin(depth: int) -> str:
 
 class TestDerivativeBudget:
     """Derivatives cost time linear in the tree: jets visit each node once
-    per evaluation, and a symbolic derivative shares what its input shares."""
-
-    def test_shared_subtree_is_differentiated_once(self):
-        u = expr.call("sin", expr.call("cos", expr.variable("t")))
-        d = expr.differentiate(u * u)  # u' u + u u'
-        assert d.left.left is d.right.right
+    per evaluation."""
 
     def test_memos_leave_no_cycles_behind(self):
         # each call's memo is freed by reference counting, not by the cyclic
         # garbage collector
         e = expr.parse("s*sin(2*s) + exp(cos(s))/(1 + s^2)", "s")
-        third = derivative_trees(e, 3)[-1]
+        third = shared_trees(e, "s", 3)[-1]
         xs = np.linspace(0.1, 2.0, 7)
         gc.collect()
         gc.disable()
         try:
-            for _ in range(5):
-                expr.differentiate(third)
             for _ in range(5):
                 expr.evaluate([e, third], xs, order=5)
             assert gc.collect() == 0
