@@ -148,6 +148,8 @@ def _finite_number(text: str, kind: type):
 
 
 def _need(cfg: dict, key: str, where: str):
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must be an object")
     if key not in cfg:
         raise ConfigError(f"missing {where}.{key}")
     return cfg[key]

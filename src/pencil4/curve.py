@@ -135,9 +135,9 @@ class AnalyticCurve:
             )
 
     @classmethod
-    def from_strings(cls, components: Sequence[str], domain: tuple[float, float],
-                     var: str = "s") -> "AnalyticCurve":
-        parsed = tuple(ex.parse(text, var) for text in components)
+    def from_strings(cls, components: Sequence[str],
+                     domain: tuple[float, float]) -> "AnalyticCurve":
+        parsed = tuple(ex.parse(text, "s") for text in components)
         return cls(parsed, (float(domain[0]), float(domain[1])))
 
     def point(self, s) -> np.ndarray:
@@ -217,12 +217,11 @@ def gram_schmidt(vectors: Sequence[np.ndarray]):
     return units, norms
 
 
-def orthonormal_completion(rows: Sequence[np.ndarray], count: int,
-                           order: Sequence[int] = (0, 1, 2, 3)):
+def orthonormal_completion(rows: Sequence[np.ndarray], count: int):
     """Up to ``count`` orthonormal vectors orthogonal to the orthonormal
     (n, 4) arrays ``rows``, per row, by Gram-Schmidt over the standard basis.
 
-    The basis vectors are offered in ``order``; each loses its projections
+    The basis vectors are offered in order e1..e4; each loses its projections
     on ``rows`` and then on the vectors accepted so far, and its residual is
     accepted when longer than 0.25 (so a 1-D complement, whose squared
     residuals sum to 1, always finds its vector).  Returns the (count, n, 4)
@@ -230,7 +229,7 @@ def orthonormal_completion(rows: Sequence[np.ndarray], count: int,
     n = len(rows[0])
     out = np.zeros((count, n, 4))
     found = np.zeros(n, dtype=int)
-    for i in order:
+    for i in range(4):
         res = _EYE[i]
         for r in rows:
             res = res - r[:, i, None] * r  # e_i . r, exactly

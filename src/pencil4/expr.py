@@ -283,15 +283,15 @@ def _tokenize(text: str) -> list[_Token]:
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if "0" <= ch <= "9":  # ASCII only: str.isdigit() accepts "²" and "١"
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             if j < n and text[j] == ".":
                 j += 1
-                if j >= n or not text[j].isdigit():
+                if j >= n or not "0" <= text[j] <= "9":
                     raise ParseError("digits expected after decimal point", j)
-                while j < n and text[j].isdigit():
+                while j < n and "0" <= text[j] <= "9":
                     j += 1
             tokens.append(_Token("NUMBER", text[i:j], i))
             i = j

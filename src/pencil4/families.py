@@ -200,13 +200,6 @@ class LawsonSurface:
     profile: RotationProfile
     pencil: PencilSurface
 
-    def point(self, s: float, t: float) -> np.ndarray:
-        return self.profile.point(s, t)
-
-    def immersion(self, s_domain: tuple[float, float],
-                  t_domain: tuple[float, float]) -> Immersion:
-        return Immersion(self.profile.point, s_domain, t_domain)
-
 
 def lawson(c: float, t_domain: tuple[float, float] = (0.2, 1.2)) -> LawsonSurface:
     """The double-rotation surface with profiles (cos t, sin t) and rates

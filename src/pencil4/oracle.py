@@ -118,8 +118,7 @@ class OracleReport:
 _OFFSETS = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])  # stencil nodes, in steps h
 
 
-def numeric_forms(im: Immersion, u, v,
-                  seed_order: tuple[int, int, int, int] = (0, 1, 2, 3)) -> OracleReport:
+def numeric_forms(im: Immersion, u, v) -> OracleReport:
     """Fundamental forms and invariants at (u, v) from differencing alone.
 
     ``u`` and ``v`` are floats (one report of floats) or equal-length 1-D
@@ -130,10 +129,6 @@ def numeric_forms(im: Immersion, u, v,
     spine-column order (sorted by u, then v): a slice then spans few
     distinct u, whose per-u data (a pencil's frames) an evaluator computes
     once per distinct value.
-
-    ``seed_order`` is the order in which standard basis vectors are offered
-    to the normal-basis Gram-Schmidt (the defaults make the basis
-    deterministic; a different order exercises basis independence).
 
     Raises StepUnderflowError when the 2-step stencil leaves the domain and
     RankDeficiencyError when the measured tangents are dependent, at the
@@ -157,7 +152,7 @@ def numeric_forms(im: Immersion, u, v,
     fault = np.zeros(n, dtype=np.int8)
     for start in range(0, max(n, 1), SLICE):
         at = order[start:start + SLICE]
-        rep, fault[at] = _measure(im, u[at], v[at], h[at], seed_order)
+        rep, fault[at] = _measure(im, u[at], v[at], h[at])
         fields = {name: _put(batch, getattr(rep, name), at, n) for name, batch in fields.items()}
         del rep  # freed before the next slice is measured
     if fault.any():
@@ -172,7 +167,7 @@ def numeric_forms(im: Immersion, u, v,
     return OracleReport(**fields)
 
 
-def _measure(im: Immersion, u: np.ndarray, v: np.ndarray, h: np.ndarray, seed_order):
+def _measure(im: Immersion, u: np.ndarray, v: np.ndarray, h: np.ndarray):
     """The batched report of ``numeric_forms`` over one slice of points, and
     the rank fault code per point (0 where there is none).  The stencil
     values are freed once differenced, so the report is assembled without
@@ -195,10 +190,8 @@ def _measure(im: Immersion, u: np.ndarray, v: np.ndarray, h: np.ndarray, seed_or
         x_uv, _ = _diff1([hi for hi, _ in dv], h)
         _, x_uv_lo = _diff1([lo for _, lo in dv], h)
         del dv
-        return _report_from_derivatives(
-            x_u, x_v, x_uu, x_uv, x_vv,
-            low=(x_u_lo, x_v_lo, x_uu_lo, x_uv_lo, x_vv_lo), seed_order=seed_order,
-        )
+        return _report_from_derivatives(x_u, x_v, x_uu, x_uv, x_vv,
+                                        low=(x_u_lo, x_v_lo, x_uu_lo, x_uv_lo, x_vv_lo))
 
 
 def _diff1(line, h: np.ndarray):
@@ -235,12 +228,12 @@ def _unbatch(value):
     return float(value[0]) if value.ndim == 1 else value[0]
 
 
-def _normal_basis(x_u: np.ndarray, x_v: np.ndarray, seed_order=(0, 1, 2, 3)):
+def _normal_basis(x_u: np.ndarray, x_v: np.ndarray):
     """Orthonormal tangents t1, t2 and normals n1, n2 per point, plus the
     rank fault per point: 1 where the tangents are dependent, 2 where no
     normal basis could be assembled, else 0."""
     (t1, t2), (_, rn) = gram_schmidt((x_u, x_v))
-    (n1, n2), found = orthonormal_completion((t1, t2), 2, seed_order)
+    (n1, n2), found = orthonormal_completion((t1, t2), 2)
     fault = np.where((rn * rn)[:, 0] < _GRAM_TOL, 1, np.where(found != 2, 2, 0))
     return t1, t2, n1, n2, fault
 
@@ -256,10 +249,10 @@ def _forms(x_u, x_v, x_uu, x_uv, x_vv, n1, n2) -> FundamentalForms:
                             c2_11=c2_11, c2_12=c2_12, F=F, c1_12=c1_12, c2_22=c2_22)
 
 
-def _report_from_derivatives(x_u, x_v, x_uu, x_uv, x_vv, low, seed_order):
+def _report_from_derivatives(x_u, x_v, x_uu, x_uv, x_vv, low):
     """The report from the measured derivatives, and the rank fault code per
     point: that of ``_normal_basis``, or 3 where W2 is too small."""
-    t1, t2, n1, n2, fault = _normal_basis(x_u, x_v, seed_order)
+    t1, t2, n1, n2, fault = _normal_basis(x_u, x_v)
     f = _forms(x_u, x_v, x_uu, x_uv, x_vv, n1, n2)
     fault = np.where(fault == 0, np.where(f.W2 <= _GRAM_TOL, 3, 0), fault)
 

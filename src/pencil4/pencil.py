@@ -15,8 +15,8 @@ parallel (``WCurve.parallel``).
 
 Each pencil formula is written once over broadcastable arrays, and
 ``PencilSurface.sweep`` is the one place they are evaluated: spine data per
-s as ``(1, ns)``, marching values per t as ``(nt, 1)``.  The point-wise
-methods read a sweep over the 1x1 grid ``[s] x [t]``, a batch of one.
+s as ``(1, ns)``, marching values per t as ``(nt, 1)``.  One point is a
+sweep over the 1x1 grid ``[s] x [t]``, read at ``[0, 0]``.
 """
 
 from __future__ import annotations
@@ -66,9 +66,9 @@ class MarchingScale:
             raise RegularityViolationError("marching", t=float(samples[stalled[0]]))
 
     @classmethod
-    def from_expressions(cls, a_text: str, b_text: str, domain: tuple[float, float],
-                         var: str = "t") -> "MarchingScale":
-        return cls(ex.parse(a_text, var), ex.parse(b_text, var),
+    def from_expressions(cls, a_text: str, b_text: str,
+                         domain: tuple[float, float]) -> "MarchingScale":
+        return cls(ex.parse(a_text, "t"), ex.parse(b_text, "t"),
                    (float(domain[0]), float(domain[1])))
 
     def values(self, t) -> tuple:
@@ -251,10 +251,6 @@ class PencilSurface:
     curve: CurveSpec
     marching: MarchingScale
 
-    @property
-    def t_domain(self) -> tuple[float, float]:
-        return self.marching.domain
-
     # -- frames ---------------------------------------------------------
 
     def frame(self, s: float) -> FrenetFrames:
@@ -286,22 +282,8 @@ class PencilSurface:
         A, B = (np.asarray(c)[..., None] for c in ex.evaluate((m.A, m.B), t))
         return _point(self.curve.point(uniq)[where], frames[where, 1], frames[where, 3], A, B)
 
-    def point(self, s: float, t: float) -> np.ndarray:
-        """X(s,t), shape (4,); raises RegularityViolationError when either
-        regularity condition fails at the point."""
-        return self.sweep([s], [t]).require_regular().points[0, 0]
-
-    def tangent_frame(self, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(v[0, 0] for v in self.sweep([s], [t]).require_regular().tangent_frame())
-
-    def normal_frame(self, s: float, t: float) -> tuple[np.ndarray, np.ndarray]:
-        return tuple(v[0, 0] for v in self.sweep([s], [t]).require_regular().normal_frame())
-
     def fundamental_forms(self, s: float, t: float) -> FundamentalForms:
         return _first(self.sweep([s], [t]).require_regular().forms)
-
-    def second_derivative_s(self, s: float, t: float) -> np.ndarray:
-        return self.sweep([s], [t]).second_derivative_s()[0, 0]
 
     # -- geometry on a grid ----------------------------------------------
 

@@ -85,6 +85,18 @@ class TestConfig:
             code, _, _ = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
             assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("section, value", [
+        ("domain", 5), ("domain", "st"), ("domain", None), ("curve", "kind"), ("marching", 5),
+    ], ids=["domain_int", "domain_str", "domain_null", "curve_str", "marching_int"])
+    def test_section_that_is_not_an_object_is_config_error(self, tmp_path, capsys, section,
+                                                            value):
+        cfg = seed_scene()
+        cfg[section] = value
+        code, out, err = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert err == f"config error: {section} must be an object\n"
+        assert out == ""
+
     def test_non_unit_speed_curve_is_config_error(self, tmp_path, capsys):
         cfg = seed_scene()
         cfg["curve"]["a"] = 1.0
@@ -133,6 +145,13 @@ class TestConfig:
         code, _, err = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
         assert code == cli.EXIT_CONFIG
         assert "marching.A" in err and "deeper than" in err and "offset" in err
+
+    def test_non_ascii_digit_is_config_error(self, tmp_path, capsys):
+        cfg = seed_scene(marching={"kind": "expressions", "A": "t + ²", "B": "t"})
+        code, out, err = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert err == "config error: marching.A: unexpected character '²' (at offset 4)\n"
+        assert out == ""
 
     def test_grid_above_cap_in_config_is_config_error(self, tmp_path, capsys):
         cfg = seed_scene(domain={"s": [0.0, 6.0], "t": [-0.25, 0.25],

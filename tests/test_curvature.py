@@ -232,7 +232,7 @@ class TestFlatnessResiduals:
         circle = cv.WCurve(1.0, 0.0, 1.0, 1.0)
         cases.append(fam.flat_polar_solution("i", 1.0, 0.0, circle, (1.0, 2.6)).surface)
         for p in cases:
-            t_vals = np.linspace(p.t_domain[0] + 0.01, p.t_domain[1] - 0.01, 9)
+            t_vals = np.linspace(p.marching.domain[0] + 0.01, p.marching.domain[1] - 0.01, 9)
             s_vals = np.linspace(0.0, 3.0, 5)
             res = p.sweep(s_vals, t_vals)
             assert res.flat

@@ -123,6 +123,15 @@ class TestParseAndEvaluate:
         assert isinstance(ei.value.position, int)
         assert ei.value.position >= 0
 
+    @pytest.mark.parametrize("text, offset", [("t + ²", 4), ("١.٥*t", 0)])
+    def test_non_ascii_digits_rejected(self, text, offset):
+        # numbers are ASCII 0-9: str.isdigit() would take a superscript two
+        # (and fail on it later) or read Arabic-Indic 1.5 as 1.5
+        with pytest.raises(ParseError) as ei:
+            expr.parse(text, "t")
+        assert str(ei.value) == f"unexpected character {text[offset]!r} (at offset {offset})"
+        assert ei.value.position == offset
+
 
 class TestDepthBound:
     @pytest.mark.parametrize(

@@ -156,7 +156,7 @@ class TestVranceanu:
 class TestLawson:
     def test_point_by_substitution(self):
         surf = fam.lawson(1.0)
-        assert surf.point(0.0, 0.0) == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
+        assert surf.profile.point(0.0, 0.0) == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
         # pencil route sweeps the same trace
         assert surf.pencil.point_array(0.0, 0.0) == pytest.approx(
             [1.0, 0.0, 0.0, 0.0], abs=1e-12
@@ -164,7 +164,7 @@ class TestLawson:
 
     def test_oracle_metric_diagonal(self):
         surf = fam.lawson(1.0)
-        im = surf.immersion((-0.5, 2 * math.pi), (0.1, 1.3))
+        im = orc.Immersion(surf.profile.point, (-0.5, 2 * math.pi), (0.1, 1.3))
         for (s, t) in [(0.5, 0.4), (2.0, 0.9), (4.0, 0.6)]:
             rep = orc.numeric_forms(im, s, t)
             assert abs(rep.F) < 1e-9
@@ -173,7 +173,7 @@ class TestLawson:
         surf = fam.lawson(2.0)
         for s in np.linspace(0.0, 2 * math.pi, 16):
             for t in np.linspace(0.2, 1.2, 16):
-                x = surf.point(float(s), float(t))
+                x = surf.profile.point(float(s), float(t))
                 assert x[0] ** 2 + x[1] ** 2 == pytest.approx(math.cos(t) ** 2, abs=1e-12)
                 assert x[2] ** 2 + x[3] ** 2 == pytest.approx(math.sin(t) ** 2, abs=1e-12)
 
@@ -181,7 +181,7 @@ class TestLawson:
         surf = fam.lawson(2.0, t_domain=(0.3, 1.2))
         for s in np.linspace(0.0, 3.0, 7):
             for t in np.linspace(0.3, 1.2, 7):
-                want = surf.point(float(s), float(t))
+                want = surf.profile.point(float(s), float(t))
                 got = surf.pencil.point_array(float(s), float(t))
                 assert np.max(np.abs(got - want)) < 1e-9
 

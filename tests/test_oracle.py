@@ -187,17 +187,22 @@ class TestBasisIndependence:
     def test_different_basis_seeds_same_invariants(self, s, t):
         # Offering the standard basis in each of its 24 orders changes the
         # measured normals; K, |H|^2, the mean vector and k_n_oriented must
-        # not move, and k_n may only flip its sign.
-        _, im = seed_pencil()
-        a, *others = (orc.numeric_forms(im, s, t, seed_order=order)
-                      for order in itertools.permutations(range(4)))
+        # not move, and k_n may only flip its sign.  The oracle offers
+        # e1..e4 in turn, so an order is offered by permuting the
+        # immersion's coordinates, x -> P x; the mean vector is read back
+        # through P^T and the orientation through det P.
+        p, im = seed_pencil()
+        a = orc.numeric_forms(im, s, t)
         tol = 1e-12 * max(1.0, abs(a.K), abs(a.h_norm_sq), abs(a.k_n))
-        for b in others:
+        for perm in itertools.permutations(range(4)):
+            P = np.eye(4)[list(perm)]
+            b = orc.numeric_forms(orc.Immersion(lambda u, v: p.point_array(u, v) @ P.T,
+                                                im.u_domain, im.v_domain), s, t)
             assert b.K == pytest.approx(a.K, abs=tol)
             assert b.h_norm_sq == pytest.approx(a.h_norm_sq, abs=tol)
-            assert b.mean_vector == pytest.approx(a.mean_vector, abs=tol)
+            assert P.T @ b.mean_vector == pytest.approx(a.mean_vector, abs=tol)
             assert abs(b.k_n) == pytest.approx(abs(a.k_n), abs=tol)
-            assert b.k_n_oriented == pytest.approx(a.k_n_oriented, abs=tol)
+            assert np.linalg.det(P) * b.k_n_oriented == pytest.approx(a.k_n_oriented, abs=tol)
 
     def test_oriented_normal_curvature_consistent_across_grid(self):
         # The raw k_n sign can flip between grid points when the seed basis

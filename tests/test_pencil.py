@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,13 +12,14 @@ from hypothesis import strategies as st
 
 from pencil4 import curvature as cu
 from pencil4 import curve as cv
+from pencil4 import expr as ex
 from pencil4 import pencil as pc
 from pencil4.errors import RegularityViolationError
 from support import (
     fd_surface_first_derivatives,
     fd_surface_second_derivatives,
 )
-from test_curve import _num, make_involute
+from test_curve import INVOLUTE_COMPONENTS, _num, make_involute
 
 SQ3 = math.sqrt(3.0)
 SEED_CURVE = cv.WCurve(SQ3 / 2, 0.25, 1.0, 2.0)
@@ -104,14 +106,14 @@ class TestEvalSurface:
             SEED_CURVE, pc.MarchingScale.from_expressions("t", "t", (-0.3, 0.3))
         )
         for s in (0.0, 1.1, 2.7):
-            x = p.point(s, 0.0)
+            x = p.sweep([s], [0.0]).require_regular().points[0, 0]
             assert x == pytest.approx(SEED_CURVE.point(s), abs=1e-15)
 
     def test_frame_combination(self):
         p = poly_pencil()
         frame = p.frame(0.0).frame[0]
         want = SEED_CURVE.point(0.0) + 0.1 * frame[1] + 0.01 * frame[3]
-        got = p.point(0.0, 0.1)
+        got = p.sweep([0.0], [0.1]).require_regular().points[0, 0]
         assert got == pytest.approx(want, abs=1e-12)
 
     @pytest.mark.parametrize("curve", [SEED_CURVE, make_involute()])
@@ -149,9 +151,9 @@ class TestEvalSurface:
         m = pc.MarchingScale.from_expressions("1 + 0*t", "t", (-0.5, 0.5))
         p = pc.PencilSurface(w, m)
         with pytest.raises(RegularityViolationError) as ei:
-            p.point(0.3, 0.0)
+            p.sweep([0.3], [0.0]).require_regular()
         assert ei.value.condition == "spine"
-        p.point(0.3, 0.2)  # away from the singular ray everything works
+        p.sweep([0.3], [0.2]).require_regular()  # away from the singular ray everything works
 
 
 class TestTangentFrame:
@@ -160,13 +162,13 @@ class TestTangentFrame:
             SEED_CURVE, pc.MarchingScale.from_expressions("t", "t", (-0.3, 0.3))
         )
         frame = p.frame(0.9).frame[0]
-        _, x_t = p.tangent_frame(0.9, 0.0)
+        _, x_t = (v[0, 0] for v in p.sweep([0.9], [0.0]).require_regular().tangent_frame())
         assert x_t == pytest.approx(frame[1] + frame[3], abs=1e-12)
         assert np.linalg.norm(x_t) == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
     def test_orthogonality(self):
         p = poly_pencil()
-        x_s, x_t = p.tangent_frame(0.9, 0.15)
+        x_s, x_t = (v[0, 0] for v in p.sweep([0.9], [0.15]).require_regular().tangent_frame())
         assert abs(x_s.dot(x_t)) < 1e-10
 
     def test_matches_finite_differences(self):
@@ -175,7 +177,7 @@ class TestTangentFrame:
         for _ in range(10):
             s = float(rng.uniform(0.2, 2.0))
             t = float(rng.uniform(-0.2, 0.2))
-            x_s, x_t = p.tangent_frame(s, t)
+            x_s, x_t = (v[0, 0] for v in p.sweep([s], [t]).require_regular().tangent_frame())
             fd_s, fd_t = fd_surface_first_derivatives(p.point_array, s, t, h=1e-5)
             assert x_s == pytest.approx(fd_s, abs=1e-7)
             assert x_t == pytest.approx(fd_t, abs=1e-7)
@@ -187,14 +189,15 @@ class TestNormalFrame:
             SEED_CURVE, pc.MarchingScale.from_expressions("t", "t", (-0.3, 0.3))
         )
         frame = p.frame(0.4).frame[0]
-        n1, _ = p.normal_frame(0.4, 0.1)
+        n1, _ = (v[0, 0] for v in p.sweep([0.4], [0.1]).require_regular().normal_frame())
         want = (-frame[1] + frame[3]) / math.sqrt(2.0)
         assert n1 == pytest.approx(want, abs=1e-12)
 
     def test_n2_is_v3_when_b_vanishes(self):
         p = poly_pencil()
         frame = p.frame(1.2).frame[0]
-        _, n2 = p.normal_frame(1.2, 0.0)  # b = 0, a = 1 at the spine
+        # b = 0, a = 1 at the spine
+        _, n2 = (v[0, 0] for v in p.sweep([1.2], [0.0]).require_regular().normal_frame())
         assert n2 == pytest.approx(frame[2], abs=1e-12)
 
     def test_gram_matrix(self):
@@ -203,8 +206,9 @@ class TestNormalFrame:
         for _ in range(10):
             s = float(rng.uniform(0.0, 2.5))
             t = float(rng.uniform(-0.25, 0.25))
-            x_s, x_t = p.tangent_frame(s, t)
-            n1, n2 = p.normal_frame(s, t)
+            sw = p.sweep([s], [t]).require_regular()
+            x_s, x_t = (v[0, 0] for v in sw.tangent_frame())
+            n1, n2 = (v[0, 0] for v in sw.normal_frame())
             forms = p.fundamental_forms(s, t)
             vecs = [x_s, x_t, n1, n2]
             gram = np.array([[u @ v for v in vecs] for u in vecs])
@@ -240,13 +244,13 @@ class TestFundamentalForms:
         for _ in range(20):
             s = float(rng.uniform(0.0, 3.0))
             t = float(rng.uniform(-0.25, 0.25))
-            x_s, x_t = p.tangent_frame(s, t)
+            x_s, x_t = (v[0, 0] for v in p.sweep([s], [t]).require_regular().tangent_frame())
             assert abs(x_s.dot(x_t)) < 1e-10
 
     def test_xss_reconstruction_matches_fd(self):
         p = poly_pencil()
         for s, t in [(0.5, 0.1), (1.7, -0.15)]:
-            want = p.second_derivative_s(s, t)
+            want = p.sweep([s], [t]).second_derivative_s()[0, 0]
             x_uu, _, _ = fd_surface_second_derivatives(p.point_array, s, t, h=1e-3)
             assert want == pytest.approx(x_uu, abs=1e-6)
 
@@ -256,7 +260,7 @@ class TestFundamentalForms:
         p = poly_pencil()
         for s, t in [(0.4, 0.12), (2.1, -0.18)]:
             _, x_uv, _ = fd_surface_second_derivatives(p.point_array, s, t, h=3e-3)
-            n1, _ = p.normal_frame(s, t)
+            n1, _ = (v[0, 0] for v in p.sweep([s], [t]).require_regular().normal_frame())
             assert abs(float(x_uv @ n1)) < 1e-9
 
     def test_all_coefficients_match_fd_projections(self):
@@ -268,13 +272,14 @@ class TestFundamentalForms:
         ]
         rng = np.random.default_rng(6)
         for p in seeds:
-            t_lo, t_hi = p.t_domain
+            t_lo, t_hi = p.marching.domain
             for _ in range(100):
                 s = float(rng.uniform(0.2, 2.6))
                 t = float(rng.uniform(t_lo + 0.02, t_hi - 0.02))
                 f = p.fundamental_forms(s, t)
                 x_uu, x_uv, x_vv = fd_surface_second_derivatives(p.point_array, s, t, h=1e-3)
-                n1a, n2a = p.normal_frame(s, t)
+                n1a, n2a = (v[0, 0]
+                            for v in p.sweep([s], [t]).require_regular().normal_frame())
                 assert f.c1_11 == pytest.approx(float(x_uu @ n1a), abs=1e-7)
                 assert f.c1_22 == pytest.approx(float(x_vv @ n1a), abs=1e-7)
                 assert f.c2_11 == pytest.approx(float(x_uu @ n2a), abs=1e-7)
@@ -290,7 +295,7 @@ class TestFundamentalForms:
             w, pc.MarchingScale.from_expressions("0.2*t", "0.1*t^2 + 0.05*t", (-0.4, 0.4))
         )
         for s, t in [(0.5, 0.2), (1.4, -0.3)]:
-            x_s, x_t = p.tangent_frame(s, t)
+            x_s, x_t = (v[0, 0] for v in p.sweep([s], [t]).require_regular().tangent_frame())
             fd_s, fd_t = fd_surface_first_derivatives(p.point_array, s, t, h=1e-5)
             assert x_s == pytest.approx(fd_s, abs=1e-7)
             assert x_t == pytest.approx(fd_t, abs=1e-7)
@@ -410,8 +415,7 @@ class TestPointViews:
         monkeypatch.setattr(pc, "frenet_frames", counted)
         p = pc.PencilSurface(curve, pc.MarchingScale.from_expressions(
             "0.8*t + 0.1*t^2", "t^2 + 0.2*sin(t)", (-0.3, 0.3)))
-        calls = [p.coefficients, p.point, p.tangent_frame, p.normal_frame,
-                 p.fundamental_forms, p.second_derivative_s]
+        calls = [p.coefficients, p.fundamental_forms]
         calls += [functools.partial(fn, p) for fn in (
             cu.report, cu.gaussian_closed_form, cu.normal_curvature_closed_form,
             cu.mean_closed_form, cu.mean_vector_ambient)]
@@ -419,3 +423,56 @@ class TestPointViews:
             batches.clear()
             call(1.1, 0.2)
             assert len(batches) == 1, call
+
+
+class TestKernelInvariance:
+    """The sweep's invariants are geometric: a rigid motion of E^4 or a
+    reversal of the spine moves the points and keeps K, |H|^2 and K_N (the
+    latter up to the orientation of the motion).  The oracle's counterpart
+    is ``TestBasisIndependence``; here the spine itself is moved."""
+
+    SS = np.linspace(0.6, 2.4, 7)
+    TS = np.linspace(-0.3, 0.3, 5)
+    A, B = "0.8*t + 0.1*t^2", "t^2 + 0.2*sin(t)"
+
+    def invariants(self, curve, ss, b_text):
+        marching = pc.MarchingScale.from_expressions(self.A, b_text, (-0.3, 0.3))
+        sw = pc.PencilSurface(curve, marching).sweep(ss, self.TS).require_regular()
+        return sw.points, cu.invariants_from_forms(sw.forms)
+
+    @staticmethod
+    def assert_close(got, want):
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+    @settings(max_examples=20, deadline=None)
+    @given(m=st.lists(st.floats(-1.0, 1.0), min_size=16, max_size=16), reflect=st.booleans(),
+           shift=st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4))
+    def test_rigid_motion(self, m, reflect, shift):
+        # Q gamma + c has frames Q V1..Q V3 and, by the det = +1 sign fix,
+        # det(Q) Q V4: with B -> -B when det Q = -1 the pencil is Q X + c,
+        # and K_N follows the orientation of Q
+        q, _ = np.linalg.qr(np.array(m).reshape(4, 4))
+        if reflect:
+            q[:, 0] = -q[:, 0]
+        det = round(float(np.linalg.det(q)))
+        parsed = [ex.parse(text, "s") for text in INVOLUTE_COMPONENTS]
+        moved = cv.AnalyticCurve(tuple(
+            sum(float(q[i, j]) * parsed[j] for j in range(4)) + shift[i] for i in range(4)
+        ), INVOLUTE.domain)
+        x, inv = self.invariants(INVOLUTE, self.SS, self.B)
+        y, inv_moved = self.invariants(moved, self.SS, self.B if det > 0 else f"-({self.B})")
+        self.assert_close(y, x @ q.T + np.array(shift))
+        self.assert_close(inv_moved.K, inv.K)
+        self.assert_close(inv_moved.H_norm_sq, inv.H_norm_sq)
+        self.assert_close(inv_moved.K_N, det * inv.K_N)
+
+    def test_spine_reversal(self):
+        # gamma(3 - s) over the same domain sweeps the same surface
+        reversed_ = cv.AnalyticCurve.from_strings(
+            [re.sub(r"\bs\b", "(3 - s)", text) for text in INVOLUTE_COMPONENTS],
+            INVOLUTE.domain)
+        x, inv = self.invariants(INVOLUTE, self.SS, self.B)
+        y, inv_reversed = self.invariants(reversed_, 3.0 - self.SS, self.B)
+        self.assert_close(y, x)
+        for name in ("K", "K_N", "H_norm_sq"):
+            self.assert_close(getattr(inv_reversed, name), getattr(inv, name))
