@@ -37,7 +37,7 @@ import json
 import math
 import string
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -181,6 +181,8 @@ def _pair(value, where: str) -> tuple[float, float]:
     lo, hi = _real(value[0], where + "[0]"), _real(value[1], where + "[1]")
     if not hi > lo:
         raise ConfigError(f"{where} must be a nondegenerate range")
+    if not math.isfinite(hi - lo):  # grid spacing and stencils need the width
+        raise ConfigError(f"{where} is wider than the largest double")
     return (lo, hi)
 
 
@@ -508,13 +510,11 @@ def run_curvature(scene: Scene):
 
 
 def _immersion(scene: Scene, step: float | None) -> orc.Immersion:
-    """The surface as the oracle sees it: its domain is the scene's, padded
-    by twice the widest stencil half-width the step policy gives on it (the
-    step grows with |s| and |t|, so it is widest at a corner)."""
-    (s0, s1), (t0, t1) = scene.s_range, scene.t_range
-    im = orc.Immersion(scene.surface.point_array, (s0, s1), (t0, t1), step=step)
-    pad = 4 * float(np.max(im.step_at(np.array([[s0], [s1]]), np.array([t0, t1]))))
-    return replace(im, u_domain=(s0 - pad, s1 + pad), v_domain=(t0 - pad, t1 + pad))
+    """The surface as the oracle sees it.  Stencils at the scene's edges
+    reach past its domain, where the pencil is evaluated as anywhere else,
+    so the oracle's fit check is given the whole plane."""
+    whole = (-math.inf, math.inf)
+    return orc.Immersion(scene.surface.point_array, whole, whole, step=step)
 
 
 def run_verify(scene: Scene, tol: float, step: float | None):
@@ -594,22 +594,20 @@ def _ruled_adjudication(scene: Scene, ts: np.ndarray) -> list[str]:
 def run_flat_design(scene: Scene, step: float | None) -> tuple[str, bool]:
     if scene.marching_kind == "flat_polar":
         design = scene.flat_design
-        v = design.params.verification
         lines = [
-            f"flat design case {design.params.case}: "
-            f"c1 = {_fmt(design.params.c1)}, c2 = {_fmt(design.params.c2)}",
-            f"constraint: {design.params.constraint}",
-            f"r(t) = {ex.to_string(design.params.r)}",
+            f"flat design case {design.case}: c1 = {_fmt(design.c1)}, c2 = {_fmt(design.c2)}",
+            f"constraint: {design.constraint}",
+            f"r(t) = {ex.to_string(design.r)}",
             f"A(t) = {ex.to_string(design.surface.marching.A)}",
             f"B(t) = {ex.to_string(design.surface.marching.B)}",
-            f"max |rho1| = {_fmt(v.max_rho1)}",
-            f"max |rho2| = {_fmt(v.max_rho2)}",
-            f"max |radius ODE residual|    = {_fmt(v.max_ode_residual_1)}",
-            f"max |curvature ODE residual| = {_fmt(v.max_ode_residual_2)}",
-            f"grid max |K| = {_fmt(v.max_abs_gaussian)}",
-            f"verdict: {'FLAT' if v.flat else 'NOT FLAT'}",
+            f"max |rho1| = {_fmt(design.max_rho1)}",
+            f"max |rho2| = {_fmt(design.max_rho2)}",
+            f"max |radius ODE residual|    = {_fmt(design.max_ode_residual_1)}",
+            f"max |curvature ODE residual| = {_fmt(design.max_ode_residual_2)}",
+            f"grid max |K| = {_fmt(design.max_abs_gaussian)}",
+            f"verdict: {'FLAT' if design.flat else 'NOT FLAT'}",
         ]
-        return "\n".join(lines) + "\n", v.flat
+        return "\n".join(lines) + "\n", design.flat
     if scene.marching_kind == "vranceanu":
         flat_step = step if step is not None else 4e-3
         ss, ts = _grid(scene)
@@ -679,35 +677,43 @@ def _parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"pencil4 {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("frenet", "CSV of s, frame vectors and curvatures along the spine"),
-        ("eval", "CSV of surface points on the (s, t) grid"),
-        ("curvature", "CSV of E, G, K, K_N, |H|^2 on the grid (closed forms)"),
-        ("verify", "compare closed forms against the finite-difference oracle"),
-        ("flat-design", "marching functions, residual maxima and flatness verdict"),
-        ("export", "OBJ (projected) plus per-vertex K CSV, or raw 4-D CSV"),
+    options = {
+        "tol": dict(type=float, default=VERIFY_DEFAULT_TOL,
+                    help="verification tolerance (default 1e-6)"),
+        "step": dict(type=float, default=None,
+                     help="oracle differencing step (default: 1e-4 policy)"),
+        "projection": dict(help="override projection: drop:K or stereo"),
+    }
+    for name, help_text, own in [  # each subcommand takes only the options it reads
+        ("frenet", "CSV of s, frame vectors and curvatures along the spine", ()),
+        ("eval", "CSV of surface points on the (s, t) grid", ()),
+        ("curvature", "CSV of E, G, K, K_N, |H|^2 on the grid (closed forms)", ()),
+        ("verify", "compare closed forms against the finite-difference oracle",
+         ("tol", "step")),
+        ("flat-design", "marching functions, residual maxima and flatness verdict",
+         ("step",)),
+        ("export", "OBJ (projected) plus per-vertex K CSV, or raw 4-D CSV", ("projection",)),
     ]:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="scene JSON file")
         p.add_argument("--out", help="output file (base name for export)")
         p.add_argument("--grid", help="override grid as NSxNT, e.g. 50x50")
-        p.add_argument("--tol", type=float, default=VERIFY_DEFAULT_TOL,
-                       help="verification tolerance (default 1e-6)")
-        p.add_argument("--step", type=float, default=None,
-                       help="oracle differencing step (default: 1e-4 policy)")
-        p.add_argument("--projection", help="override projection: drop:K or stereo")
+        for option in own:
+            p.add_argument(f"--{option}", **options[option])
     return parser
 
 
 def _check_numeric_options(args, scene: Scene) -> None:
-    """--tol and --step must be positive and finite, and the stencil points
-    s and s + step must differ even at the largest domain coordinate."""
-    if not (math.isfinite(args.tol) and args.tol > 0.0):
-        raise ConfigError(f"--tol must be a positive finite number, got {args.tol!r}")
+    """--tol and --step, where the subcommand takes them, must be positive
+    and finite, and the stencil points s and s + step must differ even at
+    the largest domain coordinate."""
+    tol, step = getattr(args, "tol", None), getattr(args, "step", None)
+    if tol is not None and not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"--tol must be a positive finite number, got {tol!r}")
     reach = max(abs(x) for x in (*scene.s_range, *scene.t_range))
-    if args.step is not None and not (math.isfinite(args.step) and reach + args.step > reach):
+    if step is not None and not (math.isfinite(step) and reach + step > reach):
         raise ConfigError(f"--step must be a positive finite number above the "
-                          f"floating-point resolution of the domain, got {args.step!r}")
+                          f"floating-point resolution of the domain, got {step!r}")
 
 
 def main(argv: list[str] | None = None) -> int:

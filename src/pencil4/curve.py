@@ -23,6 +23,7 @@ from . import expr as ex
 from .errors import (
     ConstraintViolationError,
     DegenerateFrameError,
+    EvalDomainError,
     UnsupportedCompletionError,
 )
 
@@ -251,7 +252,9 @@ def frenet_frames(curve: CurveSpec, s, rates: bool = False) -> FrenetFrames:
     ``_completed_frames``.  Where kappa3 falls below KAPPA_TOL (the curve lies
     in a 3-space) V4 is the normal complement of V1..V3, canonical up to
     the sign that det = +1 fixes.  Any other rank loss raises
-    DegenerateFrameError carrying the achieved rank, at the first such s.
+    DegenerateFrameError carrying the achieved rank, at the first such s,
+    and a frame that is not finite (``c s`` overflowing on a W-curve)
+    raises EvalDomainError at the first such s.
 
     With ``rates`` the connection's s-derivatives are filled in: zero for a
     W-curve, else exact from the Frenet equations, by which gamma^(3) has
@@ -260,9 +263,20 @@ def frenet_frames(curve: CurveSpec, s, rates: bool = False) -> FrenetFrames:
     2 kappa1 kappa2') on V4.
     """
     s = np.asarray(s, dtype=float)
-    if isinstance(curve, WCurve) and curve.is_degenerate_rotation:
-        return _completed_frames(curve, s, rates)
+    # trigonometry of an overflowing c s gives NaN frames, refused here
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(curve, WCurve) and curve.is_degenerate_rotation:
+            frames = _completed_frames(curve, s, rates)
+        else:
+            frames = _derived_frames(curve, s, rates)
+    bad = ~np.isfinite(frames.frame).all(axis=(1, 2))
+    if bad.any():
+        raise EvalDomainError(f"spine frame is not finite at s = {float(s[bad.argmax()])!r}")
+    return frames
 
+
+def _derived_frames(curve: CurveSpec, s: np.ndarray, rates: bool) -> FrenetFrames:
+    """The frames of ``frenet_frames`` from the curve's derivatives."""
     analytic_rates = rates and not isinstance(curve, WCurve)
     d = curve.derivative_arrays(s, 5 if analytic_rates else 4)
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -7,11 +7,16 @@
   reconstruction is pointwise exact for either sign gauge of V4.
 * Vranceanu surfaces: the degenerate case c = d = 1 with polar profiles
   f = r cos t, g = r sin t, routed through the frame completion.
-* Lawson surfaces: f = cos t, g = sin t, d = 1, any c > 0.
+* Lawson surfaces: f = cos t, g = sin t, d = 1, any c > 0; ``lawson``
+  returns the profile and ``rotation_pencil`` the pencil, as for any
+  ``RotationProfile``, which holds its generator.
 * Ruled pencils: A = B = t/sqrt(2), the unit ruling along (V2+V4)/sqrt(2).
 * Flat polar designs: A = r cos t, B = r sin t with the four radius
   families that close both flatness residuals, each gated by its curvature
-  constraint and shipped with a verification record.
+  constraint; one ``FlatPolarDesign`` record holds the case, the radius,
+  the pencil and the verification numbers.
+
+Radii and profiles are parsed expressions (``expr.parse``).
 
 The ``ruled_reference_*`` functions are shortcut formulas for the ruled
 pencil written directly in the spine curvatures.  The Gaussian one is known
@@ -23,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,11 +50,9 @@ __all__ = [
     "rotation_pencil",
     "vranceanu",
     "vranceanu_immersion",
-    "LawsonSurface",
     "lawson",
     "ruled_pencil",
     "polar_marching",
-    "FlatPolarParams",
     "FlatPolarDesign",
     "flat_polar_solution",
     "flat_ode_residuals",
@@ -73,32 +76,19 @@ _VERIFY_GRID = (9, 33)  # (ns, nt) of a flat design's verification record
 @dataclass(frozen=True)
 class RotationProfile:
     """Profile functions f, g of a generalized rotation surface over the
-    double-rotation generator with constants a, b, c, d."""
+    double-rotation generator ``curve`` with constants a, b, c, d."""
 
     f: ex.Expr
     g: ex.Expr
-    a: float
-    b: float
-    c: float
-    d: float
-    kappa1: float
-
-    @classmethod
-    def for_curve(cls, f: ex.Expr, g: ex.Expr, curve: WCurve) -> "RotationProfile":
-        a, b, c, d = curve.a, curve.b, curve.c, curve.d
-        kappa1 = math.sqrt(a * a * c**4 + b * b * d**4)
-        return cls(f=f, g=g, a=a, b=b, c=c, d=d, kappa1=kappa1)
-
-    def generator(self) -> WCurve:
-        return WCurve(self.a, self.b, self.c, self.d)
+    curve: WCurve
 
     def point(self, s, t) -> np.ndarray:
         """The rotation surface at floats (shape (4,)) or broadcastable
         arrays (shape (..., 4))."""
         f, g = ex.evaluate((self.f, self.g), t)
+        c, d = self.curve.c, self.curve.d
         return np.stack(np.broadcast_arrays(
-            f * np.cos(self.c * s), f * np.sin(self.c * s),
-            g * np.cos(self.d * s), g * np.sin(self.d * s),
+            f * np.cos(c * s), f * np.sin(c * s), g * np.cos(d * s), g * np.sin(d * s),
         ), axis=-1)
 
 
@@ -126,16 +116,13 @@ def rotation_marching(profile: RotationProfile,
     which inverts to A = -(a c^2 (f-a) + b d^2 (g-b))/k1 and
     B = sigma (b d^2 (f-a) - a c^2 (g-b))/k1 (the coefficient matrix has
     determinant a^2 c^4 + b^2 d^4 = k1^2)."""
-    a, b, c, d, k1 = profile.a, profile.b, profile.c, profile.d, profile.kappa1
+    a, b, c, d = profile.curve.a, profile.curve.b, profile.curve.c, profile.curve.d
+    k1 = math.sqrt(a * a * c**4 + b * b * d**4)
     if k1 * k1 < 1e-12:
-        raise SingularProfileSystemError(
-            "profile system is singular: a^2 c^4 + b^2 d^4 vanishes"
-        )
-    sigma = _frame_gauge_sign(profile.generator())
-    ac2 = a * c * c
-    bd2 = b * d * d
-    df = profile.f - a
-    dg = profile.g - b
+        raise SingularProfileSystemError("profile system is singular: a^2 c^4 + b^2 d^4 vanishes")
+    sigma = _frame_gauge_sign(profile.curve)
+    ac2, bd2 = a * c * c, b * d * d
+    df, dg = profile.f - a, profile.g - b
     big_a = -(ac2 * df + bd2 * dg) / k1
     big_b = sigma * (bd2 * df - ac2 * dg) / k1
     return MarchingScale(big_a, big_b, (float(t_domain[0]), float(t_domain[1])))
@@ -143,7 +130,7 @@ def rotation_marching(profile: RotationProfile,
 
 def rotation_pencil(profile: RotationProfile,
                     t_domain: tuple[float, float] = (0.0, 1.0)) -> PencilSurface:
-    return PencilSurface(profile.generator(), rotation_marching(profile, t_domain))
+    return PencilSurface(profile.curve, rotation_marching(profile, t_domain))
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +138,7 @@ def rotation_pencil(profile: RotationProfile,
 # ---------------------------------------------------------------------------
 
 
-def vranceanu(r: ex.Expr | str, a: float, b: float,
+def vranceanu(r: ex.Expr, a: float, b: float,
               t_domain: tuple[float, float] = (0.0, 1.0)) -> PencilSurface:
     """Pencil sweeping the Vranceanu surface
 
@@ -159,23 +146,16 @@ def vranceanu(r: ex.Expr | str, a: float, b: float,
 
     over the degenerate generator (a cos s, a sin s, b cos s, b sin s) with
     a^2 + b^2 = 1, using the frame completion convention."""
-    if isinstance(r, str):
-        r = ex.parse(r, "t")
     if abs(a * a + b * b - 1.0) > 1e-12:
         raise ConstraintViolationError("vranceanu generator needs a^2 + b^2 = 1")
     t = ex.variable("t")
-    profile = RotationProfile.for_curve(
-        r * ex.call("cos", t), r * ex.call("sin", t), WCurve(a, b, 1.0, 1.0)
-    )
+    profile = RotationProfile(r * ex.call("cos", t), r * ex.call("sin", t), WCurve(a, b, 1.0, 1.0))
     return rotation_pencil(profile, t_domain)
 
 
-def vranceanu_immersion(r: ex.Expr | str,
-                        s_domain: tuple[float, float],
+def vranceanu_immersion(r: ex.Expr, s_domain: tuple[float, float],
                         t_domain: tuple[float, float]) -> Immersion:
     """The canonical Vranceanu parametrization as an oracle immersion."""
-    if isinstance(r, str):
-        r = ex.parse(r, "t")
 
     def fn(s, t) -> np.ndarray:
         rv = ex.evaluate(r, t)
@@ -192,29 +172,17 @@ def vranceanu_immersion(r: ex.Expr | str,
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LawsonSurface:
-    """f = cos t, g = sin t, d = 1 rotation surface together with the pencil
-    realizing it over a unit-speed generator."""
-
-    profile: RotationProfile
-    pencil: PencilSurface
-
-
-def lawson(c: float, t_domain: tuple[float, float] = (0.2, 1.2)) -> LawsonSurface:
+def lawson(c: float) -> RotationProfile:
     """The double-rotation surface with profiles (cos t, sin t) and rates
     (c, 1).  The generator takes b = 1/sqrt(2) and a = 1/(c sqrt(2)), which
     is unit speed for every c > 0 (and degenerate exactly at c = 1, where
-    the completion convention takes over)."""
+    the completion convention takes over); ``rotation_pencil`` realizes it
+    as a pencil."""
     if c <= 0.0:
         raise ConstraintViolationError("lawson rate must be positive")
     t = ex.variable("t")
-    a = 1.0 / (c * math.sqrt(2.0))
-    b = 1.0 / math.sqrt(2.0)
-    profile = RotationProfile.for_curve(
-        ex.call("cos", t), ex.call("sin", t), WCurve(a, b, c, 1.0)
-    )
-    return LawsonSurface(profile=profile, pencil=rotation_pencil(profile, t_domain))
+    curve = WCurve(1.0 / (c * math.sqrt(2.0)), 1.0 / math.sqrt(2.0), c, 1.0)
+    return RotationProfile(ex.call("cos", t), ex.call("sin", t), curve)
 
 
 # ---------------------------------------------------------------------------
@@ -250,14 +218,11 @@ def ruled_reference_normal_curvature(k1: float, k2: float, k3: float, t: float) 
 # ---------------------------------------------------------------------------
 
 
-def polar_marching(r: ex.Expr | str,
-                   t_domain: tuple[float, float]) -> MarchingScale:
+def polar_marching(r: ex.Expr, t_domain: tuple[float, float]) -> MarchingScale:
     """A = r(t) cos t, B = r(t) sin t.
 
     Requires r to be finite and positive across the domain; a pole or sign
     change raises DomainError."""
-    if isinstance(r, str):
-        r = ex.parse(r, "t")
     _check_radius(r, t_domain)
     t = ex.variable("t")
     return MarchingScale(
@@ -267,24 +232,34 @@ def polar_marching(r: ex.Expr | str,
 
 
 def _check_radius(r: ex.Expr, t_domain: tuple[float, float]) -> None:
-    for t in np.linspace(t_domain[0], t_domain[1], _R_POSITIVITY_SAMPLES):
-        try:
-            value = ex.evaluate(r, float(t))
-        except EvalDomainError as err:
-            raise DomainError(
-                f"radius function singular inside t-range at t = {float(t)!r}: {err}"
-            ) from err
-        if not math.isfinite(value) or abs(value) > _R_MAGNITUDE_CAP:
-            raise DomainError(f"radius function blows up near t = {float(t)!r}")
-        if value <= 0.0:
-            raise DomainError(f"radius function is not positive at t = {float(t)!r}")
+    """r at 64 samples of the domain, from one array evaluation; the first
+    sample that blows up or is not positive is named."""
+    ts = np.linspace(t_domain[0], t_domain[1], _R_POSITIVITY_SAMPLES)
+    try:
+        values = ex.evaluate(r, ts)
+    except EvalDomainError as err:
+        raise DomainError(f"radius function singular inside t-range: {err}") from err
+    blows_up = ~np.isfinite(values) | (np.abs(values) > _R_MAGNITUDE_CAP)
+    bad = np.flatnonzero(blows_up | (values <= 0.0))
+    if bad.size:
+        i = bad[0]
+        what = "blows up near" if blows_up[i] else "is not positive at"
+        raise DomainError(f"radius function {what} t = {float(ts[i])!r}")
 
 
 @dataclass(frozen=True)
-class FlatPolarVerification:
-    """Grid evidence that a flat design closes both flatness residuals
+class FlatPolarDesign:
+    """One flat polar design: the case label, the constants, the solved
+    radius function, the curvature constraint it rests on and the pencil
+    it sweeps, with grid evidence that it closes both flatness residuals
     (``residuals_flat``, the verdict of ``Sweep.flat``) and has K = 0."""
 
+    case: str
+    c1: float
+    c2: float
+    r: ex.Expr
+    constraint: str
+    surface: PencilSurface
     max_rho1: float
     max_rho2: float
     residuals_flat: bool
@@ -297,42 +272,14 @@ class FlatPolarVerification:
         return self.residuals_flat and self.max_abs_gaussian <= FLAT_GAUSSIAN_TOL
 
 
-_CASE_CONSTRAINTS = {
-    "i": "planar generator; r = 1/(c1 sin t - c2 cos t)",
-    "ii": "kappa3 = c1 kappa2 / (c2 + kappa1); r = 1/(c1 sin t - c2 cos t)",
-    "iii": "circular generator; r = -1/(c1 sin t - c2 cos t)",
-    "iv": "kappa1 = 1/c1; r = c1 / cos t",
+# per case: the constraint, and the sign of r = sign/(c1 sin t - c2 cos t)
+# (None: r = c1 sec t)
+_CASES = {
+    "i": ("planar generator; r = 1/(c1 sin t - c2 cos t)", 1.0),
+    "ii": ("kappa3 = c1 kappa2 / (c2 + kappa1); r = 1/(c1 sin t - c2 cos t)", 1.0),
+    "iii": ("circular generator; r = -1/(c1 sin t - c2 cos t)", -1.0),
+    "iv": ("kappa1 = 1/c1; r = c1 / cos t", None),
 }
-
-
-@dataclass(frozen=True)
-class FlatPolarParams:
-    """One flat polar-design instance: case label, constants, the solved
-    radius function, the curvature constraint it rests on, and the grid
-    verification record."""
-
-    case: str
-    c1: float
-    c2: float
-    r: ex.Expr
-    constraint: str
-    verification: FlatPolarVerification
-
-
-class FlatPolarDesign(NamedTuple):
-    params: FlatPolarParams
-    surface: PencilSurface
-
-
-def _flat_radius(case: str, c1: float, c2: float) -> ex.Expr:
-    t = ex.variable("t")
-    if case in ("i", "ii"):
-        return 1.0 / (c1 * ex.call("sin", t) - c2 * ex.call("cos", t))
-    if case == "iii":
-        return -1.0 / (c1 * ex.call("sin", t) - c2 * ex.call("cos", t))
-    if case == "iv":
-        return c1 * ex.call("sec", t)
-    raise ValueError(f"unknown flat design case {case!r}")
 
 
 def _check_case_preconditions(case: str, c1: float, c2: float, curve: CurveSpec,
@@ -355,14 +302,12 @@ def _check_case_preconditions(case: str, c1: float, c2: float, curve: CurveSpec,
                             deviation > PROFILE_CONSTRAINT_TOL])
         messages = ["case ii: generator frame degenerates", "case ii: c2 + kappa1 vanishes",
                     "case ii: kappa3 != c1 kappa2 / (c2 + kappa1) (|deviation| = {:.3e})"]
-    elif case == "iv":
+    else:  # iv
         if c1 == 0.0:
             raise ConstraintViolationError("case iv: c1 must be nonzero")
         deviation = np.abs(kappa1 - 1.0 / c1)
         failing = (deviation > PROFILE_CONSTRAINT_TOL)[None]
         messages = ["case iv: kappa1 != 1/c1 (|deviation| = {:.3e})"]
-    else:
-        raise ValueError(f"unknown flat design case {case!r}")
     # the first failing sample raises the message of its first failing check
     bad = np.flatnonzero(failing.any(axis=0))
     if bad.size:
@@ -370,25 +315,21 @@ def _check_case_preconditions(case: str, c1: float, c2: float, curve: CurveSpec,
         raise ConstraintViolationError(messages[np.argmax(failing[:, i])].format(deviation[i]))
 
 
-def flat_polar_solution(
-    case: str,
-    c1: float,
-    c2: float,
-    curve: CurveSpec,
-    t_domain: tuple[float, float],
-    s_domain: tuple[float, float] | None = None,
-) -> FlatPolarDesign:
+def flat_polar_solution(case: str, c1: float, c2: float, curve: CurveSpec,
+                        t_domain: tuple[float, float],
+                        s_domain: tuple[float, float] | None = None) -> FlatPolarDesign:
     """Instantiate one of the four flat polar designs and verify it.
 
-    The verification record holds the maxima of both flatness residuals and
-    of |K| on a grid, plus the radius-ODE residuals.  The planar cases i and
-    iii sweep the circle with its parallel completion (``WCurve.parallel``):
+    The design records the maxima of both flatness residuals and of |K| on
+    a grid, plus the radius-ODE residuals.  The planar cases i and iii
+    sweep the circle with its parallel completion (``WCurve.parallel``):
     V3 and V4 are constant, kappa2 = kappa3 = 0 holds for the frame the
     points use, and the surface is a cone over the circle.
     """
     case = case.lower()
-    if case not in _CASE_CONSTRAINTS:
+    if case not in _CASES:
         raise ValueError(f"unknown flat design case {case!r}")
+    constraint, sign = _CASES[case]
     if s_domain is None:
         s_domain = curve.domain
     ns, nt = _VERIFY_GRID
@@ -397,36 +338,30 @@ def flat_polar_solution(
     if case in ("i", "iii"):
         curve = replace(curve, parallel=True)
 
-    r = _flat_radius(case, c1, c2)
-    marching = polar_marching(r, t_domain)
-    surface = PencilSurface(curve, marching)
+    t = ex.variable("t")
+    if sign is None:
+        r = c1 * ex.call("sec", t)
+    else:
+        r = sign / (c1 * ex.call("sin", t) - c2 * ex.call("cos", t))
+    surface = PencilSurface(curve, polar_marching(r, t_domain))
 
     t_samples = np.linspace(t_domain[0], t_domain[1], nt)
     sw = surface.sweep(s_samples, t_samples).require_regular()
-    max_k = float(np.max(np.abs(cu.invariants_from_forms(sw.forms).K)))
-    ode_t = np.linspace(t_domain[0], t_domain[1], 64)
-    eps1, eps2 = flat_ode_residuals(r, curve, ode_t, s_samples)
-    verification = FlatPolarVerification(
+    eps1, eps2 = flat_ode_residuals(r, curve, np.linspace(t_domain[0], t_domain[1], 64),
+                                    s_samples)
+    return FlatPolarDesign(
+        case=case, c1=c1, c2=c2, r=r, constraint=constraint, surface=surface,
         max_rho1=sw.max_rho1,
         max_rho2=sw.max_rho2,
         residuals_flat=sw.flat,
-        max_abs_gaussian=max_k,
+        max_abs_gaussian=float(np.max(np.abs(cu.invariants_from_forms(sw.forms).K))),
         max_ode_residual_1=float(np.max(np.abs(eps1))),
         max_ode_residual_2=float(np.max(np.abs(eps2))),
     )
-    params = FlatPolarParams(
-        case=case, c1=c1, c2=c2, r=r,
-        constraint=_CASE_CONSTRAINTS[case], verification=verification,
-    )
-    return FlatPolarDesign(params=params, surface=surface)
 
 
-def flat_ode_residuals(
-    r: ex.Expr | str,
-    curve: CurveSpec,
-    t_samples: Sequence[float],
-    s_samples: Sequence[float],
-) -> tuple[np.ndarray, np.ndarray]:
+def flat_ode_residuals(r: ex.Expr, curve: CurveSpec, t_samples: Sequence[float],
+                       s_samples: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
     """Residual fields of the two differential equations a flat polar
     design must satisfy:
 
@@ -435,8 +370,6 @@ def flat_ode_residuals(
 
     evaluated with the first two derivatives of r from one jet evaluation
     and the curve's own curvature values."""
-    if isinstance(r, str):
-        r = ex.parse(r, "t")
     t_arr = np.asarray(list(t_samples), dtype=float)
     rv, dv, sv = ex.evaluate(r, t_arr, order=2)
     eps1 = 2.0 * dv * dv - rv * sv + rv * rv

@@ -287,7 +287,6 @@ class ComparisonReport:
 
     quantity: str
     max_abs_dev: float
-    max_rel_dev: float
     worst_point: tuple[float, float]
     tolerance: float
     passed: bool
@@ -316,7 +315,7 @@ def compare(
     *,
     match_sign: bool = False,
 ) -> ComparisonReport:
-    """Max absolute/relative deviation of ``closed`` against the oracle.
+    """Max absolute deviation of ``closed`` against the oracle.
 
     A point passes when |closed - oracle| <= max(tol, tol * |oracle|).  With
     ``match_sign`` one global sign is granted to the oracle values first
@@ -335,13 +334,11 @@ def compare(
     dev = np.abs(a - sign * b)
     limits = np.maximum(tolerance, tolerance * np.abs(b))
     worst = int(np.argmax(dev - limits))
-    scale = np.maximum(1.0, np.abs(b))
     good = np.abs(b) > max(1e-9, 0.01 * float(np.max(np.abs(b)))) if np.max(np.abs(b)) > 0 else np.zeros(len(b), bool)
     ratio = float(np.median(a[good] / (sign * b[good]))) if np.any(good) else math.nan
     return ComparisonReport(
         quantity=quantity,
         max_abs_dev=float(np.max(dev)),
-        max_rel_dev=float(np.max(dev / scale)),
         worst_point=tuple(points[worst]),
         tolerance=tolerance,
         passed=bool(np.all(dev <= limits)),

@@ -62,11 +62,12 @@ def _seed_surfaces():
 
     # two polar pencils
     p = pc.PencilSurface(
-        SEED_CURVE, fam.polar_marching("0.3 + 0.1*t^2", (0.05, 1.0))
+        SEED_CURVE, fam.polar_marching(ex.parse("0.3 + 0.1*t^2", "t"), (0.05, 1.0))
     )
     seeds.append(("polar", p, (0.0, 5.0), (0.1, 0.95)))
     w2 = _random_w_curve(rng)
-    p = pc.PencilSurface(w2, fam.polar_marching("0.25 + 0.1*sin(t)", (0.2, 1.4)))
+    p = pc.PencilSurface(w2, fam.polar_marching(ex.parse("0.25 + 0.1*sin(t)", "t"),
+                                                (0.2, 1.4)))
     seeds.append(("polar", p, (0.0, 5.0), (0.25, 1.35)))
 
     # two ruled pencils
@@ -77,9 +78,10 @@ def _seed_surfaces():
     seeds.append(("ruled", fam.ruled_pencil(w3, (0.0, t_hi)), (0.0, 5.0), (0.03, t_hi - 0.02)))
 
     # two Vranceanu pencils (completed degenerate frames)
-    p = fam.vranceanu("1*exp(0.2*t)", 0.6, 0.8, (0.0, 1.0))
+    p = fam.vranceanu(ex.parse("1*exp(0.2*t)", "t"), 0.6, 0.8, (0.0, 1.0))
     seeds.append(("vranceanu", p, (0.0, 5.0), (0.05, 0.95)))
-    p = fam.vranceanu("1.2 + 0.4*sin(t)", 1 / math.sqrt(2), 1 / math.sqrt(2), (0.0, 1.2))
+    p = fam.vranceanu(ex.parse("1.2 + 0.4*sin(t)", "t"), 1 / math.sqrt(2), 1 / math.sqrt(2),
+                      (0.0, 1.2))
     seeds.append(("vranceanu", p, (0.0, 5.0), (0.05, 1.15)))
 
     # one flat polar design
@@ -206,7 +208,7 @@ def test_criterion_4_flat_vranceanu_by_oracle():
         if abs(mu) < 0.05:
             mu = 0.1
         im = fam.vranceanu_immersion(
-            f"{lam:.6f}*exp({mu:.6f}*t)", (-0.6, 2.6), (-0.1, 1.1)
+            ex.parse(f"{lam:.6f}*exp({mu:.6f}*t)", "t"), (-0.6, 2.6), (-0.1, 1.1)
         )
         im = orc.Immersion(im.fn, im.u_domain, im.v_domain, step=FLAT_STEP)
         got = orc.grid_max_abs_gaussian(
@@ -214,7 +216,8 @@ def test_criterion_4_flat_vranceanu_by_oracle():
         )
         worst = max(worst, got)
         assert got <= 1e-8, (lam, mu, got)
-    control = fam.vranceanu_immersion("1 + 0.5*cos(t)", (-0.6, 2.6), (-0.1, 1.1))
+    control = fam.vranceanu_immersion(ex.parse("1 + 0.5*cos(t)", "t"), (-0.6, 2.6),
+                                      (-0.1, 1.1))
     control = orc.Immersion(control.fn, control.u_domain, control.v_domain, step=FLAT_STEP)
     control_k = orc.grid_max_abs_gaussian(
         control, np.linspace(0.0, 2.0, 8), np.linspace(0.0, 1.0, 8)
@@ -268,18 +271,18 @@ def test_criterion_6_flat_polar_cases():
     details = []
     for case, c1, c2, curve, t_range in runs:
         design = fam.flat_polar_solution(case, c1, c2, curve, t_range)
-        v = design.params.verification
-        assert v.max_ode_residual_1 <= 1e-9, case
-        assert v.max_ode_residual_2 <= 1e-9, case
-        assert v.max_abs_gaussian <= 1e-8, case
-        assert v.flat, case
-        details.append(f"{case}: ode ({v.max_ode_residual_1:.1e}, {v.max_ode_residual_2:.1e})")
+        assert design.max_ode_residual_1 <= 1e-9, case
+        assert design.max_ode_residual_2 <= 1e-9, case
+        assert design.max_abs_gaussian <= 1e-8, case
+        assert design.flat, case
+        details.append(f"{case}: ode ({design.max_ode_residual_1:.1e}, "
+                       f"{design.max_ode_residual_2:.1e})")
         if case == "iv":
             # desk numbers: c1 = 2/sqrt(7) matches kappa1 = sqrt(7)/2, and
             # the radius ODE closes to full precision
             assert c1 == pytest.approx(2.0 / math.sqrt(7.0))
             assert abs(cv.frenet_apparatus(curve, 0.0).kappas[0, 0] - 1.0 / c1) <= 1e-12
-            assert v.max_ode_residual_1 <= 1e-12
+            assert design.max_ode_residual_1 <= 1e-12
     _report(True, "criterion 6: four flat polar designs verified", "; ".join(details))
 
 

@@ -133,6 +133,23 @@ class TestConfig:
         assert code == cli.EXIT_CONFIG
         assert "is not a finite double" in err
 
+    @pytest.mark.parametrize("command", ["frenet", "eval", "curvature", "verify", "export"])
+    @pytest.mark.parametrize("s_range, code, message", [
+        # the width overflows, so linspace would give NaN and inf values of s
+        ([-1e308, 1e308], cli.EXIT_CONFIG, "config error: domain.s is wider than"),
+        # the width is finite, but d s = 2 s overflows inside cos and sin
+        ([1e307, 1.5e308], cli.EXIT_EVAL_DOMAIN,
+         "expression error: spine frame is not finite at s = 1.15e+308"),
+    ], ids=["width", "frame"])
+    def test_huge_domain_is_one_error_line(self, tmp_path, capsys, command, s_range, code,
+                                           message):
+        cfg = seed_scene(domain={"s": s_range, "t": [-0.25, 0.25], "ns": 5, "nt": 4})
+        argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "x")]
+        got, out, err = run(capsys, argv if command in ("verify", "export") else argv[:3])
+        assert (got, out) == (code, "")
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not list(tmp_path.glob("x*"))
+
     def test_deeply_nested_json_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
         path.write_text("[" * 100_000, encoding="utf-8")
@@ -369,6 +386,20 @@ class TestConfig:
         assert code == cli.EXIT_CONFIG and out == ""
         assert err.startswith(f"config error: {flag} must be a positive finite number")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command, option", [
+        ("frenet", ["--tol", "1e-3"]), ("eval", ["--tol", "1e-3"]),
+        ("curvature", ["--step", "1e-3"]), ("eval", ["--projection", "stereo"]),
+        ("verify", ["--projection", "stereo"]), ("flat-design", ["--tol", "1e-3"]),
+        ("export", ["--step", "1e-3"]),
+    ])
+    def test_option_of_another_subcommand_is_usage_error(self, tmp_path, capsys, command,
+                                                          option):
+        path = write_config(tmp_path, seed_scene())
+        with pytest.raises(SystemExit) as usage:
+            cli.main([command, "--config", path, *option])
+        assert usage.value.code == cli.EXIT_CONFIG
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["eval", "verify", "export"])
     def test_unwritable_out_is_output_error(self, tmp_path, capsys, command):

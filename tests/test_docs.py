@@ -1,7 +1,9 @@
-"""The documented API exists: the README's Python examples run, and every
-name a module exports in ``__all__`` resolves."""
+"""The documented API exists: the README's Python examples run, its scene
+examples load and print what it says, and every name a module exports in
+``__all__`` resolves."""
 
 import importlib
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -9,18 +11,41 @@ from pathlib import Path
 import pytest
 
 import pencil4
+from pencil4 import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = [importlib.import_module(f"pencil4.{info.name}")
            for info in pkgutil.iter_modules(pencil4.__path__)]
 
 
+def blocks(language):
+    return re.findall(rf"^```{language}\n(.*?)^```", README.read_text(encoding="utf-8"),
+                      re.DOTALL | re.MULTILINE)
+
+
 def test_readme_python_blocks_run():
-    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
-                        re.DOTALL | re.MULTILINE)
-    assert blocks
-    for block in blocks:
+    assert blocks("python")
+    for block in blocks("python"):
         exec(compile(block, str(README), "exec"), {})
+
+
+def test_readme_scene_examples_run(tmp_path, capsys):
+    scenes = {}
+    for i, block in enumerate(blocks("json")):
+        path = tmp_path / f"scene{i}.json"
+        path.write_text(block, encoding="utf-8")
+        cli.load_scene(path)
+        scenes[json.loads(block)["marching"]["kind"]] = str(path)
+    capsys.readouterr()
+    assert cli.main(["verify", "--config", scenes["ruled"]]) == cli.EXIT_OK
+    assert capsys.readouterr().out.endswith("overall: PASS\n")
+
+    assert cli.main(["flat-design", "--config", scenes["flat_polar"]]) == cli.EXIT_OK
+    out = capsys.readouterr().out.splitlines()
+    (example,) = [b for b in blocks("bash") if b.startswith("pencil4 flat-design")]
+    printed = [line[2:] for line in example.splitlines()[1:] if line != "# ..."]
+    assert printed == out[-len(printed):]
+    assert printed[-1] == "verdict: FLAT"
 
 
 @pytest.mark.parametrize("module", MODULES, ids=lambda m: m.__name__)

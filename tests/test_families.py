@@ -14,6 +14,7 @@ from pencil4 import pencil as pc
 from pencil4.errors import (
     ConstraintViolationError,
     DomainError,
+    EvalDomainError,
     RegularityViolationError,
 )
 
@@ -33,7 +34,7 @@ def padded(domain, step=FLAT_STEP):
 class TestRotationMarching:
     def test_constant_profile_degenerates(self):
         t = ex.variable("t")
-        profile = fam.RotationProfile.for_curve(
+        profile = fam.RotationProfile(
             ex.constant(SEED_CURVE.a) + 0.0 * t, ex.constant(SEED_CURVE.b) + 0.0 * t,
             SEED_CURVE,
         )
@@ -45,7 +46,7 @@ class TestRotationMarching:
         a, b = 0.6, 0.8
         r = ex.parse("1 + 0.3*sin(t)", "t")
         t = ex.variable("t")
-        profile = fam.RotationProfile.for_curve(
+        profile = fam.RotationProfile(
             r * ex.call("cos", t), r * ex.call("sin", t), cv.WCurve(a, b, 1.0, 1.0)
         )
         marching = fam.rotation_marching(profile, (0.0, 1.0))
@@ -65,7 +66,7 @@ class TestRotationMarching:
         t = ex.variable("t")
         f = SEED_CURVE.a + 0.1 * t + 0.02 * t * t
         g = SEED_CURVE.b + 0.05 * t * t - 0.03 * t
-        profile = fam.RotationProfile.for_curve(f, g, SEED_CURVE)
+        profile = fam.RotationProfile(f, g, SEED_CURVE)
         pencil = fam.rotation_pencil(profile, (-0.4, 0.8))
         for s in np.linspace(0.0, 2.0 * math.pi, 32):
             for tv in np.linspace(-0.4, 0.8, 32):
@@ -79,9 +80,10 @@ class TestRotationMarching:
         t = ex.variable("t")
         f = SEED_CURVE.a + 0.07 * t - 0.02 * t**3.0
         g = SEED_CURVE.b + 0.04 * t * t
-        profile = fam.RotationProfile.for_curve(f, g, SEED_CURVE)
+        profile = fam.RotationProfile(f, g, SEED_CURVE)
         marching = fam.rotation_marching(profile, (-0.3, 0.5))
-        a, b, c, d, k1 = profile.a, profile.b, profile.c, profile.d, profile.kappa1
+        a, b, c, d = profile.curve.a, profile.curve.b, profile.curve.c, profile.curve.d
+        k1 = K1  # kappa1 of the seed curve
         sigma = fam._frame_gauge_sign(SEED_CURVE)
         for tv in np.linspace(-0.3, 0.5, 25):
             A = ex.evaluate(marching.A, float(tv))
@@ -98,7 +100,7 @@ class TestRotationMarching:
             coeff = rng.uniform(-0.08, 0.08, size=4)
             f = SEED_CURVE.a + coeff[0] * t + coeff[1] * t * t
             g = SEED_CURVE.b + coeff[2] * t + coeff[3] * t * t
-            profile = fam.RotationProfile.for_curve(f, g, SEED_CURVE)
+            profile = fam.RotationProfile(f, g, SEED_CURVE)
             try:
                 pencil = fam.rotation_pencil(profile, (0.05, 0.9))
             except RegularityViolationError:
@@ -111,17 +113,17 @@ class TestRotationMarching:
 
 class TestVranceanu:
     def test_unit_radius_point(self):
-        p = fam.vranceanu("1 + 0*t", 0.6, 0.8, (-0.5, 0.5))
+        p = fam.vranceanu(ex.parse("1 + 0*t", "t"), 0.6, 0.8, (-0.5, 0.5))
         assert p.point_array(0.0, 0.0) == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-12)
 
     def test_requires_unit_generator(self):
         with pytest.raises(ConstraintViolationError):
-            fam.vranceanu("1 + 0*t", 1.0, 1.0)
+            fam.vranceanu(ex.parse("1 + 0*t", "t"), 1.0, 1.0)
 
     def test_trace_matches_canonical_parametrization(self):
-        r_text = "1.1*exp(0.2*t)"
-        p = fam.vranceanu(r_text, 1 / math.sqrt(2), 1 / math.sqrt(2), (0.0, 1.0))
-        im = fam.vranceanu_immersion(r_text, (0.0, 2 * math.pi), (0.0, 1.0))
+        r = ex.parse("1.1*exp(0.2*t)", "t")
+        p = fam.vranceanu(r, 1 / math.sqrt(2), 1 / math.sqrt(2), (0.0, 1.0))
+        im = fam.vranceanu_immersion(r, (0.0, 2 * math.pi), (0.0, 1.0))
         for s in np.linspace(0.0, 2 * math.pi, 9):
             for t in np.linspace(0.0, 1.0, 9):
                 assert p.point_array(float(s), float(t)) == pytest.approx(
@@ -129,7 +131,8 @@ class TestVranceanu:
                 )
 
     def test_spiral_radius_is_flat_by_oracle(self):
-        im = fam.vranceanu_immersion("1*exp(0.2*t)", padded((0.0, 2.0)), padded((0.0, 1.0)))
+        im = fam.vranceanu_immersion(ex.parse("1*exp(0.2*t)", "t"), padded((0.0, 2.0)),
+                                     padded((0.0, 1.0)))
         im = orc.Immersion(im.fn, im.u_domain, im.v_domain, step=FLAT_STEP)
         worst = orc.grid_max_abs_gaussian(
             im, np.linspace(0.0, 2.0, 8), np.linspace(0.0, 1.0, 8)
@@ -137,14 +140,14 @@ class TestVranceanu:
         assert worst <= 1e-8
 
     def test_pencil_route_is_flat_too(self):
-        p = fam.vranceanu("1*exp(0.2*t)", 0.6, 0.8, (0.0, 1.0))
+        p = fam.vranceanu(ex.parse("1*exp(0.2*t)", "t"), 0.6, 0.8, (0.0, 1.0))
         for s in np.linspace(0.5, 2.0, 5):
             for t in np.linspace(0.1, 0.9, 5):
                 assert abs(cu.gaussian(p, float(s), float(t))) < 1e-10
 
     def test_non_spiral_radius_is_not_flat(self):
         im = fam.vranceanu_immersion(
-            "1 + 0.5*cos(t)", padded((0.0, 2.0)), padded((0.0, 1.0))
+            ex.parse("1 + 0.5*cos(t)", "t"), padded((0.0, 2.0)), padded((0.0, 1.0))
         )
         im = orc.Immersion(im.fn, im.u_domain, im.v_domain, step=FLAT_STEP)
         worst = orc.grid_max_abs_gaussian(
@@ -155,34 +158,35 @@ class TestVranceanu:
 
 class TestLawson:
     def test_point_by_substitution(self):
-        surf = fam.lawson(1.0)
-        assert surf.profile.point(0.0, 0.0) == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
+        profile = fam.lawson(1.0)
+        assert profile.point(0.0, 0.0) == pytest.approx([1.0, 0.0, 0.0, 0.0], abs=1e-15)
         # pencil route sweeps the same trace
-        assert surf.pencil.point_array(0.0, 0.0) == pytest.approx(
+        assert fam.rotation_pencil(profile, (0.2, 1.2)).point_array(0.0, 0.0) == pytest.approx(
             [1.0, 0.0, 0.0, 0.0], abs=1e-12
         )
 
     def test_oracle_metric_diagonal(self):
-        surf = fam.lawson(1.0)
-        im = orc.Immersion(surf.profile.point, (-0.5, 2 * math.pi), (0.1, 1.3))
+        profile = fam.lawson(1.0)
+        im = orc.Immersion(profile.point, (-0.5, 2 * math.pi), (0.1, 1.3))
         for (s, t) in [(0.5, 0.4), (2.0, 0.9), (4.0, 0.6)]:
             rep = orc.numeric_forms(im, s, t)
             assert abs(rep.F) < 1e-9
 
     def test_profile_identity_on_grid(self):
-        surf = fam.lawson(2.0)
+        profile = fam.lawson(2.0)
         for s in np.linspace(0.0, 2 * math.pi, 16):
             for t in np.linspace(0.2, 1.2, 16):
-                x = surf.profile.point(float(s), float(t))
+                x = profile.point(float(s), float(t))
                 assert x[0] ** 2 + x[1] ** 2 == pytest.approx(math.cos(t) ** 2, abs=1e-12)
                 assert x[2] ** 2 + x[3] ** 2 == pytest.approx(math.sin(t) ** 2, abs=1e-12)
 
     def test_nondegenerate_rate_pencil_reconstructs(self):
-        surf = fam.lawson(2.0, t_domain=(0.3, 1.2))
+        profile = fam.lawson(2.0)
+        pencil = fam.rotation_pencil(profile, (0.3, 1.2))
         for s in np.linspace(0.0, 3.0, 7):
             for t in np.linspace(0.3, 1.2, 7):
-                want = surf.profile.point(float(s), float(t))
-                got = surf.pencil.point_array(float(s), float(t))
+                want = profile.point(float(s), float(t))
+                got = pencil.point_array(float(s), float(t))
                 assert np.max(np.abs(got - want)) < 1e-9
 
 
@@ -220,7 +224,7 @@ class TestRuledPencil:
 
 class TestPolarMarching:
     def test_unit_radius(self):
-        m = fam.polar_marching("1 + 0*t", (0.2, 1.2))
+        m = fam.polar_marching(ex.parse("1 + 0*t", "t"), (0.2, 1.2))
         for t in np.linspace(0.2, 1.2, 9):
             A, B, dA, dB, ddA, ddB = m.values(float(t))
             assert A == pytest.approx(math.cos(t), abs=1e-12)
@@ -229,7 +233,7 @@ class TestPolarMarching:
             assert dA * ddB - dB * ddA == pytest.approx(1.0, abs=1e-12)
 
     def test_reciprocal_sine_closes_first_residual(self):
-        m = fam.polar_marching("1/sin(t)", (0.2, math.pi - 0.2))
+        m = fam.polar_marching(ex.parse("1/sin(t)", "t"), (0.2, math.pi - 0.2))
         for t in np.linspace(0.2, math.pi - 0.2, 33):
             _, _, dA, dB, ddA, ddB = m.values(float(t))
             assert abs(dA * ddB - dB * ddA) < 1e-9
@@ -244,23 +248,22 @@ class TestPolarMarching:
 
     def test_pole_inside_range_rejected(self):
         with pytest.raises(DomainError):
-            fam.polar_marching("1/sin(t)", (-0.5, 0.5))  # pole at t = 0
+            fam.polar_marching(ex.parse("1/sin(t)", "t"), (-0.5, 0.5))  # pole at t = 0
 
     def test_nonpositive_radius_rejected(self):
         with pytest.raises(DomainError):
-            fam.polar_marching("cos(t)", (1.0, 2.0))  # sign change at pi/2
+            fam.polar_marching(ex.parse("cos(t)", "t"), (1.0, 2.0))  # sign change at pi/2
 
 
 class TestFlatPolarSolution:
     def test_case_iv_on_seed_curve(self):
         c1 = 2.0 / math.sqrt(7.0)  # 1/kappa1
         design = fam.flat_polar_solution("iv", c1, 0.0, SEED_CURVE, (0.8, 1.3))
-        v = design.params.verification
-        assert v.max_ode_residual_1 <= 1e-12
-        assert v.max_rho1 <= 1e-12
-        assert v.max_rho2 <= 1e-12
-        assert v.max_abs_gaussian <= 1e-10
-        assert v.flat
+        assert design.max_ode_residual_1 <= 1e-12
+        assert design.max_rho1 <= 1e-12
+        assert design.max_rho2 <= 1e-12
+        assert design.max_abs_gaussian <= 1e-10
+        assert design.flat
 
     def test_case_iv_oracle_flat(self):
         c1 = 2.0 / math.sqrt(7.0)
@@ -280,12 +283,11 @@ class TestFlatPolarSolution:
     def test_case_i_on_planar_circle(self):
         circle = cv.WCurve(1.0, 0.0, 1.0, 1.0)
         design = fam.flat_polar_solution("i", 1.0, 0.0, circle, (1.0, 2.6))
-        v = design.params.verification
-        assert v.max_rho1 <= 1e-9
-        assert v.max_rho2 <= 1e-12
-        assert v.max_abs_gaussian <= 1e-8
-        assert v.max_ode_residual_2 == 0.0  # all terms carry kappa2 or kappa3
-        assert v.flat
+        assert design.max_rho1 <= 1e-9
+        assert design.max_rho2 <= 1e-12
+        assert design.max_abs_gaussian <= 1e-8
+        assert design.max_ode_residual_2 == 0.0  # all terms carry kappa2 or kappa3
+        assert design.flat
 
     def test_case_i_requires_planar_curve(self):
         with pytest.raises(ConstraintViolationError):
@@ -300,12 +302,11 @@ class TestFlatPolarSolution:
         c2 = 0.5
         c1 = K3 * (c2 + K1) / K2
         design = fam.flat_polar_solution("ii", c1, c2, SEED_CURVE, (0.35, 1.2))
-        v = design.params.verification
-        assert v.max_rho1 <= 1e-9
-        assert v.max_rho2 <= 1e-9
-        assert v.max_ode_residual_2 <= 1e-9
-        assert v.max_abs_gaussian <= 1e-8
-        assert v.flat
+        assert design.max_rho1 <= 1e-9
+        assert design.max_rho2 <= 1e-9
+        assert design.max_ode_residual_2 <= 1e-9
+        assert design.max_abs_gaussian <= 1e-8
+        assert design.flat
 
     def test_case_ii_oracle_flat(self):
         c2 = 0.5
@@ -322,11 +323,10 @@ class TestFlatPolarSolution:
     def test_case_iii_on_circle(self):
         circle = cv.WCurve(1.0, 0.0, 1.0, 1.0)
         design = fam.flat_polar_solution("iii", 1.0, 0.0, circle, (3.55, 4.5))
-        v = design.params.verification
-        assert v.max_rho1 <= 1e-9
-        assert v.max_rho2 <= 1e-12
-        assert v.max_abs_gaussian <= 1e-8
-        assert v.flat
+        assert design.max_rho1 <= 1e-9
+        assert design.max_rho2 <= 1e-12
+        assert design.max_abs_gaussian <= 1e-8
+        assert design.flat
 
     @pytest.mark.parametrize("case, t_domain", [("i", (1.0, 2.6)), ("iii", (3.8, 4.6))])
     @pytest.mark.parametrize("circle", [cv.WCurve(1.0, 0.0, 1.0, 1.0),
@@ -336,7 +336,7 @@ class TestFlatPolarSolution:
         # cases i and iii are cones over the circle: the oracle measures the
         # points the design sweeps, so it must read them flat as well
         design = fam.flat_polar_solution(case, 1.0, 0.5, circle, t_domain)
-        assert design.params.verification.flat
+        assert design.flat
         im = orc.Immersion(
             design.surface.point_array, (-1.0, 7.0), padded(t_domain), step=FLAT_STEP
         )
@@ -396,21 +396,92 @@ class TestCasePreconditions:
                 assert str(ei.value) == want
 
 
+def reference_radius_check(r, t_domain):
+    """The per-sample loop over the radius check: raises DomainError at the
+    first sample that faults, blows up or is not positive."""
+    for t in np.linspace(t_domain[0], t_domain[1], 64):
+        try:
+            value = ex.evaluate(r, float(t))
+        except EvalDomainError as err:
+            raise DomainError(
+                f"radius function singular inside t-range at t = {float(t)!r}: {err}"
+            ) from err
+        if not math.isfinite(value) or abs(value) > 1e8:
+            raise DomainError(f"radius function blows up near t = {float(t)!r}")
+        if value <= 0.0:
+            raise DomainError(f"radius function is not positive at t = {float(t)!r}")
+
+
+def random_radius(rng, ts):
+    """A radius over the samples ``ts`` that may change sign, blow up past
+    1e8, have a pole at or between samples, or be fine."""
+    a, b = (f"{x:.6f}" for x in rng.uniform(0.1, 2.0, size=2))
+    pole = repr(float(rng.choice(ts))) if rng.random() < 0.5 else f"{rng.uniform(-1, 4):.6f}"
+    template = rng.choice([
+        "{a} + {b}*sin(3*t)",                # positive or a sign change
+        "{a} - {b}*t",                       # a sign change, or none on the range
+        "{a}/(t - {pole})",                  # a pole, at a sample or between
+        "{a}/(t - {pole})^2",                # a positive pole
+        "{a}*10^9*(t - {pole})^2 + {b}",     # beyond 1e8 away from the pole
+        "{b} - {a}*10^9*(t - {pole})^2",     # below -1e8: blows up, not positive
+        "ln(t - {pole}) + {a}",              # a domain fault left of the pole
+        "{a} + 0*t",                         # fine
+    ])
+    return ex.parse(template.format(a=a, b=b, pole=pole), "t")
+
+
+class TestRadiusCheck:
+    def test_one_array_evaluation_matches_per_sample_loop(self):
+        rng = np.random.default_rng(17)
+        outcomes = set()
+        for _ in range(400):
+            t0 = float(rng.uniform(-1.0, 2.0))
+            t_domain = (t0, t0 + float(rng.uniform(0.1, 2.0)))
+            ts = np.linspace(t_domain[0], t_domain[1], 64)
+            r = random_radius(rng, ts)
+            try:
+                reference_radius_check(r, t_domain)
+                want = None
+            except DomainError as err:
+                want = str(err)
+            try:
+                fam._check_radius(r, t_domain)
+                got = None
+            except DomainError as err:
+                got = str(err)
+            faults = False
+            for t in ts:
+                try:
+                    ex.evaluate(r, float(t))
+                except EvalDomainError:
+                    faults = True
+            if faults:  # the loop may reach another failure first
+                assert want is not None, ex.to_string(r)
+                assert got is not None and got.startswith(
+                    "radius function singular inside t-range: "), got
+            else:
+                assert got == want, ex.to_string(r)
+            outcomes.add("fault" if faults else (want or "ok").split(" t = ")[0])
+        assert outcomes == {"ok", "fault", "radius function blows up near",
+                            "radius function is not positive at"}
+
+
 class TestFlatOdeResiduals:
     def test_known_solution(self):
         eps1, _ = fam.flat_ode_residuals(
-            "1/(sin(t) - 2*cos(t))", SEED_CURVE, np.linspace(1.3, 2.8, 64), [0.0]
+            ex.parse("1/(sin(t) - 2*cos(t))", "t"), SEED_CURVE, np.linspace(1.3, 2.8, 64), [0.0]
         )
         assert np.max(np.abs(eps1)) <= 1e-12
 
     def test_unit_radius_fails_ode(self):
-        eps1, _ = fam.flat_ode_residuals("1 + 0*t", SEED_CURVE, [0.3, 1.0], [0.0])
+        eps1, _ = fam.flat_ode_residuals(ex.parse("1 + 0*t", "t"), SEED_CURVE, [0.3, 1.0], [0.0])
         assert eps1 == pytest.approx([1.0, 1.0], abs=1e-12)
 
     def test_planar_completion_second_residual_vanishes(self):
         circle = cv.WCurve(1.0, 0.0, 1.0, 1.0)
         _, eps2 = fam.flat_ode_residuals(
-            "1 + 0.2*sin(t)", circle, np.linspace(0.2, 1.4, 9), np.linspace(0.0, 3.0, 5)
+            ex.parse("1 + 0.2*sin(t)", "t"), circle, np.linspace(0.2, 1.4, 9),
+            np.linspace(0.0, 3.0, 5),
         )
         assert np.max(np.abs(eps2)) == 0.0
 

@@ -268,7 +268,8 @@ class TestFundamentalForms:
 
         seeds = [
             poly_pencil(),
-            pc.PencilSurface(SEED_CURVE, fam.polar_marching("0.3 + 0.1*t^2", (0.05, 1.0))),
+            pc.PencilSurface(SEED_CURVE,
+                             fam.polar_marching(ex.parse("0.3 + 0.1*t^2", "t"), (0.05, 1.0))),
         ]
         rng = np.random.default_rng(6)
         for p in seeds:
