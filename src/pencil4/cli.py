@@ -14,14 +14,15 @@ subcommands sweep it:
 CSV output is deterministic: fixed 17-significant-digit formatting, rows
 t-major then s, no timestamps.  Values are printed as ``"%.17g" % x`` by
 ``text.cells``, as fixed-width byte cells.  The s and t columns are formatted
-once per command, the other fields in blocks of whole t-rows, each distinct
-value (bit pattern) of a block once.  A block is one uint8 matrix per line
-template, a row per grid point with separators and status markers as fixed
-bytes, and its text is its non-zero bytes.  Every command computes all that
-can fail first and then writes its text: to stdout in one write, or block
-by block to its --out files, opened only then.  A command that fails
-before its first row writes nothing.
-Export's OBJ faces go through one %-template per block.  Grid points
+once per command, the other fields in blocks of whole t-rows: the point
+coordinates value by value, the others each distinct value (bit pattern) of
+a block once, and a bit copy of an earlier field not at all.  A block is one
+uint8 matrix per line template, a row per grid point with separators and
+status markers as fixed bytes, and its text is its non-zero bytes.  Every
+command computes all that can fail first and then writes its text: to stdout
+in one write, or block by block to its --out files, opened only then.  A
+command that fails before its first row writes nothing.
+Export's OBJ faces are blocks too, of ``text.integer_cells``.  Grid points
 violating a regularity condition become rows with a status marker instead
 of aborting the sweep (verify excludes them from comparison).  Any other
 exception ends in exit 1 with one ``internal error`` line.
@@ -62,7 +63,6 @@ from .errors import (
     RankDeficiencyError,
     RegularityViolationError,
     SingularProfileSystemError,
-    StepUnderflowError,
     UnsupportedCompletionError,
 )
 
@@ -86,7 +86,7 @@ _EXIT_CODES = """exit codes:
   5  expression evaluation domain fault
   6  verification tolerance failure
   7  constructor precondition violated (unit speed, case constraints)
-  8  parameter range hits a pole / singular system / oracle step failure
+  8  parameter range hits a pole / singular system
   9  output file could not be written
 """
 
@@ -103,14 +103,13 @@ def _fmt(x: float) -> str:
 
 
 # Grid points per block of text.  Measured on the 120x120 grid benchmark
-# scenes (seed 41, in process, medians of 7 runs of eval and export on both
-# scenes): 256-point blocks took 145-150 and 188-196 ms, 512-point blocks
-# 86-93 and 131-143 ms, 1024-point blocks 68-72 and 112-117 ms, and
-# 2048-point blocks no less (71-77 and 123-132 ms).  A block's byte matrix,
-# its cells and its text are alive together: at 2048 points the traced peak
-# of the 120x120 export rose from 3.17 MB (set by the sweep, as before
-# blocks of text) to 3.78 MB.
+# scenes (seed 0, in process, medians of 20 runs paired with 1024-point
+# blocks): 512-point blocks made eval and export 24-30% slower, 2048-point
+# blocks 3-7% faster.  A block's byte matrix, its cells and its text are
+# alive together: at 2048 points the traced peak of the 120x120 export rose
+# from 3.18 MB (set by the sweep) to 3.88 MB.
 _BLOCK_POINTS = 1024
+_POSITIONS = (2, 3, 4, 5)  # x1..x4 after s and t: mostly distinct, never deduped
 _MARKERS = ("ok", *(f"regularity:{c}" for c in pc.CONDITIONS[1:]))
 _VERIFY_MARKERS = ("ok", *["regularity"] * (len(pc.CONDITIONS) - 1))
 
@@ -389,7 +388,7 @@ def _csv_line(n_fields: int, status: bool) -> str:
     return ",".join([*(f"{{{j}}}" for j in range(n_fields)), *["{status}"] * status]) + "\n"
 
 
-def _template(line: str, marker_width: int):
+def _template(line: str, marker_width: int, width: int = tx.WIDTH):
     """The constant bytes of a line template as one row of a block, and the
     name and offset of each hole: ``{j}`` for field j, ``{status}``."""
     row, holes = bytearray(), []
@@ -397,11 +396,29 @@ def _template(line: str, marker_width: int):
         row += literal.encode("ascii")
         if name is not None:
             holes.append((name if name == "status" else int(name), len(row)))
-            row += bytes(marker_width if name == "status" else tx.WIDTH)
+            row += bytes(marker_width if name == "status" else width)
     return np.frombuffer(bytes(row), np.uint8), holes
 
 
-def _blocks(fields, status=None, markers=_MARKERS, lines=None):
+def _filled(template, cells: dict, shape) -> np.ndarray:
+    """A block of ``shape`` points: rows of the template, each hole filled by
+    its cells (broadcast to ``shape``), as one (points, bytes) matrix."""
+    row, holes = template
+    block = np.empty((*shape, len(row)), np.uint8)
+    block[...] = row
+    for name, at in holes:
+        block[..., at:at + cells[name].shape[-1]] = cells[name]
+    return block.reshape(-1, len(row))
+
+
+def _deduped(values: np.ndarray) -> np.ndarray:
+    """``tx.cells`` of values, each distinct bit pattern formatted once (bits,
+    not values: ``0.0`` and ``-0.0`` print differently and NaN != NaN)."""
+    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
+    return tx.cells(bits.view(np.float64))[inverse.reshape(values.shape)]
+
+
+def _blocks(fields, status=None, markers=_MARKERS, lines=None, direct=()):
     """The text of broadcastable (rows, columns) float fields, per block of
     whole rows, as one (points, bytes) uint8 matrix per line template of
     ``lines`` (default: the CSV row), points in row-major order.  Each matrix
@@ -409,18 +426,26 @@ def _blocks(fields, status=None, markers=_MARKERS, lines=None):
     and ``{status}`` by the point's marker; NUL bytes pad the holes, so a
     matrix's text is its non-zero bytes.  Fields constant along an axis (a
     zero stride: s (columns,), t (rows, 1)) are formatted once per call, the
-    others once per block."""
+    others once per block: those named in ``direct`` (mostly distinct, as
+    point coordinates are) value by value, the rest each distinct value once.
+    A field that is a bit copy of an earlier one takes that one's cells."""
     fields = np.broadcast_arrays(*fields)
     along_s = [j for j, f in enumerate(fields) if not f.strides[0]]
     along_t = [j for j, f in enumerate(fields) if f.strides[0] and not f.strides[1]]
     grid = [j for j, f in enumerate(fields) if f.strides[0] and f.strides[1]]
+    bits = {j: fields[j].view(np.int64) for j in grid}
+    first = {j: next(i for i in grid if i == j or bits[i][0, 0] == bits[j][0, 0]
+                     and np.array_equal(bits[i], bits[j])) for j in grid}
+    copies = {j: i for j, i in first.items() if i != j}  # field: the first it copies
+    own = [j for j in grid if j not in copies]
     marks = np.array(markers, dtype="S")
     marks = marks.view(np.uint8).reshape(len(markers), marks.itemsize)
     templates = [_template(line, marks.shape[1])
                  for line in lines or [_csv_line(len(fields), status is not None)]]
 
-    def formatted(group, *index):  # a group's cells at index, (..., len(group), WIDTH)
-        return tx.cells(np.stack([f[index] for f in fields], axis=-1)[..., group])
+    def formatted(group, *index, cells=tx.cells):  # field: its cells at index
+        return dict(zip(group, np.moveaxis(cells(
+            np.stack([fields[j][index] for j in group], axis=-1)), -2, 0))) if group else {}
 
     s_cells = formatted(along_s, slice(0, 1))
     t_cells = formatted(along_t, slice(None), slice(0, 1))
@@ -428,21 +453,14 @@ def _blocks(fields, status=None, markers=_MARKERS, lines=None):
     step = max(1, _BLOCK_POINTS // n_columns)
     for start in range(0, n_rows, step):
         rows = slice(start, start + step)
-        cells = dict(zip(along_s, np.moveaxis(s_cells, -2, 0)))
-        cells.update(zip(along_t, np.moveaxis(t_cells[rows], -2, 0)))
-        if grid:
-            cells.update(zip(grid, np.moveaxis(formatted(grid, rows), -2, 0)))
+        cells = {**s_cells, **{j: c[rows] for j, c in t_cells.items()},
+                 **formatted([j for j in own if j in direct], rows),
+                 **formatted([j for j in own if j not in direct], rows, cells=_deduped)}
+        cells.update((j, cells[i]) for j, i in copies.items())
         if status is not None:
             cells["status"] = marks[status[rows]]
         shape = fields[0][rows].shape
-        blocks = []
-        for row, holes in templates:
-            block = np.empty((*shape, len(row)), np.uint8)
-            block[...] = row
-            for name, at in holes:
-                block[..., at:at + cells[name].shape[-1]] = cells[name]
-            blocks.append(block.reshape(-1, len(row)))
-        yield blocks
+        yield [_filled(template, cells, shape) for template in templates]
 
 
 def _lines(block: np.ndarray) -> str:
@@ -450,10 +468,10 @@ def _lines(block: np.ndarray) -> str:
     return block[block != 0].tobytes().decode("ascii")
 
 
-def _csv(header: list[str], fields, status=None, markers=_MARKERS):
+def _csv(header: list[str], fields, status=None, markers=_MARKERS, direct=()):
     """CSV text, lazily: the header line, then the lines of each block."""
     yield ",".join(header) + "\n"
-    for (block,) in _blocks(fields, status, markers):
+    for (block,) in _blocks(fields, status, markers, direct=direct):
         yield _lines(block)
 
 
@@ -497,7 +515,7 @@ def run_eval(scene: Scene):
     sweep = scene.surface.sweep(*_grid(scene))
     header = ["s", "t", "x1", "x2", "x3", "x4", "status"]
     return _csv(header, (sweep.s, sweep.t[:, None], *np.moveaxis(sweep.points, -1, 0)),
-                sweep.status)
+                sweep.status, direct=_POSITIONS)
 
 
 def run_curvature(scene: Scene):
@@ -649,11 +667,16 @@ def run_export(scene: Scene, out_base: Path, projection: dict) -> list[Path]:
         ok = sweep.status == pc.OK
         it, i_s = np.nonzero(ok[:-1, :-1] & ok[:-1, 1:] & ok[1:, 1:] & ok[1:, :-1])
         corners = np.add.outer(it * scene.ns + i_s + 1, [0, 1, scene.ns + 1, scene.ns])
-        for quads in np.split(corners, range(_BLOCK_POINTS, len(corners), _BLOCK_POINTS)):
-            yield "", ("f %d %d %d %d\n" * len(quads)) % tuple(quads.ravel().tolist())
+        template = _template("f {0} {1} {2} {3}\n", 0, width=8)  # indices <= MAX_GRID^2
+        for start in range(0, len(corners), _BLOCK_POINTS):
+            quads = tx.integer_cells(corners[start:start + _BLOCK_POINTS])
+            yield "", _lines(_filled(template, dict(enumerate(np.moveaxis(quads, 1, 0))),
+                                     quads.shape[:1]))
 
+    # the projected vertices are x1..x4 or their bit copies, and mostly distinct
     text = ((_lines(block) for block in blocks)  # one text alive at a time
-            for blocks in _blocks(fields, sweep.status, lines=lines))
+            for blocks in _blocks(fields, sweep.status, lines=lines,
+                                  direct=(*_POSITIONS, 7, 8, 9)))
     _write(paths, itertools.chain([("s,t,x1,x2,x3,x4,K,status\n",)], text,
                                   faces() if obj else ()))
     return paths[::-1]
@@ -763,8 +786,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConstraintViolationError as err:
         print(f"constraint violation: {err}", file=sys.stderr)
         return EXIT_CONSTRAINT
-    except (DomainError, SingularProfileSystemError, StepUnderflowError,
-            RankDeficiencyError) as err:
+    except (DomainError, SingularProfileSystemError, RankDeficiencyError) as err:
         print(f"range error: {err}", file=sys.stderr)
         return EXIT_RANGE
     except OSError as err:  # config reading maps to ConfigError in load_scene

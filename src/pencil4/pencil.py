@@ -292,7 +292,9 @@ class PencilSurface:
         Spine data comes from one frame batch over s and the marching
         values from one evaluation over t; an irregular point gets a status
         code, never an exception.  Raises EvalDomainError at the first t
-        where a marching value (A, B or a derivative) is not finite."""
+        where a marching value (A, B or a derivative) is not finite, and at
+        the first regular (s, t), t-major, where a form coefficient is not
+        (an overflowing product)."""
         s = np.array(ss, dtype=float).reshape(-1)
         t = np.array(ts, dtype=float).reshape(-1)
         frames, k, dk = self._spine(s)
@@ -305,17 +307,24 @@ class PencilSurface:
                 f"marching scale is not finite at t = {float(t[bad.argmax()])!r}")
         A, B, dA, dB, ddA, ddB = marching
 
-        co = _coefficients(k, dk, A, B, dA, dB)
-        E, G = metric(co, dA, dB)
-        status = _regularity(E, G)
-        q1, q2, sigma, rho2 = form_numerators(k, co, dA, dB, ddA, ddB)
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):  # a non-finite form is refused below
+            co = _coefficients(k, dk, A, B, dA, dB)
+            E, G = metric(co, dA, dB)
+            q1, q2, sigma, rho2 = form_numerators(k, co, dA, dB, ddA, ddB)
             sqrt_e, sqrt_g = np.sqrt(E), np.sqrt(G)
             raw = dict(E=E, G=G, W2=E * G, c1_11=q1 / sqrt_g, c1_22=q2 / sqrt_g,
                        c2_11=sigma / sqrt_e, c2_12=rho2 / sqrt_e)
+        status = _regularity(E, G)
         irregular = status != OK
         forms = FundamentalForms(**{name: np.where(irregular, np.nan, value)
                                     for name, value in raw.items()})
         points = _point(gamma, frames[:, 1], frames[:, 3], A[..., None], B[..., None])
+        if not all(np.isfinite(value).all() for value in raw.values()):  # 0/0 or overflow
+            finite = np.isfinite(np.broadcast_arrays(*raw.values())).all(axis=0)
+            bad = ~(irregular | finite)
+            if bad.any():
+                it, i_s = np.unravel_index(bad.argmax(), bad.shape)
+                raise EvalDomainError("fundamental forms are not finite at (s, t) = "
+                                      f"({float(s[i_s])!r}, {float(t[it])!r})")
         return Sweep(s=s, t=t, frames=frames, k=k, dk=dk, marching=marching, points=points,
                      status=status, forms=forms, rho1=q2, rho2=rho2)

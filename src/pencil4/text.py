@@ -1,10 +1,10 @@
 """Exact ``%.17g`` text of float64 arrays, as fixed-width byte cells.
 
 ``cells(values)`` gives the ``"%.17g" % x`` text of each value as a row of
-``WIDTH`` bytes, padded with NUL bytes, and formats each distinct bit
-pattern once (bits, not values: ``0.0`` and ``-0.0`` print differently and
-NaN != NaN).  No Python string is made per value: a whole text is
-``cells[cells != 0].tobytes()``.
+``WIDTH`` bytes, padded with NUL bytes; it formats every value it is given.
+No Python string is made per value: a whole text is
+``cells[cells != 0].tobytes()``.  ``integer_cells`` does the same for the
+``%d`` text of integers below 10^8, in cells of 8 bytes.
 
 Most values take a numpy kernel of integer arithmetic, after Loitsch
 (*Printing floating-point numbers quickly and accurately with integers*,
@@ -28,7 +28,7 @@ Python's own ``%`` formats, into the same cells, every value the kernel
 does not decide: the exponent form (|x| < 1e-4, or >= 1e17 after
 rounding), zeros, subnormals, NaN and infinities, an exact tie (which
 ``%.17g`` rounds half to even) and a misestimated k.  It also formats every
-call of fewer than ``SMALL`` distinct values.
+call of fewer than ``SMALL`` values.
 """
 
 from __future__ import annotations
@@ -36,12 +36,11 @@ from __future__ import annotations
 import numpy as np
 
 WIDTH = 24  # the longest %.17g text: -1.2345678901234567e-308
-# Calls with fewer distinct values take % alone: a kernel call is ~100 numpy
-# passes with a fixed cost of a few tenths of a ms.  On the 120x120 grid
-# benchmark scenes (seed 41, in process, medians of 7 runs) curvature, whose
-# blocks hold a few hundred distinct values, took 55-66 ms for both scenes
-# with every call through the kernel and 51-52 ms with this threshold; 2,000
-# gained nothing more.
+# Calls with fewer values take % alone: a kernel call is ~100 numpy passes
+# with a fixed cost of about 0.2 ms.  Alone they cross over at 400-500 values
+# (best of 9x30 calls, 2 cores, Python 3.11.7, numpy 2.4.6: 800 values took
+# 630 us by % and 310-455 by the kernel), but 400 made the grid benchmark's
+# curvature, 100-950 distinct values a block, 1-2% slower than 1,000.
 SMALL = 1000
 # Values per kernel call.  Its temporaries, ~120 bytes per value, stay
 # below the traced peak of a 120x120 export; 2,048-value chunks took 85-87 ms
@@ -221,17 +220,25 @@ def _printf(x: np.ndarray) -> np.ndarray:
 
 def cells(values: np.ndarray) -> np.ndarray:
     """The ``%.17g`` text of a float64 array as NUL-padded byte cells, shape
-    ``values.shape + (WIDTH,)``, each distinct bit pattern formatted once."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    distinct = bits.view(np.float64)
-    if len(distinct) < SMALL:
-        table = _printf(distinct)
-    else:
-        table = np.empty((len(distinct), WIDTH), np.uint8)
-        for start in range(0, len(distinct), CHUNK):
-            chunk = distinct[start:start + CHUNK]
-            got, ok = _kernel(chunk)
-            if not ok.all():
-                got[~ok] = _printf(chunk[~ok])
-            table[start:start + CHUNK] = got
-    return table[inverse.reshape(values.shape)]
+    ``values.shape + (WIDTH,)``, every value formatted."""
+    flat = values.reshape(-1)
+    if len(flat) < SMALL:
+        return _printf(flat).reshape(*values.shape, WIDTH)
+    table = np.empty((len(flat), WIDTH), np.uint8)
+    for start in range(0, len(flat), CHUNK):
+        chunk = flat[start:start + CHUNK]
+        got, ok = _kernel(chunk)
+        if not ok.all():
+            got[~ok] = _printf(chunk[~ok])
+        table[start:start + CHUNK] = got
+    return table.reshape(*values.shape, WIDTH)
+
+
+def integer_cells(values: np.ndarray) -> np.ndarray:
+    """The ``%d`` text of integers 0 <= v < 10^8 as NUL-padded byte cells,
+    shape ``values.shape + (8,)``: the ``_digits8`` word of each v, shifted
+    down past its leading zeros."""
+    v = np.asarray(values).astype(np.uint64)
+    zeros = sum((v < _U(10**p)).astype(np.uint64) for p in range(1, 8))
+    words = (_digits8(v) | _ZEROS) >> (zeros * _U(8))
+    return words.astype("<u8").view(np.uint8).reshape(*v.shape, 8)

@@ -17,6 +17,7 @@ from mpmath import mp
 
 import exact
 from pencil4 import cli
+from pencil4 import curvature as cu
 from pencil4 import curve as cv
 from pencil4 import pencil as pc
 from pencil4 import text as tx
@@ -255,6 +256,19 @@ class TestConfig:
         code, out, err = run(capsys, argv)
         assert code == cli.EXIT_EVAL_DOMAIN and out == ""
         assert err == "expression error: marching scale is not finite at t = -0.25\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]
+
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the command
+    @pytest.mark.parametrize("command", ["eval", "curvature", "verify", "export"])
+    def test_overflowing_forms_are_expression_error(self, tmp_path, capsys, command):
+        # the points are finite, but a = 1 - t k1 ~ 1e308 overflows E = a^2 + b^2
+        cfg = seed_scene(marching={"kind": "ruled"},
+                         domain={"s": [0.0, 6.0], "t": [1e307, 1.5e308], "ns": 5, "nt": 4})
+        argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (cli.EXIT_EVAL_DOMAIN, "")
+        assert err == ("expression error: fundamental forms are not finite at "
+                       "(s, t) = (0.0, 1e+307)\n")
         assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]
 
     def test_benchmark_scenes_load(self, tmp_path, monkeypatch):
@@ -904,7 +918,7 @@ def reference_csv(header, fields, status=None, markers=cli._MARKERS):
     return "\n".join([",".join(header), *rows]) + "\n"
 
 
-def reference_blocks(fields, status=None, markers=cli._MARKERS, lines=None):
+def reference_blocks(fields, status=None, markers=cli._MARKERS, lines=None, direct=()):
     """``cli._blocks`` as one block: each line template filled per row by
     ``str.format`` with ``%.17g`` strings, rows NUL-padded to one width."""
     table = np.stack(np.broadcast_arrays(*fields), axis=-1).reshape(-1, len(fields))
@@ -931,8 +945,10 @@ def reference_obj(scene):
 
 
 # a few bit patterns, repeated: signed zeros, NaNs of both signs, infinities
+# and exact ties, which %.17g rounds half to even
 _POOL = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 1.0, -0.1, 1 / 3, 5e-324,
-         1.7976931348623157e308, 2.0 ** -1074 * 3]
+         1.7976931348623157e308, 2.0 ** -1074 * 3, 1234567890123456.25, 1234567890123456.75,
+         0.5, 2.5]
 
 
 class TestBlockFormatting:
@@ -953,18 +969,22 @@ class TestBlockFormatting:
         fields = [draw_field((ns,)), draw_field((nt, 1))]
         fields += [draw_field(data.draw(st.sampled_from([(ns,), (nt, 1), (nt, ns)])))
                    for _ in range(n_fields)]
+        if n_fields and data.draw(st.booleans()):  # a bit copy of a drawn field
+            fields.append(fields[data.draw(st.integers(2, len(fields) - 1))].copy())
+        # fields formatted value by value rather than once per distinct value
+        direct = data.draw(st.sets(st.integers(0, len(fields) - 1)))
         status = data.draw(st.lists(st.integers(0, 2), min_size=ns * nt, max_size=ns * nt))
         status = np.array(status, dtype=np.int8).reshape(nt, ns) if with_status else None
         header = [f"c{i}" for i in range(len(fields))]
         expected = reference_csv(header, fields, status)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_BLOCK_POINTS", block)  # blocks narrower and wider than ns
-            assert "".join(cli._csv(header, fields, status)) == expected
+            assert "".join(cli._csv(header, fields, status, direct=direct)) == expected
             # these grids hold too few values for the kernel unless the
-            # small-set route is off; small chunks split its calls
+            # small-call route is off; small chunks split its calls
             mp.setattr(tx, "SMALL", 0)
             mp.setattr(tx, "CHUNK", chunk)
-            assert "".join(cli._csv(header, fields, status)) == expected
+            assert "".join(cli._csv(header, fields, status, direct=direct)) == expected
 
     def test_module_block_size_on_uneven_grids(self):
         rng = np.random.default_rng(7)
@@ -1002,6 +1022,33 @@ class TestBlockFormatting:
         assert sum(line.endswith(",regularity:spine") for line in blocks["eval"].split("\n")) \
             == int(grid.split("x")[0])
 
+    @pytest.mark.parametrize("small", [tx.SMALL, 0])
+    def test_export_matches_per_row_template(self, tmp_path, monkeypatch, small):
+        """A drop-axis projection's vertices are bit copies of x1..x3 and take
+        their cells; an orthographic one's are formatted value by value."""
+        monkeypatch.setattr(tx, "SMALL", small)  # 0: every cell through the kernel
+        monkeypatch.setattr(cli, "_BLOCK_POINTS", 20)
+        cells, formatted = tx.cells, {}
+        ortho = {"kind": "orthographic",
+                 "basis": [[0.6, 0.8, 0, 0], [0, 0, 0.6, 0.8], [-0.8, 0.6, 0, 0]]}
+        for name, projection in [("drop", {"kind": "drop_axis", "axis": 4}), ("ortho", ortho)]:
+            cfg = seed_scene(domain={"s": [0.0, 6.0], "t": [-0.25, 0.25], "ns": 9, "nt": 7},
+                             output={"format": "obj", "projection": projection})
+            path = write_config(tmp_path, cfg, f"{name}.json")
+            scene = cli.load_scene(path)
+            sweep = scene.surface.sweep(*cli._grid(scene))
+            base = tmp_path / name
+            monkeypatch.setattr(tx, "cells",
+                                lambda v: formatted.setdefault(name, []).append(v.size)
+                                or cells(v))
+            assert cli.main(["export", "--config", path, "--out", str(base)]) == 0
+            assert base.with_suffix(".obj").read_text(encoding="utf-8") == reference_obj(scene)
+            fields = (sweep.s, sweep.t[:, None], *np.moveaxis(sweep.points, -1, 0),
+                      cu.invariants_from_forms(sweep.forms).K)
+            assert base.with_suffix(".csv").read_text(encoding="utf-8") == reference_csv(
+                ["s", "t", "x1", "x2", "x3", "x4", "K", "status"], fields, sweep.status)
+        assert sum(formatted["ortho"]) - sum(formatted["drop"]) == 3 * 9 * 7
+
     @pytest.mark.parametrize("grid", ["7x5", "300x3"])
     def test_frenet_matches_per_row_template(self, tmp_path, capsys, monkeypatch, grid):
         paths = [write_config(tmp_path, seed_scene(), "w.json"),
@@ -1021,44 +1068,56 @@ class TestBlockFormatting:
 
     @pytest.mark.parametrize("grid", ["7x5", "300x3"])
     def test_per_axis_columns_formatted_once_per_command(self, tmp_path, monkeypatch, grid):
-        """``s`` and ``t`` are formatted once per command, the other fields
-        once per distinct bit pattern of a block."""
+        """``s`` and ``t`` are formatted once per command; per block, the
+        fields named ``direct`` value by value, the others once per distinct
+        bit pattern, and a bit copy of an earlier field not at all."""
         cfg = singular_ray_scene()
         cfg["output"] = {"format": "obj"}
         path = write_config(tmp_path, cfg)
         ns, nt = map(int, grid.split("x"))
         cells, blocks = tx.cells, cli._blocks
-        formatted, expected = [], []
+        formatted, expected, copied = [], [], []
 
         def counting_cells(values):
-            formatted.append(len(np.unique(values.view(np.int64))))
+            formatted.append(values.size)
             return cells(values)
 
-        def expecting_blocks(fields, *args, **kwargs):
-            grid_fields = [f for f in fields if np.shape(f) == (nt, ns)]
+        def expecting_blocks(fields, *args, direct=(), **kwargs):
+            bits = {j: np.asarray(f).view(np.int64) for j, f in enumerate(fields)
+                    if np.shape(f) == (nt, ns)}
+            copies = {j for j in bits if any(np.array_equal(bits[i], bits[j])
+                                             for i in bits if i < j)}
             rows = max(1, cli._BLOCK_POINTS // ns)
-            expected.append(ns + nt + sum(
-                len(np.unique(np.stack([f[r:r + rows] for f in grid_fields]).view(np.int64)))
-                for r in range(0, nt, rows)))
-            return blocks(fields, *args, **kwargs)
+            count = ns + nt
+            for r in range(0, nt, rows):
+                own = {j: b[r:r + rows] for j, b in bits.items() if j not in copies}
+                count += sum(b.size for j, b in own.items() if j in direct)
+                repeating = [b for j, b in own.items() if j not in direct]
+                count += len(np.unique(np.stack(repeating))) if repeating else 0
+            expected.append(count)
+            copied.append(sorted(copies))
+            return blocks(fields, *args, direct=direct, **kwargs)
 
         monkeypatch.setattr(tx, "cells", counting_cells)
         monkeypatch.setattr(cli, "_blocks", expecting_blocks)
         for command in ("eval", "curvature", "export"):
             formatted.clear()
             expected.clear()
+            copied.clear()
             out = str(tmp_path / command)
-            assert cli.main([command, "--config", path, "--out", out, "--grid", grid]) == 0
+            assert cli.main([command, "--config", path, "--out", str(out), "--grid", grid]) == 0
             assert sum(formatted) == expected[0]
+            if command == "export":  # the drop-axis projection copies x1, x2, x3
+                assert set(copied[0]) >= {7, 8, 9}
 
 
 class TestTracedMemory:
     """Traced peaks of the 120x120 seed scene, the text written to a file.
     Both peak in the sweep rather than in their 1024-point blocks of text:
-    eval at 3.166 MB, export at 3.177 MB.  Eval peaked at 5.02 MB
+    eval at 3.166 MB, export at 3.178 MB.  Eval peaked at 5.02 MB
     while it joined its whole text before writing it; export was 6.99 MB
     before per-axis formatting and the block-wise OBJ lines, and reads
-    3.78 MB with 2048-point blocks."""
+    3.88 MB with 2048-point blocks."""
 
     @pytest.mark.parametrize("command, bound", [("eval", 3_400_000), ("export", 3_400_000)])
     def test_peak(self, tmp_path, command, bound):

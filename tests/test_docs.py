@@ -12,6 +12,7 @@ import pytest
 
 import pencil4
 from pencil4 import cli
+from pencil4 import text as tx
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = [importlib.import_module(f"pencil4.{info.name}")
@@ -52,3 +53,13 @@ def test_readme_scene_examples_run(tmp_path, capsys):
 def test_exported_names_resolve(module):
     missing = [name for name in getattr(module, "__all__", ()) if not hasattr(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize("pattern, value", [
+    (r"fewer than ([\d,]+) values", tx.SMALL),
+    (r"blocks of whole\s+t-rows \(about ([\d,]+) points\)", cli._BLOCK_POINTS),
+    (r"each block\s+of ([\d,]+) faces", cli._BLOCK_POINTS),
+], ids=["SMALL", "block", "faces"])
+def test_readme_figures_are_the_module_constants(pattern, value):
+    figures = re.findall(pattern, README.read_text(encoding="utf-8"))
+    assert figures and [int(f.replace(",", "")) for f in figures] == [value] * len(figures)

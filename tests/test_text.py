@@ -103,8 +103,11 @@ class TestRoutes:
         calls = []
         kernel = tx._kernel
         monkeypatch.setattr(tx, "_kernel", lambda x: calls.append(len(x)) or kernel(x))
-        tx.cells(np.arange(tx.SMALL - 1, dtype=np.float64).repeat(3))
+        tx.cells(np.arange(tx.SMALL - 1, dtype=np.float64))
         assert calls == []
+        tx.cells(np.zeros(tx.SMALL))  # every value counts: cells does not de-duplicate
+        assert calls == [tx.SMALL]
+        calls.clear()
         tx.cells(np.arange(tx.CHUNK + tx.SMALL, dtype=np.float64))
         assert calls == [tx.CHUNK, tx.SMALL]
 
@@ -114,3 +117,11 @@ class TestRoutes:
         assert cells.shape == (2, 3, tx.WIDTH) and cells.dtype == np.uint8
         assert [bytes(c[c != 0]) for c in cells.reshape(-1, tx.WIDTH)] == [
             b"0", b"-0", b"1.5", b"1.5", b"nan", b"nan"]
+
+    def test_integer_cells_match_percent_d(self):
+        values = np.array([0, 1, *[v for p in range(1, 8) for v in (10**p - 1, 10**p)],
+                           10**8 - 1, 12345, 1000001])
+        cells = tx.integer_cells(values[:, None])
+        assert cells.shape == (len(values), 1, 8) and cells.dtype == np.uint8
+        assert [bytes(c[c != 0]).decode("ascii") for c in cells.reshape(-1, 8)] \
+            == ["%d" % v for v in values]
