@@ -339,6 +339,7 @@ def _projection_from_flag(flag: str) -> dict:
 
 def project_points(points: np.ndarray, spec: dict) -> np.ndarray:
     """Map an (n, 4) array to (n, 3) according to the projection spec."""
+    points = np.ascontiguousarray(points)  # BLAS sums strided rows in another order
     kind = spec.get("kind", "drop_axis")
     if kind == "drop_axis":
         axis = _real(spec.get("axis", 4), "projection.axis")

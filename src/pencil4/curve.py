@@ -193,7 +193,9 @@ _EYE = np.eye(4)
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot products of (..., 4) arrays, shape (..., 1): one BLAS dot
-    per row, so the scalar ``x @ y`` bit for bit (a sum of products is not)."""
+    per row of contiguous copies (BLAS sums a strided row in another order),
+    so the scalar ``x @ y`` bit for bit (a sum of products is not)."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return (a[..., None, :] @ b[..., :, None])[..., 0]
 
 
@@ -240,6 +242,8 @@ def orthonormal_completion(rows: Sequence[np.ndarray], count: int):
         take = np.flatnonzero((length[:, 0] > _SKIP_TOL) & (found < count))
         out[found[take], take] = res[take] / length[take]
         found[take] += 1
+        if (found == count).all():  # the later basis vectors would take nothing
+            break
     return out, found
 
 

@@ -16,7 +16,8 @@ Points are measured in batches: the stencil points of up to ``SLICE``
 points come from one call of the immersion's evaluator, and every step after
 that is an array operation, so a single point is a batch of one.  The
 batches are spine-column slices: the points are taken sorted by u, then v,
-so a slice spans few distinct u; the report comes back in input order.
+so a slice spans few distinct u; the report comes back in input order.  The
+evaluator is called stencil-major: each stencil node is one (n, 4) plane.
 
 K and ||H||^2 (and the ambient mean-curvature vector) are basis
 independent.  The normal curvature depends on the orientation of the
@@ -49,10 +50,10 @@ DEFAULT_TOLERANCE = 1e-6
 _GRAM_TOL = 1e-12
 # Most points whose stencils share one evaluator call: bounds the working set
 # (the stencil points and the evaluator's temporaries) whatever the batch size.
-# 400 is the largest size, in steps of 8, whose traced peak over a 40 x 40
-# grid (1.077 MB with numpy 2.4) stays within the 1.089 MB that
-# tests/test_oracle.py holds; 408 reaches 1.090 MB.
-SLICE = 400
+# 552 is the largest size, in steps of 8, whose traced peak over a 40 x 40
+# grid (1.082 MB with numpy 2.4) stays within the 1.089 MB that
+# tests/test_oracle.py holds; 560 reaches 1.093 MB.  Such a grid takes 3 calls.
+SLICE = 552
 
 
 @dataclass(frozen=True)
@@ -62,11 +63,11 @@ class Immersion:
     ``fn(U, V)`` takes broadcastable arrays of parameters and returns the
     points, shape ``(..., 4)`` over the broadcast shape (floats give one
     point).  The oracle calls it once per slice of at most ``SLICE`` points,
-    with U of shape (n, 5, 1) and V of shape (n, 1, 5), so an evaluator that
-    reads per-u or per-v data can read it once per stencil line.  A slice
-    holds points sorted by u (spine columns), so its stencils share few
-    distinct u: ``PencilSurface.point_array`` builds one frame per distinct
-    u.
+    with U of shape (1, 5, n) and V of shape (5, 1, n): each stencil node is
+    an (n, 4) plane, stride-1 per coordinate for component-major points (as
+    ``PencilSurface.point_array``'s).  A slice holds points sorted by u
+    (spine columns), so its stencils share few distinct u: ``point_array``
+    builds one frame per distinct u.
 
     ``step`` overrides the differencing step; when None the policy
     h = 1e-4 * max(1, |u|, |v|) applies.  Larger steps (~4e-3) push the
@@ -146,13 +147,14 @@ def numeric_forms(im: Immersion, u, v) -> OracleReport:
             f"stencil of half-width {float(2 * h[i])!r} does not fit at "
             f"({float(u[i])!r}, {float(v[i])!r})"
         )
+    del h, outside  # a slice takes the steps of its own points
     n = u.size
     order = np.lexsort((v, u))
     fields = dict.fromkeys(OracleReport.__dataclass_fields__)
     fault = np.zeros(n, dtype=np.int8)
     for start in range(0, max(n, 1), SLICE):
         at = order[start:start + SLICE]
-        rep, fault[at] = _measure(im, u[at], v[at], h[at])
+        rep, fault[at] = _measure(im, u[at], v[at])
         fields = {name: _put(batch, getattr(rep, name), at, n) for name, batch in fields.items()}
         del rep  # freed before the next slice is measured
     if fault.any():
@@ -167,29 +169,32 @@ def numeric_forms(im: Immersion, u, v) -> OracleReport:
     return OracleReport(**fields)
 
 
-def _measure(im: Immersion, u: np.ndarray, v: np.ndarray, h: np.ndarray):
+def _measure(im: Immersion, u: np.ndarray, v: np.ndarray):
     """The batched report of ``numeric_forms`` over one slice of points, and
     the rank fault code per point (0 where there is none).  The stencil
     values are freed once differenced, so the report is assembled without
     them."""
-    n = u.size
-    grid_u = u[:, None, None] + _OFFSETS[:, None] * h[:, None, None]
-    grid_v = v[:, None, None] + _OFFSETS * h[:, None, None]
-    # Y[i, j] = X(u + (i-2) h, v + (j-2) h), shape (n, 4)
-    Y = np.broadcast_to(im.fn(grid_u, grid_v), (n, 5, 5, 4)).transpose(1, 2, 0, 3)
+    n, h = u.size, im.step_at(u, v)
+    # Y[j, i] = X(u + (i-2) h, v + (j-2) h), an (n, 4) plane
+    Y = np.broadcast_to(im.fn((u + _OFFSETS[:, None] * h)[None],
+                              (v + _OFFSETS[:, None] * h)[:, None]), (5, 5, n, 4))
     h = h[:, None]
     with np.errstate(all="ignore"):
-        center = Y[2, 2]
-        x_u, x_u_lo = _diff1(Y[:, 2], h)
-        x_uu, x_uu_lo = _diff2(Y[:, 2], center, h)
-        x_vv, x_vv_lo = _diff2(Y[2], center, h)
-        # d/dv along each u-line (line 2 gives X_v), then d/du of those (both levels)
-        dv = [_diff1(line, h) for line in Y]
-        del Y, center
-        x_v, x_v_lo = dv[2]
-        x_uv, _ = _diff1([hi for hi, _ in dv], h)
-        _, x_uv_lo = _diff1([lo for _, lo in dv], h)
-        del dv
+        # d/dv along every u-line (each coordinate's planes read unbuffered), then d/du
+        near, far = np.empty((5, n, 4)), np.empty((5, n, 4))
+        for c in range(4):
+            np.subtract(Y[3, ..., c], Y[1, ..., c], out=near[..., c])
+            np.subtract(Y[4, ..., c], Y[0, ..., c], out=far[..., c])
+        dv, dv_lo = _richardson(near, far, 2.0 * h, 4.0 * h)
+        x_uv, x_uv_lo = _diff1(dv, h)[0], _diff1(dv_lo, h)[1]
+        del near, far, dv, dv_lo
+        # the u- and the v-line of each point, row-contiguous for the report's dots
+        lines = np.empty((5, 2, n, 4))
+        lines[:, 0], lines[:, 1] = Y[2], Y[:, 2]
+        del Y
+        (x_u, x_v), (x_u_lo, x_v_lo) = _diff1(lines, h)
+        (x_uu, x_vv), (x_uu_lo, x_vv_lo) = _diff2(lines, lines[2, 0], h)
+        del lines
         return _report_from_derivatives(x_u, x_v, x_uu, x_uv, x_vv,
                                         low=(x_u_lo, x_v_lo, x_uu_lo, x_uv_lo, x_vv_lo))
 
@@ -197,16 +202,23 @@ def _measure(im: Immersion, u: np.ndarray, v: np.ndarray, h: np.ndarray):
 def _diff1(line, h: np.ndarray):
     """(Richardson, plain) central first derivatives from the five values
     ``line[0..4]`` = f(x - 2h), ..., f(x + 2h)."""
-    lo = (line[3] - line[1]) / (2.0 * h)
-    wide = (line[4] - line[0]) / (4.0 * h)
-    return (4.0 * lo - wide) / 3.0, lo
+    return _richardson(line[3] - line[1], line[4] - line[0], 2.0 * h, 4.0 * h)
 
 
 def _diff2(line, center: np.ndarray, h: np.ndarray):
     """(Richardson, plain) central second derivatives, as ``_diff1``."""
-    lo = (line[3] - 2.0 * center + line[1]) / (h * h)
-    wide = (line[4] - 2.0 * center + line[0]) / (4.0 * h * h)
-    return (4.0 * lo - wide) / 3.0, lo
+    return _richardson(line[3] - 2.0 * center + line[1], line[4] - 2.0 * center + line[0],
+                       h * h, 4.0 * h * h)
+
+
+def _richardson(near: np.ndarray, far: np.ndarray, d_near, d_far):
+    """((4 lo - wide) / 3, lo) for lo = near / d_near and wide = far / d_far,
+    the differences over steps h and 2h, computed in their arrays."""
+    near /= d_near
+    far /= d_far
+    np.subtract(4.0 * near, far, out=far)
+    far /= 3.0
+    return far, near
 
 
 def _put(batch, value, at: np.ndarray, n: int):
@@ -236,6 +248,18 @@ def _normal_basis(x_u: np.ndarray, x_v: np.ndarray):
     (n1, n2), found = orthonormal_completion((t1, t2), 2)
     fault = np.where((rn * rn)[:, 0] < _GRAM_TOL, 1, np.where(found != 2, 2, 0))
     return t1, t2, n1, n2, fault
+
+
+_MINORS = ([0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3], [1.0, -1.0, 1.0, 1.0, -1.0, 1.0])
+
+
+def _orientation(t1, t2, n1, n2) -> np.ndarray:
+    """sign det[t1 t2 n1 n2] per row, by Laplace expansion: the 2 x 2 minors
+    of (t1, t2) on rows (i, j) times those of (n1, n2) on the other two,
+    signed as the permutation (i, j, k, l)."""
+    i, j, sign = _MINORS
+    t, n = (a[:, i] * b[:, j] - a[:, j] * b[:, i] for a, b in ((t1, t2), (n1, n2)))
+    return np.sign((t * n[:, ::-1]) @ sign)
 
 
 def _forms(x_u, x_v, x_uu, x_uv, x_vv, n1, n2) -> FundamentalForms:
@@ -276,7 +300,7 @@ def _report_from_derivatives(x_u, x_v, x_uu, x_uv, x_vv, low):
         E=f.E, F=f.F, G=f.G, W2=f.W2, c=c,
         K=inv.K, k_n=inv.K_N,
         mean_vector=inv.H1[:, None] * n1 + inv.H2[:, None] * n2, h_norm_sq=inv.H_norm_sq,
-        orientation=np.sign(np.linalg.det(np.stack([t1, t2, n1, n2], axis=-1))),
+        orientation=_orientation(t1, t2, n1, n2),
         error_estimate={name: np.where(degenerate, np.nan, value) for name, value in est.items()},
     ), fault
 

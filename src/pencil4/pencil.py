@@ -61,7 +61,8 @@ class MarchingScale:
             raise RegularityViolationError("marching")
         samples = np.linspace(t0, t1, 64)
         (_, da), (_, db) = ex.evaluate((self.A, self.B), samples, order=1)
-        stalled = np.flatnonzero(da * da + db * db <= REGULARITY_TOL)
+        with np.errstate(all="ignore"):  # an overflowing speed is not a stall
+            stalled = np.flatnonzero(da * da + db * db <= REGULARITY_TOL)
         if stalled.size:
             raise RegularityViolationError("marching", t=float(samples[stalled[0]]))
 
@@ -207,21 +208,25 @@ def _regularity(E, G) -> np.ndarray:
                     np.where(G <= REGULARITY_TOL, MARCHING, OK)).astype(np.int8)
 
 
-def _point(gamma, V2, V4, A, B):
-    """gamma + A V2 + B V4 over the broadcast shape, summed in place in
-    blocks of leading-axis rows of at most ``_BLOCK`` values, so no
-    temporary of the full shape is made.  Per block ``X = A V2; X += gamma;
-    X += B V4``: the sums are those of ``gamma + A * V2 + B * V4`` bit for
-    bit, since IEEE addition commutes."""
-    terms = np.broadcast_arrays(gamma, V2, V4, A, B)
-    X = np.empty(terms[0].shape)
-    rows = max(1, _BLOCK * len(X) // max(X.size, 1))
-    for i in range(0, len(X), rows):
-        g, v2, v4, a, b = (term[i:i + rows] for term in terms)
-        x = np.multiply(a, v2, out=X[i:i + rows])
-        x += g
-        x += b * v4
-    return X
+def _point(gamma, V2, V4, A, B, where=slice(None)):
+    """gamma + A V2 + B V4 for (m, 4) spine rows read at ``where``, as a
+    (..., 4) view of a component-major array.  Each coordinate is gathered
+    and summed in place in blocks of leading-axis rows of at most ``_BLOCK``
+    values, ``X = A V2; X += gamma; X += B V4``: the sums of ``gamma + A * V2
+    + B * V4`` bit for bit (IEEE addition commutes).  Overflows stay inf."""
+    shape = np.broadcast_shapes(np.shape(gamma[:, 0][where]), np.shape(A), np.shape(B))
+    X = np.empty((4,) + (shape or (1,)))  # one point: a plane of one
+    rows = max(1, _BLOCK * len(X[0]) // X[0].size)
+    with np.errstate(all="ignore"):
+        for c in range(4):
+            terms = (A, B, gamma[:, c][where], V2[:, c][where], V4[:, c][where])
+            by_rows = [np.ndim(t) == len(shape) > 0 and len(t) > 1 for t in terms]  # or broadcast
+            for i in range(0, len(X[0]), rows):
+                a, b, g, v2, v4 = (t[i:i + rows] if cut else t for t, cut in zip(terms, by_rows))
+                x = np.multiply(a, v2, out=X[c, i:i + rows])
+                x += g
+                x += b * v4
+    return np.moveaxis(X, 0, -1).reshape(shape + (4,))
 
 
 def form_numerators(k, co: PencilCoefficients, dA, dB, ddA, ddB):
@@ -272,15 +277,15 @@ class PencilSurface:
     def point_array(self, s, t) -> np.ndarray:
         """X(s,t) without regularity checks (the point itself is always
         defined): shape (4,) for floats, ``(..., 4)`` for broadcastable
-        arrays.  Frames come from one batch over the distinct s; this is the
-        numerical oracle's point function."""
+        arrays, a view of a component-major array.  Frames come from one
+        batch over the distinct s; this is the numerical oracle's point
+        function."""
         s = np.asarray(s, dtype=float)
         uniq, where = np.unique(s, return_inverse=True)
-        where = where.reshape(s.shape)
         frames = frenet_frames(self.curve, uniq).frame
-        m = self.marching
-        A, B = (np.asarray(c)[..., None] for c in ex.evaluate((m.A, m.B), t))
-        return _point(self.curve.point(uniq)[where], frames[where, 1], frames[where, 3], A, B)
+        A, B = ex.evaluate((self.marching.A, self.marching.B), t)
+        return _point(self.curve.point(uniq), frames[:, 1], frames[:, 3], A, B,
+                      where.reshape(s.shape))
 
     def fundamental_forms(self, s: float, t: float) -> FundamentalForms:
         return _first(self.sweep([s], [t]).require_regular().forms)
@@ -318,7 +323,7 @@ class PencilSurface:
         irregular = status != OK
         forms = FundamentalForms(**{name: np.where(irregular, np.nan, value)
                                     for name, value in raw.items()})
-        points = _point(gamma, frames[:, 1], frames[:, 3], A[..., None], B[..., None])
+        points = _point(gamma, frames[:, 1], frames[:, 3], A, B)
         if not all(np.isfinite(value).all() for value in raw.values()):  # 0/0 or overflow
             finite = np.isfinite(np.broadcast_arrays(*raw.values())).all(axis=0)
             bad = ~(irregular | finite)

@@ -271,6 +271,21 @@ class TestConfig:
                        "(s, t) = (0.0, 1e+307)\n")
         assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]
 
+    @pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the command
+    @pytest.mark.parametrize("command", ["eval", "curvature", "verify", "export"])
+    def test_overflowing_points_are_one_error_line(self, tmp_path, capsys, command):
+        # A = B = 1e308 t: the marching speed overflows in the load-time stall
+        # check and the points in their assembly, both quietly; the sweep's
+        # check of the forms is the one line printed
+        cfg = seed_scene(marching={"kind": "expressions", "A": "10^308*t", "B": "10^308*t"},
+                         domain={"s": [0.0, 6.0], "t": [1.0, 1.7], "ns": 5, "nt": 4})
+        argv = [command, "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")]
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (cli.EXIT_EVAL_DOMAIN, "")
+        assert err == ("expression error: fundamental forms are not finite at "
+                       "(s, t) = (0.0, 1.0)\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]
+
     def test_benchmark_scenes_load(self, tmp_path, monkeypatch):
         spec = importlib.util.spec_from_file_location(
             "bench_scenes", Path(__file__).resolve().parents[1] / "bench" / "scenes.py")
@@ -877,6 +892,22 @@ class TestExport:
              "--projection", "drop:1"],
         )
         assert code == 0
+
+
+    @pytest.mark.parametrize("spec", [
+        {"kind": "orthographic", "basis": [[0.6, 0.0, 0.8, 0.0], [0.0, 1.0, 0.0, 0.0],
+                                           [-0.8, 0.0, 0.6, 0.0]]},
+        {"kind": "stereographic", "pole": [0.5, -0.5, 0.5, 0.5]},
+    ], ids=["orthographic", "stereographic"])
+    def test_projection_ignores_the_layout_of_the_points(self, spec):
+        # sweep points are a view of component-major planes; BLAS sums the
+        # strided rows of such a view in another order, so they are projected
+        # as the contiguous rows the same points would be
+        rng = np.random.default_rng(22)
+        x = rng.normal(size=(2000, 4))
+        x /= np.linalg.norm(x, axis=1)[:, None]
+        assert np.array_equal(cli.project_points(np.asfortranarray(x), spec),
+                              cli.project_points(x, spec))
 
 
 class TestDeterminism:

@@ -280,6 +280,42 @@ class TestFrenetFrames:
         assert ei.value.rank == 1 and str(ei.value).endswith(f"at s = {1.7!r}")
 
 
+class TestRowDot:
+    @pytest.mark.parametrize("layout", ["contiguous", "transposed", "strided", "stacked"])
+    def test_rows_dot_as_contiguous_copies(self, layout):
+        # a BLAS dot of a strided row sums in another order; _dot must give
+        # the scalar x @ y of each row whatever the layout of its inputs
+        rng = np.random.default_rng(20)
+        a, b = (rng.normal(size=(2, 400, 4)) * 10.0 ** rng.integers(-6, 7, (2, 400, 4))
+                for _ in range(2))
+        view = {
+            "contiguous": lambda x: x,
+            "transposed": lambda x: x.T.copy().T,
+            "strided": lambda x: np.repeat(x, 2, axis=-1)[..., ::2],
+            "stacked": lambda x: np.moveaxis(np.moveaxis(x, -1, 0).copy(), 0, -1),
+        }[layout]
+        got = cv._dot(view(a), view(b))
+        want = [[[x.copy() @ y.copy()] for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+        assert np.array_equal(got, np.array(want))
+
+
+class TestOrthonormalCompletion:
+    def test_rows_complete_alone_as_in_a_batch(self):
+        # the plane of e1, e2 needs e3 and e4, a generic plane e1 and e2 only:
+        # the batch stops once every row is complete, and each row gets the
+        # vectors it gets in a batch of one
+        generic = np.linalg.qr(np.random.default_rng(23).normal(size=(4, 2)))[0].T
+        rows = [np.stack([generic[k], np.eye(4)[k]]) for k in range(2)]
+        out, found = cv.orthonormal_completion(rows, 2)
+        assert found.tolist() == [2, 2]
+        assert np.array_equal(out[:, 1], np.eye(4)[2:])
+        for i in range(2):
+            one, one_found = cv.orthonormal_completion([r[i:i + 1] for r in rows], 2)
+            assert np.array_equal(out[:, i], one[:, 0]) and one_found.tolist() == [2]
+            basis = np.concatenate([[r[i] for r in rows], out[:, i]])
+            assert np.max(np.abs(basis @ basis.T - np.eye(4))) < 1e-12
+
+
 class TestCompleteFrame:
     """The explicit completion of degenerate double-rotation generators,
     which ``frenet_frames`` routes them to."""

@@ -343,7 +343,7 @@ class TestBatch:
         u, v = rng.uniform(0.1, 6.1, n), rng.uniform(-0.25, 0.25, n)
         counted = orc.Immersion(fn, im.u_domain, im.v_domain)
         batch = orc.numeric_forms(counted, u, v)
-        assert calls == [(orc.SLICE, 5, 5), (orc.SLICE, 5, 5), (3, 5, 5)]
+        assert calls == [(5, 5, orc.SLICE), (5, 5, orc.SLICE), (5, 5, 3)]
         for i in range(n):
             one = orc.numeric_forms(im, float(u[i]), float(v[i]))
             for name in ("E", "F", "G", "W2", "c", "K", "k_n", "mean_vector", "h_norm_sq",
@@ -369,11 +369,25 @@ class TestBatch:
         for key, value in ref.error_estimate.items():
             assert np.array_equal(got.error_estimate[key], value[perm], equal_nan=True), key
 
+    def test_a_40x40_grid_takes_three_evaluator_calls(self):
+        im = batch_immersion("analytic_twin", 0.9, 1.8, 0.7)
+        calls = []
+
+        def fn(u, v):
+            calls.append(np.broadcast(u, v).shape)
+            return im.fn(u, v)
+
+        u, v = grid_points(40)
+        orc.numeric_forms(orc.Immersion(fn, im.u_domain, im.v_domain), u, v)
+        assert len(calls) == math.ceil(u.size / orc.SLICE) == 3
+        assert [shape[:2] for shape in calls] == [(5, 5)] * 3
+        assert sum(shape[2] for shape in calls) == u.size
+
     def test_traced_peak_of_a_40x40_grid(self):
         # the working set of the slices, the stencil values freed before the
         # report: no more traced memory than the t-major 256-point slices that
         # spine-column slicing replaced (1_088_571 B with numpy 2.4; this
-        # code: ~1.08 MB)
+        # code: ~1.08 MB in slices of SLICE points)
         im = batch_immersion("analytic_twin", 0.9, 1.8, 0.7)
         u, v = grid_points(40)
         orc.numeric_forms(im, u, v)
@@ -413,6 +427,20 @@ class TestBatch:
             orc.numeric_forms(im, u, 0.2)
         assert f"dependent at ({0.0!r}, {0.2!r})" in str(ei.value)
         assert orc.numeric_forms(im, u[[0, 2]], 0.2).K.shape == (2,)
+
+
+class TestOrientation:
+    def test_orientation_is_the_sign_of_the_determinant(self):
+        # the cofactor expansion against LAPACK, on orthonormal frames of both
+        # orientations and on general matrices
+        rng = np.random.default_rng(21)
+        q = np.linalg.qr(rng.normal(size=(200, 4, 4)))[0]
+        q[::2, :, 0] *= -1.0
+        for m in (q, rng.normal(size=(200, 4, 4))):
+            want = np.sign(np.linalg.det(m))
+            assert set(want.tolist()) == {-1.0, 1.0}
+            got = orc._orientation(*(np.ascontiguousarray(m[..., k]) for k in range(4)))
+            assert np.array_equal(got, want)
 
 
 class TestCompare:

@@ -130,19 +130,25 @@ class TestEvalSurface:
             assert np.array_equal(got[idx], want)
 
     @pytest.mark.parametrize("s_shape, t_shape", [
-        ((500, 5, 1), (500, 1, 5)),  # oracle stencils: 13 blocks of 40 points
-        ((700,), (3, 1)),            # sweep: rows of 2800 values, one per block
-        ((1100,), (2, 1)),           # a row longer than a block
+        ((1, 5, 500), (5, 1, 500)),  # oracle stencils: rows gathered, 5 blocks of 2500 values
+        ((700,), (3, 1)),            # sweep: every spine row, 3 t-rows in one block
+        ((5000,), (2, 1)),           # a t-row longer than a block
         ((), ()),                    # one point
     ])
     def test_blocked_assembly_equals_one_expression(self, s_shape, t_shape):
-        # _point sums in place block by block; the bits are those of the one
-        # expression gamma + A V2 + B V4
+        # _point gathers each coordinate of the spine rows (at an index array
+        # of shape s_shape, or every row for a sweep) and sums it in place,
+        # block by block; the bits are those of one expression over the rows
         rng = np.random.default_rng(8)
-        gamma, V2, V4 = (rng.normal(size=s_shape + (4,)) for _ in range(3))
-        A, B = (rng.normal(size=t_shape + (1,)) for _ in range(2))
-        got = pc._point(gamma, V2, V4, A, B)
-        assert np.array_equal(got, gamma + A * V2 + B * V4)
+        sweep = len(s_shape) == 1
+        m = s_shape[0] if sweep else 60
+        gamma, V2, V4 = (rng.normal(size=(m, 4)) for _ in range(3))
+        A, B = (np.asarray(rng.normal(size=t_shape)) for _ in range(2))
+        rows = slice(None) if sweep else np.asarray(rng.integers(0, m, size=s_shape))
+        got = pc._point(gamma, V2, V4, A, B, rows)
+        want = gamma[rows] + A[..., None] * V2[rows] + B[..., None] * V4[rows]
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
 
     def test_spine_regularity_violation(self):
         # On the planar unit circle with A == 1 == 1/kappa1 and B == t the
