@@ -350,8 +350,9 @@ def project_points(points: np.ndarray, spec: dict) -> np.ndarray:
     if kind == "orthographic":
         basis = _reals(spec.get("basis", []), (3, 4), "projection.basis",
                        "orthographic projection needs basis of three 4-vectors")
-        gram = basis @ basis.T
-        if np.max(np.abs(gram - np.eye(3))) > 1e-10:
+        with np.errstate(all="ignore"):  # a huge entry fails the check, not a warning
+            gram = basis @ basis.T
+        if not np.max(np.abs(gram - np.eye(3))) <= 1e-10:
             raise ConfigError("orthographic basis must be orthonormal (within 1e-10)")
         return points @ basis.T
     if kind == "stereographic":

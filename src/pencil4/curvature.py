@@ -63,11 +63,15 @@ def invariants_from_forms(f: FundamentalForms) -> CurvatureReport:
         (f.c1_11 * f.c1_22 - f.c1_12 * f.c1_12)
         + (f.c2_11 * f.c2_22 - f.c2_12 * f.c2_12)
     ) / w2
+    root = np.sqrt(w2)
+    with np.errstate(over="ignore"):  # W2^{3/2} overflows where K_N need not: divide twice
+        den = w2 * root
+    big = np.isinf(den) & np.isfinite(w2)
     K_N = (
         f.E * (f.c1_12 * f.c2_22 - f.c2_12 * f.c1_22)
         - f.F * (f.c1_11 * f.c2_22 - f.c2_11 * f.c1_22)
         + f.G * (f.c1_11 * f.c2_12 - f.c2_11 * f.c1_12)
-    ) / (w2 * np.sqrt(w2))
+    ) / np.where(big, w2, den) / np.where(big, root, 1.0)
     H1 = (f.c1_11 * f.G + f.c1_22 * f.E - 2.0 * f.c1_12 * f.F) / (2.0 * w2)
     H2 = (f.c2_11 * f.G + f.c2_22 * f.E - 2.0 * f.c2_12 * f.F) / (2.0 * w2)
     return CurvatureReport(K=K, K_N=K_N, H1=H1, H2=H2, H_norm_sq=H1 * H1 + H2 * H2)

@@ -65,8 +65,9 @@ class WCurve:
     parallel: bool = False
 
     def __post_init__(self):
-        speed_sq = self.a**2 * self.c**2 + self.b**2 * self.d**2
-        if abs(speed_sq - 1.0) > UNIT_SPEED_TOL_W:
+        a, b, c, d = self.a, self.b, self.c, self.d  # float ** would raise OverflowError
+        speed_sq = (a * a) * (c * c) + (b * b) * (d * d)
+        if not abs(speed_sq - 1.0) <= UNIT_SPEED_TOL_W:
             raise ConstraintViolationError(
                 f"not unit speed: a^2 c^2 + b^2 d^2 = {speed_sq!r} (must be 1)"
             )

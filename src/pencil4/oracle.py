@@ -180,45 +180,47 @@ def _measure(im: Immersion, u: np.ndarray, v: np.ndarray):
                               (v + _OFFSETS[:, None] * h)[:, None]), (5, 5, n, 4))
     h = h[:, None]
     with np.errstate(all="ignore"):
-        # d/dv along every u-line (each coordinate's planes read unbuffered), then d/du
-        near, far = np.empty((5, n, 4)), np.empty((5, n, 4))
+        # d/dv along every u-line, both levels (each coordinate's planes read
+        # unbuffered), then d/du of each level: Richardson of Richardson and
+        # plain of plain
+        dv = np.empty((2, 5, n, 4))
         for c in range(4):
-            np.subtract(Y[3, ..., c], Y[1, ..., c], out=near[..., c])
-            np.subtract(Y[4, ..., c], Y[0, ..., c], out=far[..., c])
-        dv, dv_lo = _richardson(near, far, 2.0 * h, 4.0 * h)
-        x_uv, x_uv_lo = _diff1(dv, h)[0], _diff1(dv_lo, h)[1]
-        del near, far, dv, dv_lo
+            np.subtract(Y[4:2:-1, ..., c], Y[:2, ..., c], out=dv[..., c])
+        _richardson(dv, 2.0 * h, 4.0 * h)
+        x_uv = _diff1(dv[0], h)
+        np.subtract(dv[1, 3], dv[1, 1], out=x_uv[1])
+        x_uv[1] /= 2.0 * h
+        del dv
         # the u- and the v-line of each point, row-contiguous for the report's dots
         lines = np.empty((5, 2, n, 4))
         lines[:, 0], lines[:, 1] = Y[2], Y[:, 2]
         del Y
-        (x_u, x_v), (x_u_lo, x_v_lo) = _diff1(lines, h)
-        (x_uu, x_vv), (x_uu_lo, x_vv_lo) = _diff2(lines, lines[2, 0], h)
+        (x_u, x_v), (x_uu, x_vv) = (d.swapaxes(0, 1) for d in
+                                    (_diff1(lines, h), _diff2(lines, lines[2, 0], h)))
         del lines
-        return _report_from_derivatives(x_u, x_v, x_uu, x_uv, x_vv,
-                                        low=(x_u_lo, x_v_lo, x_uu_lo, x_uv_lo, x_vv_lo))
+        return _report_from_derivatives(x_u, x_v, x_uu, x_uv, x_vv)
 
 
 def _diff1(line, h: np.ndarray):
-    """(Richardson, plain) central first derivatives from the five values
-    ``line[0..4]`` = f(x - 2h), ..., f(x + 2h)."""
-    return _richardson(line[3] - line[1], line[4] - line[0], 2.0 * h, 4.0 * h)
+    """Central first derivatives from the five values ``line[0..4]`` =
+    f(x - 2h), ..., f(x + 2h), on a leading axis of two levels: the
+    Richardson value at index 0, the plain one at index 1."""
+    return _richardson(line[4:2:-1] - line[:2], 2.0 * h, 4.0 * h)
 
 
 def _diff2(line, center: np.ndarray, h: np.ndarray):
-    """(Richardson, plain) central second derivatives, as ``_diff1``."""
-    return _richardson(line[3] - 2.0 * center + line[1], line[4] - 2.0 * center + line[0],
-                       h * h, 4.0 * h * h)
+    """Central second derivatives, as ``_diff1``."""
+    return _richardson(line[4:2:-1] - 2.0 * center + line[:2], h * h, 4.0 * h * h)
 
 
-def _richardson(near: np.ndarray, far: np.ndarray, d_near, d_far):
-    """((4 lo - wide) / 3, lo) for lo = near / d_near and wide = far / d_far,
-    the differences over steps h and 2h, computed in their arrays."""
-    near /= d_near
-    far /= d_far
-    np.subtract(4.0 * near, far, out=far)
-    far /= 3.0
-    return far, near
+def _richardson(d: np.ndarray, d_near, d_far):
+    """The differences ``d`` = (wide, near) over steps 2h and h, turned in
+    place into ((4 lo - wide / d_far) / 3, lo) for lo = near / d_near."""
+    d[1] /= d_near
+    d[0] /= d_far
+    np.subtract(4.0 * d[1], d[0], out=d[0])
+    d[0] /= 3.0
+    return d
 
 
 def _put(batch, value, at: np.ndarray, n: int):
@@ -264,44 +266,35 @@ def _orientation(t1, t2, n1, n2) -> np.ndarray:
 
 def _forms(x_u, x_v, x_uu, x_uv, x_vv, n1, n2) -> FundamentalForms:
     """The measured first-form coefficients and c^k_ij = <X_ij, N_k>."""
-    E = _dot(x_u, x_u)[:, 0]
-    F = _dot(x_u, x_v)[:, 0]
-    G = _dot(x_v, x_v)[:, 0]
-    c1_11, c1_12, c1_22 = (_dot(d, n1)[:, 0] for d in (x_uu, x_uv, x_vv))
-    c2_11, c2_12, c2_22 = (_dot(d, n2)[:, 0] for d in (x_uu, x_uv, x_vv))
+    E = _dot(x_u, x_u)[..., 0]
+    F = _dot(x_u, x_v)[..., 0]
+    G = _dot(x_v, x_v)[..., 0]
+    c1_11, c1_12, c1_22 = (_dot(d, n1)[..., 0] for d in (x_uu, x_uv, x_vv))
+    c2_11, c2_12, c2_22 = (_dot(d, n2)[..., 0] for d in (x_uu, x_uv, x_vv))
     return FundamentalForms(E=E, G=G, W2=E * G - F * F, c1_11=c1_11, c1_22=c1_22,
                             c2_11=c2_11, c2_12=c2_12, F=F, c1_12=c1_12, c2_22=c2_22)
 
 
-def _report_from_derivatives(x_u, x_v, x_uu, x_uv, x_vv, low):
-    """The report from the measured derivatives, and the rank fault code per
-    point: that of ``_normal_basis``, or 3 where W2 is too small."""
-    t1, t2, n1, n2, fault = _normal_basis(x_u, x_v)
+def _report_from_derivatives(x_u, x_v, x_uu, x_uv, x_vv):
+    """The report from the measured derivatives, both levels stacked as by
+    ``_diff1`` and assembled in one pass over the Richardson normals, and the
+    rank fault code per point: that of ``_normal_basis``, or 3 where W2 is
+    too small.  The plain level gives only the truncation estimates."""
+    t1, t2, n1, n2, fault = _normal_basis(x_u[0], x_v[0])
     f = _forms(x_u, x_v, x_uu, x_uv, x_vv, n1, n2)
-    fault = np.where(fault == 0, np.where(f.W2 <= _GRAM_TOL, 3, 0), fault)
-
     inv = invariants_from_forms(f)
-    # truncation estimates: the same assembly from the unextrapolated stencils
-    f_lo = _forms(*low, n1, n2)
-    inv_lo = invariants_from_forms(f_lo)
-    est = {
-        "E": abs(f.E - f_lo.E),
-        "F": abs(f.F - f_lo.F),
-        "G": abs(f.G - f_lo.G),
-        "K": abs(inv.K - inv_lo.K),
-        "K_N": abs(inv.K_N - inv_lo.K_N),
-        "H_norm_sq": abs(inv.H_norm_sq - inv_lo.H_norm_sq),
-    }
-    degenerate = f_lo.W2 <= _GRAM_TOL
-    c = np.stack([f.c1_11, f.c1_12, f.c1_12, f.c1_22,
-                  f.c2_11, f.c2_12, f.c2_12, f.c2_22], axis=-1).reshape(-1, 2, 2, 2)
-
+    levels = {**vars(f), **vars(inv)}
+    degenerate = levels["W2"][1] <= _GRAM_TOL
+    est = {name: np.where(degenerate, np.nan, abs(levels[name][0] - levels[name][1]))
+           for name in ("E", "F", "G", "K", "K_N", "H_norm_sq")}
+    ext = {name: value[0] for name, value in levels.items()}
+    fault = np.where(fault == 0, np.where(ext["W2"] <= _GRAM_TOL, 3, 0), fault)
+    c = np.stack([ext[f"c{k}_{ij}"] for k in "12" for ij in ("11", "12", "12", "22")],
+                 axis=-1).reshape(-1, 2, 2, 2)
     return OracleReport(
-        E=f.E, F=f.F, G=f.G, W2=f.W2, c=c,
-        K=inv.K, k_n=inv.K_N,
-        mean_vector=inv.H1[:, None] * n1 + inv.H2[:, None] * n2, h_norm_sq=inv.H_norm_sq,
-        orientation=_orientation(t1, t2, n1, n2),
-        error_estimate={name: np.where(degenerate, np.nan, value) for name, value in est.items()},
+        E=ext["E"], F=ext["F"], G=ext["G"], W2=ext["W2"], c=c, K=ext["K"], k_n=ext["K_N"],
+        mean_vector=ext["H1"][:, None] * n1 + ext["H2"][:, None] * n2,
+        h_norm_sq=ext["H_norm_sq"], orientation=_orientation(t1, t2, n1, n2), error_estimate=est,
     ), fault
 
 

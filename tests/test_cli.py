@@ -105,6 +105,18 @@ class TestConfig:
         assert code == cli.EXIT_CONFIG
         assert "unit speed" in err
 
+    @pytest.mark.parametrize("update", [{"a": 1e155}, {"b": -1e200}, {"a": 1e155, "c": 0.0}],
+                             ids=["a", "b", "a_against_zero_rate"])
+    def test_overflowing_speed_is_config_error(self, tmp_path, capsys, update):
+        # a^2 overflows: float ** raised OverflowError; * gives inf (or NaN
+        # against a zero rate), which fails the unit-speed check
+        cfg = seed_scene()
+        cfg["curve"].update(update)
+        code, out, err = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
+        assert code == cli.EXIT_CONFIG
+        assert err.startswith("config error: curve: not unit speed") and err.count("\n") == 1
+        assert out == ""
+
     def test_nan_number_rejected(self, tmp_path, capsys):
         cfg = seed_scene()
         cfg["curve"]["a"] = float("nan")  # json.dumps writes NaN
@@ -575,6 +587,27 @@ class TestCurvature:
             assert float(parts[5]) == pytest.approx(rep.K_N, rel=1e-12)
             assert float(parts[6]) == pytest.approx(rep.H_norm_sq, rel=1e-12)
 
+    def test_normal_curvature_where_its_denominator_overflows(self, tmp_path, capsys):
+        # W2 = EG ~ 3.4e210 at t = 1001: W2^{3/2} overflows where K_N does not
+        r = "exp(0.12*t)*(2+sin(t))"
+        cfg = {"marching": {"kind": "vranceanu", "a": 0.6, "b": 0.8, "r": r},
+               "domain": {"s": [0.0, 1.0], "t": [0.0, 1001.0], "ns": 2, "nt": 3}}
+        code, out, err = run(capsys, ["curvature", "--config", write_config(tmp_path, cfg)])
+        assert code == 0 and err == ""
+
+        def point(s, t):
+            radius = mp.exp(mp.mpf(0.12) * t) * (2 + mp.sin(t))
+            return [radius * mp.cos(t) * mp.cos(s), radius * mp.cos(t) * mp.sin(s),
+                    radius * mp.sin(t) * mp.cos(s), radius * mp.sin(t) * mp.sin(s)]
+
+        rows = [row.split(",") for row in out.splitlines()[1:]]
+        rows = [row for row in rows if row[1] == "1001"]
+        assert len(rows) == 2
+        for row in rows:
+            want = exact.invariants(point, float(row[0]), 1001.0).K_N  # up to its sign
+            assert row[-1] == "ok" and want != 0.0
+            assert abs(abs(float(row[5])) - abs(want)) <= 1e-10 * abs(want)
+
     def test_marching_evaluated_once_per_t(self, tmp_path, monkeypatch):
         from pencil4 import pencil as pc
 
@@ -841,6 +874,24 @@ class TestExport:
             capsys, ["export", "--config", write_config(tmp_path, cfg), "--out", str(base)]
         )
         assert code == 0
+
+    @pytest.mark.parametrize("basis", [
+        [[1e300, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+        [[1e300, 1e300, 0, 0], [1e300, -1e300, 0, 0], [0, 0, 1, 0]],
+    ], ids=["inf", "nan"])
+    def test_overflowing_orthographic_basis_is_config_error(self, tmp_path, capsys, basis):
+        # the Gram matrix overflows (to inf - inf = NaN in the second case):
+        # one error line, no numpy warning
+        cfg = seed_scene(domain={"s": [0.0, 2.0], "t": [0.0, 0.2], "ns": 3, "nt": 3},
+                         output={"format": "obj",
+                                 "projection": {"kind": "orthographic", "basis": basis}})
+        base = tmp_path / "mesh"
+        code, out, err = run(
+            capsys, ["export", "--config", write_config(tmp_path, cfg), "--out", str(base)]
+        )
+        assert code == cli.EXIT_CONFIG
+        assert err == "config error: orthographic basis must be orthonormal (within 1e-10)\n"
+        assert out == "" and not list(tmp_path.glob("mesh.*"))
 
     @pytest.mark.parametrize("projection, message", [
         ({"kind": "orthographic", "basis": "abc"},

@@ -176,6 +176,22 @@ class TestNormalCurvature:
         want = -K1 * (K2 - K3) / 2.0
         assert cu.normal_curvature(p, 2.0, 0.0) == pytest.approx(want, abs=1e-12)
 
+    def test_scaled_copy_on_stacked_forms(self):
+        # X -> 2^180 X scales E, F, G by 2^360 and c by 2^180, so K_N by 2^-360;
+        # W2^{3/2} ~ 2^1080 then overflows where K_N does not.  Stacked on a
+        # leading axis with the unscaled forms, which keep their bits.
+        f = poly_pencil().sweep(np.linspace(0.3, 5.5, 7), np.linspace(-0.25, 0.25, 4)).forms
+        stacked = {}
+        for name, value in vars(f).items():
+            value = np.broadcast_to(value, f.E.shape)
+            power = {"E": 360, "F": 360, "G": 360, "W2": 720}.get(name, 180)
+            stacked[name] = np.stack([value, value * 2.0**power])
+        assert (stacked["W2"][1] > 2.0**683).all()  # W2^{3/2} > 2^1024
+        want = cu.invariants_from_forms(f).K_N
+        got = cu.invariants_from_forms(pc.FundamentalForms(**stacked)).K_N
+        assert np.array_equal(got[0], want)
+        assert np.allclose(got[1] * 2.0**360, want, rtol=1e-15, atol=0.0)
+
 
 class TestOracleAgreement:
     def test_many_points_many_quantities(self):

@@ -144,6 +144,42 @@ class TestNumericForms:
             assert key in rep.error_estimate
             assert rep.error_estimate[key] >= 0.0
 
+    def test_error_estimates_are_the_distance_to_the_plain_stencils(self):
+        # the plain level rebuilt from point evaluations: 3-point first and
+        # second differences and the 4-point mixed difference over step h,
+        # projected on normals of the 5-point tangents (any orthonormal pair
+        # of the report's orientation gives the same K, K_N and |H|^2)
+        p, im = seed_pencil()
+        u, v = np.array([0.7, 2.3, 4.1, 5.5]), np.array([0.12, -0.2, 0.05, 0.25])
+        rep = orc.numeric_forms(im, u, v)
+        for i in range(u.size):
+            h = float(im.step_at(u[i], v[i]))
+
+            def X(a, b):
+                return p.point_array(u[i] + a * h, v[i] + b * h)
+
+            x_u, x_v = (X(1, 0) - X(-1, 0)) / (2 * h), (X(0, 1) - X(0, -1)) / (2 * h)
+            x_uu = (X(1, 0) - 2 * X(0, 0) + X(-1, 0)) / (h * h)
+            x_vv = (X(0, 1) - 2 * X(0, 0) + X(0, -1)) / (h * h)
+            x_uv = (X(1, 1) - X(1, -1) - X(-1, 1) + X(-1, -1)) / (4 * h * h)
+            t_u = (8 * (X(1, 0) - X(-1, 0)) - (X(2, 0) - X(-2, 0))) / (12 * h)
+            t_v = (8 * (X(0, 1) - X(0, -1)) - (X(0, 2) - X(0, -2))) / (12 * h)
+            n1, n2 = np.linalg.qr(np.column_stack([t_u, t_v]), mode="complete")[0][:, 2:].T
+            if np.sign(np.linalg.det(np.array([t_u, t_v, n1, n2]))) != rep.orientation[i]:
+                n2 = -n2
+            E, F, G = x_u @ x_u, x_u @ x_v, x_v @ x_v
+            (c1_11, c1_12, c1_22), (c2_11, c2_12, c2_22) = (
+                [d @ n for d in (x_uu, x_uv, x_vv)] for n in (n1, n2))
+            inv = cu.invariants_from_forms(pc.FundamentalForms(
+                E=E, G=G, W2=E * G - F * F, c1_11=c1_11, c1_22=c1_22, c2_11=c2_11,
+                c2_12=c2_12, F=F, c1_12=c1_12, c2_22=c2_22))
+            for name, measured, plain in (
+                ("E", rep.E, E), ("F", rep.F, F), ("G", rep.G, G), ("K", rep.K, inv.K),
+                ("K_N", rep.k_n, inv.K_N), ("H_norm_sq", rep.h_norm_sq, inv.H_norm_sq),
+            ):
+                assert rep.error_estimate[name][i] == pytest.approx(
+                    abs(measured[i] - plain), rel=1e-9, abs=1e-12), (i, name)
+
 
 class TestGridConvergence:
     def test_halving_step_reduces_error_4x(self):
@@ -382,6 +418,20 @@ class TestBatch:
         assert len(calls) == math.ceil(u.size / orc.SLICE) == 3
         assert [shape[:2] for shape in calls] == [(5, 5)] * 3
         assert sum(shape[2] for shape in calls) == u.size
+
+    def test_each_slice_assembles_its_forms_and_invariants_once(self, monkeypatch):
+        # both Richardson levels ride one leading axis through one assembly
+        calls = []
+        for name in ("_forms", "invariants_from_forms"):
+            def spy(*args, f=getattr(orc, name), name=name):
+                out = f(*args)
+                calls.append((name, out.E.shape if name == "_forms" else out.K.shape))
+                return out
+            monkeypatch.setattr(orc, name, spy)
+        u, v = grid_points(40)
+        orc.numeric_forms(batch_immersion("analytic_twin", 0.9, 1.8, 0.7), u, v)
+        assert calls == [(name, (2, n)) for n in (orc.SLICE, orc.SLICE, u.size - 2 * orc.SLICE)
+                         for name in ("_forms", "invariants_from_forms")]
 
     def test_traced_peak_of_a_40x40_grid(self):
         # the working set of the slices, the stencil values freed before the
