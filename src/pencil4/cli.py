@@ -50,21 +50,12 @@ from . import families as fam
 from . import oracle as orc
 from . import pencil as pc
 from . import text as tx
-from .curve import (AnalyticCurve, CurveSpec, WCurve, frenet_apparatus, frenet_frames,
-                    orthonormal_completion)
-from .errors import (
-    ConfigError,
-    ConstraintViolationError,
-    DegenerateFrameError,
-    DomainError,
-    EvalDomainError,
-    ParseError,
-    Pencil4Error,
-    RankDeficiencyError,
-    RegularityViolationError,
-    SingularProfileSystemError,
-    UnsupportedCompletionError,
-)
+from .curve import (AnalyticCurve, CurveSpec, WCurve, _linspace, frenet_apparatus,
+                    frenet_frames, orthonormal_completion)
+from .errors import (ConfigError, ConstraintViolationError, DegenerateFrameError,
+                     DomainError, EvalDomainError, ParseError, RankDeficiencyError,
+                     RegularityViolationError, SingularProfileSystemError,
+                     StepUnderflowError, UnsupportedCompletionError)
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -77,18 +68,33 @@ EXIT_CONSTRAINT = 7
 EXIT_RANGE = 8
 EXIT_OUTPUT = 9
 
-_EXIT_CODES = """exit codes:
-  0  success (verify: every compared quantity within tolerance)
-  1  unexpected internal error
-  2  configuration unreadable or schema-invalid
-  3  surface regularity violation
-  4  degenerate frame without a completion convention
-  5  expression evaluation domain fault
-  6  verification tolerance failure
-  7  constructor precondition violated (unit speed, case constraints)
-  8  parameter range hits a pole / singular system
-  9  output file could not be written
-"""
+# Each exit code's --help line, the label of its one stderr line and the
+# error classes that end in it.  ``main`` takes the row of the nearest class
+# in an error's MRO; an error of no listed class is a defect, exit 1.
+_EXITS = {
+    EXIT_OK: ("success (verify: every compared quantity within tolerance)", None, ()),
+    EXIT_UNEXPECTED: ("unexpected internal error", None, ()),
+    EXIT_CONFIG: ("configuration unreadable or schema-invalid", "config error",
+                  (ConfigError,)),
+    EXIT_REGULARITY: ("surface regularity violation", "regularity violation",
+                      (RegularityViolationError,)),
+    EXIT_DEGENERATE: ("degenerate frame without a completion convention", "degenerate frame",
+                      (DegenerateFrameError, UnsupportedCompletionError)),
+    EXIT_EVAL_DOMAIN: ("expression evaluation domain fault", "expression error",
+                       (EvalDomainError, ParseError)),
+    EXIT_VERIFY_FAILED: ("verification tolerance failure", None, ()),
+    EXIT_CONSTRAINT: ("constructor precondition violated (unit speed, case constraints)",
+                      "constraint violation", (ConstraintViolationError,)),
+    EXIT_RANGE: ("parameter range hits a pole / singular system", "range error",
+                 (DomainError, SingularProfileSystemError, RankDeficiencyError,
+                  StepUnderflowError)),
+    # load_scene maps the errors of reading the config to ConfigError
+    EXIT_OUTPUT: ("output file could not be written", "output error", (OSError,)),
+}
+_EXIT_CODES = "exit codes:\n" + "".join(f"  {code}  {line}\n"
+                                        for code, (line, _, _) in _EXITS.items())
+_EXIT_OF = {cls: (code, label)
+            for code, (_, label, classes) in _EXITS.items() for cls in classes}
 
 VERIFY_DEFAULT_TOL = 1e-6
 # Most grid points per axis (domain.ns, domain.nt, --grid): sweeps hold
@@ -380,8 +386,8 @@ def project_points(points: np.ndarray, spec: dict) -> np.ndarray:
 
 
 def _grid(scene: Scene):
-    ss = np.linspace(scene.s_range[0], scene.s_range[1], scene.ns)
-    ts = np.linspace(scene.t_range[0], scene.t_range[1], scene.nt)
+    ss = _linspace(scene.s_range[0], scene.s_range[1], scene.ns)
+    ts = _linspace(scene.t_range[0], scene.t_range[1], scene.nt)
     return ss, ts
 
 
@@ -773,33 +779,11 @@ def main(argv: list[str] | None = None) -> int:
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigError(f"unknown command {args.command!r}")
         return EXIT_OK
-    except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except RegularityViolationError as err:
-        print(f"regularity violation: {err}", file=sys.stderr)
-        return EXIT_REGULARITY
-    except (DegenerateFrameError, UnsupportedCompletionError) as err:
-        print(f"degenerate frame: {err}", file=sys.stderr)
-        return EXIT_DEGENERATE
-    except (EvalDomainError, ParseError) as err:
-        print(f"expression error: {err}", file=sys.stderr)
-        return EXIT_EVAL_DOMAIN
-    except ConstraintViolationError as err:
-        print(f"constraint violation: {err}", file=sys.stderr)
-        return EXIT_CONSTRAINT
-    except (DomainError, SingularProfileSystemError, RankDeficiencyError) as err:
-        print(f"range error: {err}", file=sys.stderr)
-        return EXIT_RANGE
-    except OSError as err:  # config reading maps to ConfigError in load_scene
-        print(f"output error: {err}", file=sys.stderr)
-        return EXIT_OUTPUT
-    except Pencil4Error as err:  # pragma: no cover - safety net
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_UNEXPECTED
-    except Exception as err:  # a defect, not an input fault: no traceback either
-        print(" ".join(f"internal error: {type(err).__name__}: {err}".split()), file=sys.stderr)
-        return EXIT_UNEXPECTED
+    except Exception as err:  # an input fault or a defect: one line, no traceback
+        code, label = next((_EXIT_OF[c] for c in type(err).__mro__ if c in _EXIT_OF),
+                           (EXIT_UNEXPECTED, f"internal error: {type(err).__name__}"))
+        print(" ".join(f"{label}: {err}".split()), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -72,8 +72,8 @@ def invariants_from_forms(f: FundamentalForms) -> CurvatureReport:
         - f.F * (f.c1_11 * f.c2_22 - f.c2_11 * f.c1_22)
         + f.G * (f.c1_11 * f.c2_12 - f.c2_11 * f.c1_12)
     ) / np.where(big, w2, den) / np.where(big, root, 1.0)
-    H1 = (f.c1_11 * f.G + f.c1_22 * f.E - 2.0 * f.c1_12 * f.F) / (2.0 * w2)
-    H2 = (f.c2_11 * f.G + f.c2_22 * f.E - 2.0 * f.c2_12 * f.F) / (2.0 * w2)
+    H1 = 0.5 * (f.c1_11 * f.G + f.c1_22 * f.E - 2.0 * f.c1_12 * f.F) / w2  # 2 W2 can overflow
+    H2 = 0.5 * (f.c2_11 * f.G + f.c2_22 * f.E - 2.0 * f.c2_12 * f.F) / w2
     return CurvatureReport(K=K, K_N=K_N, H1=H1, H2=H2, H_norm_sq=H1 * H1 + H2 * H2)
 
 

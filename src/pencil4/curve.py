@@ -129,8 +129,9 @@ class AnalyticCurve:
         s0, s1 = self.domain
         if not s1 > s0:
             raise ConstraintViolationError("empty parameter domain")
-        (speed,) = self.derivative_arrays(np.linspace(s0, s1, 256), 1)
-        worst = float(np.max(np.abs(_norm(speed)[:, 0] - 1.0)))
+        (speed,) = self.derivative_arrays(_linspace(s0, s1, 256), 1)
+        with np.errstate(over="ignore"):  # an overflowing speed is not unit speed
+            worst = float(np.max(np.abs(_norm(speed)[:, 0] - 1.0)))
         if not worst <= UNIT_SPEED_TOL_ANALYTIC:
             raise ConstraintViolationError(
                 f"analytic curve is not unit speed (max | ||gamma'|| - 1 | = {worst:.3e})"
@@ -198,6 +199,14 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     so the scalar ``x @ y`` bit for bit (a sum of products is not)."""
     a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
     return (a[..., None, :] @ b[..., :, None])[..., 0]
+
+
+def _linspace(start: float, stop: float, num: int) -> np.ndarray:
+    """``np.linspace`` over a range of finite width.  Near +-1.8e308 its
+    product i * step can overflow at the last sample only, which numpy then
+    sets to ``stop``: every sample is finite, so the warning is off."""
+    with np.errstate(over="ignore"):
+        return np.linspace(start, stop, num)
 
 
 def _norm(a: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by every pencil4 module.
 
 Each error class corresponds to one failure mode a caller can reasonably
-branch on; the CLI maps them to distinct exit codes.
+branch on.  The classes carry no CLI policy: the exit code and stderr label
+of each live in one table in ``pencil4.cli`` (``_EXITS``).
 """
 
 from __future__ import annotations
@@ -103,7 +104,8 @@ class RankDeficiencyError(Pencil4Error):
 
 
 class StepUnderflowError(Pencil4Error):
-    """The differencing stencil does not fit inside the immersion domain."""
+    """The differencing stencil does not fit inside the immersion domain, or
+    in the doubles: it reaches past the largest double or its step is lost."""
 
 
 class ConfigError(Pencil4Error):

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import curvature as cu
 from . import expr as ex
-from .curve import CurveSpec, WCurve, frenet_apparatus, frenet_frames
+from .curve import CurveSpec, WCurve, _linspace, frenet_apparatus, frenet_frames
 from .errors import (
     ConstraintViolationError,
     DomainError,
@@ -234,7 +234,7 @@ def polar_marching(r: ex.Expr, t_domain: tuple[float, float]) -> MarchingScale:
 def _check_radius(r: ex.Expr, t_domain: tuple[float, float]) -> None:
     """r at 64 samples of the domain, from one array evaluation; the first
     sample that blows up or is not positive is named."""
-    ts = np.linspace(t_domain[0], t_domain[1], _R_POSITIVITY_SAMPLES)
+    ts = _linspace(t_domain[0], t_domain[1], _R_POSITIVITY_SAMPLES)
     try:
         values = ex.evaluate(r, ts)
     except EvalDomainError as err:
@@ -333,7 +333,7 @@ def flat_polar_solution(case: str, c1: float, c2: float, curve: CurveSpec,
     if s_domain is None:
         s_domain = curve.domain
     ns, nt = _VERIFY_GRID
-    s_samples = np.linspace(s_domain[0], s_domain[1], ns)
+    s_samples = _linspace(s_domain[0], s_domain[1], ns)
     _check_case_preconditions(case, c1, c2, curve, s_samples)
     if case in ("i", "iii"):
         curve = replace(curve, parallel=True)
@@ -345,9 +345,9 @@ def flat_polar_solution(case: str, c1: float, c2: float, curve: CurveSpec,
         r = sign / (c1 * ex.call("sin", t) - c2 * ex.call("cos", t))
     surface = PencilSurface(curve, polar_marching(r, t_domain))
 
-    t_samples = np.linspace(t_domain[0], t_domain[1], nt)
+    t_samples = _linspace(t_domain[0], t_domain[1], nt)
     sw = surface.sweep(s_samples, t_samples).require_regular()
-    eps1, eps2 = flat_ode_residuals(r, curve, np.linspace(t_domain[0], t_domain[1], 64),
+    eps1, eps2 = flat_ode_residuals(r, curve, _linspace(t_domain[0], t_domain[1], 64),
                                     s_samples)
     return FlatPolarDesign(
         case=case, c1=c1, c2=c2, r=r, constraint=constraint, surface=surface,

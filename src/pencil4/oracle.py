@@ -131,7 +131,8 @@ def numeric_forms(im: Immersion, u, v) -> OracleReport:
     distinct u, whose per-u data (a pencil's frames) an evaluator computes
     once per distinct value.
 
-    Raises StepUnderflowError when the 2-step stencil leaves the domain and
+    Raises StepUnderflowError when the 2-step stencil leaves the domain, reaches
+    past the largest double or has a step that does not change u or v, and
     RankDeficiencyError when the measured tangents are dependent, at the
     first such point in the order of the input.
     """
@@ -140,11 +141,14 @@ def numeric_forms(im: Immersion, u, v) -> OracleReport:
                                np.atleast_1d(np.asarray(v, dtype=float)))
     h = im.step_at(u, v)
     (u0, u1), (v0, v1) = im.u_domain, im.v_domain
-    outside = (u - 2 * h < u0) | (u + 2 * h > u1) | (v - 2 * h < v0) | (v + 2 * h > v1)
+    with np.errstate(over="ignore"):  # reach past the largest double, or a lost step
+        outside = ((u - 2 * h < u0) | (u + 2 * h > u1) | (v - 2 * h < v0) | (v + 2 * h > v1)
+                   | ~np.isfinite(np.maximum(np.abs(u), np.abs(v)) + 2 * h)
+                   | (u + h == u) | (v + h == v))
     if outside.any():
         i = int(np.argmax(outside))
         raise StepUnderflowError(
-            f"stencil of half-width {float(2 * h[i])!r} does not fit at "
+            f"stencil of half-width {2 * float(h[i])!r} does not fit at "
             f"({float(u[i])!r}, {float(v[i])!r})"
         )
     del h, outside  # a slice takes the steps of its own points
@@ -349,8 +353,9 @@ def compare(
         if np.max(np.abs(a - b)) > np.max(np.abs(a + b)):
             sign = -1.0
     dev = np.abs(a - sign * b)
-    limits = np.maximum(tolerance, tolerance * np.abs(b))
-    worst = int(np.argmax(dev - limits))
+    with np.errstate(over="ignore", invalid="ignore"):  # tol |b| can overflow, dev be inf
+        limits = np.maximum(tolerance, tolerance * np.abs(b))
+        worst = int(np.argmax(np.where(np.isfinite(dev), dev - limits, np.inf)))
     good = np.abs(b) > max(1e-9, 0.01 * float(np.max(np.abs(b)))) if np.max(np.abs(b)) > 0 else np.zeros(len(b), bool)
     ratio = float(np.median(a[good] / (sign * b[good]))) if np.any(good) else math.nan
     return ComparisonReport(
@@ -358,7 +363,7 @@ def compare(
         max_abs_dev=float(np.max(dev)),
         worst_point=tuple(points[worst]),
         tolerance=tolerance,
-        passed=bool(np.all(dev <= limits)),
+        passed=bool(np.all((dev <= limits) & np.isfinite(dev))),
         ratio=ratio,
         sign=sign,
         estimate=float(estimates[worst]),

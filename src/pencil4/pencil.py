@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr as ex
-from .curve import CurveSpec, FrenetFrames, frenet_apparatus, frenet_frames
+from .curve import CurveSpec, FrenetFrames, _linspace, frenet_apparatus, frenet_frames
 from .errors import EvalDomainError, RegularityViolationError
 
 __all__ = [
@@ -59,7 +59,7 @@ class MarchingScale:
         t0, t1 = self.domain
         if not t1 > t0:
             raise RegularityViolationError("marching")
-        samples = np.linspace(t0, t1, 64)
+        samples = _linspace(t0, t1, 64)
         (_, da), (_, db) = ex.evaluate((self.A, self.B), samples, order=1)
         with np.errstate(all="ignore"):  # an overflowing speed is not a stall
             stalled = np.flatnonzero(da * da + db * db <= REGULARITY_TOL)

@@ -19,12 +19,14 @@ import exact
 from pencil4 import cli
 from pencil4 import curvature as cu
 from pencil4 import curve as cv
+from pencil4 import errors
 from pencil4 import pencil as pc
 from pencil4 import text as tx
 from test_curve import INVOLUTE_COMPONENTS
 from test_expr import nested_sin
 
 SQ3 = math.sqrt(3.0)
+MAX_DOUBLE = sys.float_info.max
 
 
 def write_config(tmp_path, cfg, name="scene.json"):
@@ -117,6 +119,14 @@ class TestConfig:
         assert err.startswith("config error: curve: not unit speed") and err.count("\n") == 1
         assert out == ""
 
+    def test_overflowing_analytic_speed_is_constraint_violation(self, tmp_path, capsys):
+        # |gamma'|^2 overflows in the unit-speed check: the speed is not 1
+        cfg = analytic_scene()
+        cfg["curve"]["components"][0] += " + 10^300*s"
+        got = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
+        assert got == (cli.EXIT_CONSTRAINT, "", "constraint violation: analytic curve is not "
+                                                "unit speed (max | ||gamma'|| - 1 | = inf)\n")
+
     def test_nan_number_rejected(self, tmp_path, capsys):
         cfg = seed_scene()
         cfg["curve"]["a"] = float("nan")  # json.dumps writes NaN
@@ -162,6 +172,39 @@ class TestConfig:
         assert (got, out) == (code, "")
         assert err.startswith(message) and err.count("\n") == 1
         assert not list(tmp_path.glob("x*"))
+
+    def test_range_to_the_largest_double_is_sampled_without_warning(self, tmp_path, capsys):
+        # linspace's product i * step overflows at the last sample only, which
+        # numpy sets to the endpoint: every s is finite and the frames too
+        cfg = seed_scene(domain={"s": [-MAX_DOUBLE, 0.25], "t": [0.0, 0.3], "ns": 4, "nt": 2})
+        cfg["curve"] = {"kind": "w_curve", "a": 0.6, "b": 0.8, "c": 1.0, "d": 1.0}
+        code, out, err = run(capsys, ["frenet", "--config", write_config(tmp_path, cfg)])
+        assert (code, err) == (cli.EXIT_OK, "")
+        table = np.array([line.split(",") for line in out.splitlines()[1:]], dtype=float)
+        assert np.isfinite(table).all()
+        assert table[[0, -1], 0].tolist() == [-MAX_DOUBLE, 0.25]
+
+    @pytest.mark.parametrize("command, marching, domain, code, message", [
+        # the t samples as above; then the forms overflow
+        ("eval", {"kind": "ruled"}, {"s": [0.0, 6.0], "t": [-MAX_DOUBLE, 0.25]},
+         cli.EXIT_EVAL_DOMAIN, "expression error: fundamental forms are not finite at "
+         "(s, t) = (0.0, -1.7976931348623157e+308)\n"),
+        # the oracle's stencil at the last s reaches past the largest double
+        ("verify", {"kind": "ruled"}, {"s": [1.79e308, MAX_DOUBLE], "t": [0.0, 0.3]},
+         cli.EXIT_RANGE, "range error: stencil of half-width 3.5953862697246315e+304 does "
+         "not fit at (1.7976931348623157e+308, 0.0)\n"),
+        # flat-design's step 4e-3 does not change s = 1.79e308
+        ("flat-design", {"kind": "vranceanu", "r": "exp(0.2*t)", "a": 0.6, "b": 0.8},
+         {"s": [1.79e308, MAX_DOUBLE], "t": [0.0, 1.0]},
+         cli.EXIT_RANGE, "range error: stencil of half-width 0.008 does not fit at "
+         "(1.79e+308, 0.0)\n"),
+    ], ids=["samples", "stencil-reach", "stencil-step"])
+    def test_range_at_the_largest_double_is_one_error_line(self, tmp_path, capsys, command,
+                                                          marching, domain, code, message):
+        cfg = seed_scene(marching, {**domain, "ns": 5, "nt": 4})
+        cfg["curve"] = {"kind": "w_curve", "a": 0.6, "b": 0.8, "c": 1.0, "d": 1.0}
+        got = run(capsys, [command, "--config", write_config(tmp_path, cfg)])
+        assert got == (code, "", message)
 
     def test_deeply_nested_json_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "deep.json"
@@ -480,6 +523,30 @@ class TestConfig:
         assert "1  unexpected internal error" in cli._EXIT_CODES
 
 
+LABELS = {cli.EXIT_CONFIG: "config error", cli.EXIT_REGULARITY: "regularity violation",
+          cli.EXIT_DEGENERATE: "degenerate frame", cli.EXIT_EVAL_DOMAIN: "expression error",
+          cli.EXIT_CONSTRAINT: "constraint violation", cli.EXIT_RANGE: "range error",
+          cli.EXIT_OUTPUT: "output error"}
+LIBRARY_ERRORS = [c for c in vars(errors).values()
+                  if isinstance(c, type) and issubclass(c, errors.Pencil4Error)
+                  and c is not errors.Pencil4Error]
+
+
+@pytest.mark.parametrize("cls", LIBRARY_ERRORS, ids=lambda c: c.__name__)
+def test_every_library_error_has_a_documented_exit(tmp_path, capsys, monkeypatch, cls):
+    args = {errors.ParseError: ("bad", 3), errors.UnknownIdentifierError: ("x", 0),
+            errors.DegenerateFrameError: (2,), errors.RegularityViolationError: ("spine",)}
+    error = cls(*args.get(cls, ("boom",)))
+
+    def fail(*_):
+        raise error
+
+    monkeypatch.setattr(cli, "load_scene", fail)
+    code, out, err = run(capsys, ["eval", "--config", str(tmp_path / "scene.json")])
+    assert code in LABELS and f"\n  {code}  " in cli._EXIT_CODES
+    assert (out, err) == ("", f"{LABELS[code]}: {error}\n")
+
+
 class TestFrenet:
     def test_header_and_constants(self, tmp_path, capsys):
         cfg = seed_scene()
@@ -608,6 +675,17 @@ class TestCurvature:
             assert row[-1] == "ok" and want != 0.0
             assert abs(abs(float(row[5])) - abs(want)) <= 1e-10 * abs(want)
 
+    def test_mean_curvature_where_twice_w2_overflows(self, tmp_path, capsys):
+        # E ~ 1e308 at t = 1e154 on the ruled pencil: 2 W2 overflows where
+        # |H|^2, about 0.0111 / t^2 there, does not
+        cfg = seed_scene({"kind": "ruled"}, {"s": [0.0, 6.0], "t": [1e100, 1e154],
+                                             "ns": 2, "nt": 2})
+        code, out, err = run(capsys, ["curvature", "--config", write_config(tmp_path, cfg)])
+        assert (code, err) == (cli.EXIT_OK, "")
+        rows = [[float(x) for x in row.split(",")[:-1]] for row in out.splitlines()[1:]]
+        (_, t0, *_, h0), (_, t1, *_, h1) = rows[0], rows[2]  # s = 0
+        assert h1 * t1 * t1 == pytest.approx(h0 * t0 * t0, rel=1e-12)
+
     def test_marching_evaluated_once_per_t(self, tmp_path, monkeypatch):
         from pencil4 import pencil as pc
 
@@ -703,6 +781,19 @@ class TestVerify:
         code, out, err = run(capsys, ["verify", "--config", write_config(tmp_path, cfg)])
         assert code == cli.EXIT_OK and err == ""
         assert out.endswith("overall: PASS\n")
+
+    def test_tolerance_near_the_largest_double_passes(self, tmp_path, capsys):
+        # tol * |oracle value| overflows: the limit is infinite
+        path = write_config(tmp_path, seed_scene())
+        code, out, err = run(capsys, ["verify", "--config", path, "--tol", "1e308"])
+        assert (code, err) == (cli.EXIT_OK, "") and out.endswith("overall: PASS\n")
+
+    def test_step_past_the_largest_double_is_range_error(self, tmp_path, capsys):
+        # 2 h overflows: the stencil does not fit in the doubles
+        path = write_config(tmp_path, seed_scene())
+        got = run(capsys, ["verify", "--config", path, "--step", "1e308"])
+        assert got == (cli.EXIT_RANGE, "", "range error: stencil of half-width inf does not "
+                                           "fit at (0.0, -0.25)\n")
 
     def test_exit_nonzero_on_tolerance_failure(self, tmp_path, capsys):
         cfg = seed_scene(

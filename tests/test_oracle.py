@@ -523,3 +523,11 @@ class TestCompare:
         rep = orc.compare("K_N", vals, -vals, pts, [0.0] * 3, tolerance=1e-9, match_sign=True)
         assert rep.passed
         assert rep.sign == -1.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_oracle_value_fails(self, bad):
+        # |closed - oracle| = inf is not within tol |oracle| = inf
+        pts = [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]
+        with np.errstate(all="raise"):
+            rep = orc.compare("K", [0.5, 1.0, 2.0], [0.5, bad, 2.0], pts, [0.0, 1.0, 0.0])
+        assert not rep.passed and rep.worst_point == pts[1] and rep.estimate == 1.0
