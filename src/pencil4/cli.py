@@ -13,19 +13,19 @@ subcommands sweep it:
 
 CSV output is deterministic: fixed 17-significant-digit formatting, rows
 t-major then s, no timestamps.  Values are printed as ``"%.17g" % x`` by
-``text.cells``, as fixed-width byte cells.  The s and t columns are formatted
-once per command, the other fields in blocks of whole t-rows: the point
-coordinates value by value, the others each distinct value (bit pattern) of
-a block once, and a bit copy of an earlier field not at all.  A block is one
-uint8 matrix per line template, a row per grid point with separators and
-status markers as fixed bytes, and its text is its non-zero bytes.  Every
-command computes all that can fail first and then writes its text: to stdout
-in one write, or block by block to its --out files, opened only then.  A
-command that fails before its first row writes nothing.
-Export's OBJ faces are blocks too, of ``text.integer_cells``.  Grid points
-violating a regularity condition become rows with a status marker instead
-of aborting the sweep (verify excludes them from comparison).  Any other
-exception ends in exit 1 with one ``internal error`` line.
+``text.cells``, as fixed-width byte cells: each distinct value (bit pattern)
+of s, t and most fields once per command, the point coordinates value by
+value per block of whole t-rows, and a bit copy of an earlier field not at
+all.  A block is one uint8 matrix per line template, a row per grid point
+with separators and status markers as fixed bytes, and its text is its
+non-zero bytes.  Every command computes all that can fail first and then
+writes its text: to stdout in one write, or block by block to its --out
+files, opened only then.  A command that fails before its first row writes
+nothing.  Export's OBJ faces are blocks too, of ``text.integer_cells``.
+Grid points violating a regularity condition become rows with a status
+marker instead of aborting the sweep (verify excludes them from comparison;
+a regular point whose oracle value is not finite ends it in exit 8).  Any
+other exception ends in exit 1 with one ``internal error`` line.
 """
 
 from __future__ import annotations
@@ -419,24 +419,18 @@ def _filled(template, cells: dict, shape) -> np.ndarray:
     return block.reshape(-1, len(row))
 
 
-def _deduped(values: np.ndarray) -> np.ndarray:
-    """``tx.cells`` of values, each distinct bit pattern formatted once (bits,
-    not values: ``0.0`` and ``-0.0`` print differently and NaN != NaN)."""
-    bits, inverse = np.unique(values.view(np.int64), return_inverse=True)
-    return tx.cells(bits.view(np.float64))[inverse.reshape(values.shape)]
-
-
 def _blocks(fields, status=None, markers=_MARKERS, lines=None, direct=()):
     """The text of broadcastable (rows, columns) float fields, per block of
     whole rows, as one (points, bytes) uint8 matrix per line template of
     ``lines`` (default: the CSV row), points in row-major order.  Each matrix
     row is its template with ``{j}`` filled by the ``%.17g`` text of field j
     and ``{status}`` by the point's marker; NUL bytes pad the holes, so a
-    matrix's text is its non-zero bytes.  Fields constant along an axis (a
-    zero stride: s (columns,), t (rows, 1)) are formatted once per call, the
-    others once per block: those named in ``direct`` (mostly distinct, as
-    point coordinates are) value by value, the rest each distinct value once.
-    A field that is a bit copy of an earlier one takes that one's cells."""
+    matrix's text is its non-zero bytes.  One table per call holds the cells
+    of each distinct bit pattern (-0.0 is not 0.0) of s (columns,) along its
+    columns, t (rows, 1) along its rows (a zero stride) and the fields not in
+    ``direct``.  Blocks gather them, and format their rows of the ``direct``
+    fields (mostly distinct: point coordinates).  A bit copy of an earlier
+    field takes its cells."""
     fields = np.broadcast_arrays(*fields)
     along_s = [j for j, f in enumerate(fields) if not f.strides[0]]
     along_t = [j for j, f in enumerate(fields) if f.strides[0] and not f.strides[1]]
@@ -446,24 +440,26 @@ def _blocks(fields, status=None, markers=_MARKERS, lines=None, direct=()):
                      and np.array_equal(bits[i], bits[j])) for j in grid}
     copies = {j: i for j, i in first.items() if i != j}  # field: the first it copies
     own = [j for j in grid if j not in copies]
+    tabled = {**{j: fields[j][:1] for j in along_s}, **{j: fields[j][:, :1] for j in along_t},
+              **{j: fields[j] for j in own if j not in direct}}
+    flat = [f.view(np.int64).ravel() for f in tabled.values()] or [np.empty(0, np.int64)]
+    patterns, inverse = np.unique(np.concatenate(flat), return_inverse=True)
+    table = tx.cells(patterns.view(np.float64))
+    parts = np.split(inverse, np.cumsum([f.size for f in tabled.values()]))
+    index = {j: i.reshape(f.shape) for (j, f), i in zip(tabled.items(), parts)}
+    direct = [j for j in own if j in direct]
     marks = np.array(markers, dtype="S")
     marks = marks.view(np.uint8).reshape(len(markers), marks.itemsize)
     templates = [_template(line, marks.shape[1])
                  for line in lines or [_csv_line(len(fields), status is not None)]]
-
-    def formatted(group, *index, cells=tx.cells):  # field: its cells at index
-        return dict(zip(group, np.moveaxis(cells(
-            np.stack([fields[j][index] for j in group], axis=-1)), -2, 0))) if group else {}
-
-    s_cells = formatted(along_s, slice(0, 1))
-    t_cells = formatted(along_t, slice(None), slice(0, 1))
     n_rows, n_columns = fields[0].shape
     step = max(1, _BLOCK_POINTS // n_columns)
     for start in range(0, n_rows, step):
         rows = slice(start, start + step)
-        cells = {**s_cells, **{j: c[rows] for j, c in t_cells.items()},
-                 **formatted([j for j in own if j in direct], rows),
-                 **formatted([j for j in own if j not in direct], rows, cells=_deduped)}
+        cells = {j: table[i if j in along_s else i[rows]] for j, i in index.items()}
+        if direct:
+            cells.update(zip(direct, np.moveaxis(tx.cells(
+                np.stack([fields[j][rows] for j in direct], axis=-1)), -2, 0)))
         cells.update((j, cells[i]) for j, i in copies.items())
         if status is not None:
             cells["status"] = marks[status[rows]]
@@ -567,6 +563,11 @@ def run_verify(scene: Scene, tol: float, step: float | None):
     del rep_o  # the largest arrays here: freed before the CSV text is built
     pts = list(zip(s_grid[ok].tolist(), t_grid[ok].tolist()))
     compared = table[ok]
+    bad = ~np.isfinite(compared[:, 1::2])  # a step the surface cannot take
+    if bad.any():
+        i, q = np.unravel_index(np.argmax(bad), bad.shape)
+        raise StepUnderflowError(f"oracle {_COMPARED[q]} is not finite at (s, t) = {pts[i]!r} "
+                                 f"with step {float(immersion.step_at(*pts[i]))!r}")
     reports = [orc.compare(name, compared[:, 2 * i], compared[:, 2 * i + 1], pts,
                            estimates[name], tol, match_sign=name == "K_N")
                for i, name in enumerate(_COMPARED)]
@@ -699,7 +700,11 @@ def run_export(scene: Scene, out_base: Path, projection: dict) -> list[Path]:
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built once per process: building it takes
     ~1.3 ms, about 5% of a small verify run."""
-    parser = argparse.ArgumentParser(
+    class Parser(argparse.ArgumentParser):  # its subcommands' parsers too
+        def error(self, message):  # a usage error is a config error: one line, exit 2
+            self.exit(EXIT_CONFIG, " ".join(f"{_EXITS[EXIT_CONFIG][1]}: {message}".split()) + "\n")
+
+    parser = Parser(
         prog="pencil4",
         description="Surface pencils through a curve in E^4: evaluation, "
         "curvature sweeps, verification and export.",

@@ -105,7 +105,8 @@ class RankDeficiencyError(Pencil4Error):
 
 class StepUnderflowError(Pencil4Error):
     """The differencing stencil does not fit inside the immersion domain, or
-    in the doubles: it reaches past the largest double or its step is lost."""
+    in the doubles: it reaches past the largest double, its step is lost or
+    the invariants it measures are not finite."""
 
 
 class ConfigError(Pencil4Error):

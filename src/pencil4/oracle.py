@@ -357,7 +357,10 @@ def compare(
         limits = np.maximum(tolerance, tolerance * np.abs(b))
         worst = int(np.argmax(np.where(np.isfinite(dev), dev - limits, np.inf)))
     good = np.abs(b) > max(1e-9, 0.01 * float(np.max(np.abs(b)))) if np.max(np.abs(b)) > 0 else np.zeros(len(b), bool)
-    ratio = float(np.median(a[good] / (sign * b[good]))) if np.any(good) else math.nan
+    ratios = np.sort(a[good] / (sign * b[good]))  # np.median imports numpy.ma; NaN sorts last
+    mid = len(ratios) // 2
+    ratio = math.nan if not len(ratios) or np.isnan(ratios[-1]) else float(
+        ratios[mid] if len(ratios) % 2 else (ratios[mid - 1] + ratios[mid]) / 2)
     return ComparisonReport(
         quantity=quantity,
         max_abs_dev=float(np.max(dev)),

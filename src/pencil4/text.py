@@ -27,8 +27,7 @@ OOPSLA 2019):
 Python's own ``%`` formats, into the same cells, every value the kernel
 does not decide: the exponent form (|x| < 1e-4, or >= 1e17 after
 rounding), zeros, subnormals, NaN and infinities, an exact tie (which
-``%.17g`` rounds half to even) and a misestimated k.  It also formats every
-call of fewer than ``SMALL`` values.
+``%.17g`` rounds half to even) and a misestimated k.
 """
 
 from __future__ import annotations
@@ -36,15 +35,10 @@ from __future__ import annotations
 import numpy as np
 
 WIDTH = 24  # the longest %.17g text: -1.2345678901234567e-308
-# Calls with fewer values take % alone: a kernel call is ~100 numpy passes
-# with a fixed cost of about 0.2 ms.  Alone they cross over at 400-500 values
-# (best of 9x30 calls, 2 cores, Python 3.11.7, numpy 2.4.6: 800 values took
-# 630 us by % and 310-455 by the kernel), but 400 made the grid benchmark's
-# curvature, 100-950 distinct values a block, 1-2% slower than 1,000.
-SMALL = 1000
 # Values per kernel call.  Its temporaries, ~120 bytes per value, stay
 # below the traced peak of a 120x120 export; 2,048-value chunks took 85-87 ms
-# for the two eval runs above instead of 68-72 ms, and 8,192 76-79 ms.
+# for eval on both 120x120 grid benchmark scenes instead of 68-72 ms, and
+# 8,192 76-79 ms.
 CHUNK = 4096
 
 _U = np.uint64
@@ -222,15 +216,12 @@ def cells(values: np.ndarray) -> np.ndarray:
     """The ``%.17g`` text of a float64 array as NUL-padded byte cells, shape
     ``values.shape + (WIDTH,)``, every value formatted."""
     flat = values.reshape(-1)
-    if len(flat) < SMALL:
-        return _printf(flat).reshape(*values.shape, WIDTH)
     table = np.empty((len(flat), WIDTH), np.uint8)
     for start in range(0, len(flat), CHUNK):
-        chunk = flat[start:start + CHUNK]
-        got, ok = _kernel(chunk)
+        chunk, cells = flat[start:start + CHUNK], table[start:start + CHUNK]
+        cells[...], ok = _kernel(chunk)
         if not ok.all():
-            got[~ok] = _printf(chunk[~ok])
-        table[start:start + CHUNK] = got
+            cells[~ok] = _printf(chunk[~ok])
     return table.reshape(*values.shape, WIDTH)
 
 

@@ -429,8 +429,7 @@ class TestConfig:
     def test_benchmark_run_is_correct(self, tmp_path, workload, scale):
         # one timed pass of the benchmark itself, on a copy of bench/ with the
         # sources linked in: its output digests, goldens and checks must pass.
-        # Tiny grids print through % alone (text.SMALL); full ones reach the
-        # kernel, in ~2 s for grid
+        # Both scales print through the text kernel; full grid takes ~2 s
         root = Path(__file__).resolve().parents[1]
         shutil.copy(root / "BENCHMARK.json", tmp_path / "BENCHMARK.json")
         shutil.copytree(root / "bench", tmp_path / "bench",
@@ -470,6 +469,15 @@ class TestConfig:
         assert code == cli.EXIT_CONFIG and out == ""
         assert err.startswith(f"config error: {flag} must be a positive finite number")
         assert err.count("\n") == 1
+
+    def test_usage_error_is_one_config_error_line(self, tmp_path, capsys):
+        # argparse reads "-1e-3" as an option, so --step has no value
+        path = write_config(tmp_path, seed_scene())
+        with pytest.raises(SystemExit) as usage:
+            cli.main(["verify", "--config", path, "--step", "-1e-3"])
+        captured = capsys.readouterr()
+        assert (usage.value.code, captured.out) == (cli.EXIT_CONFIG, "")
+        assert captured.err == "config error: argument --step: expected one argument\n"
 
     @pytest.mark.parametrize("command, option", [
         ("frenet", ["--tol", "1e-3"]), ("eval", ["--tol", "1e-3"]),
@@ -794,6 +802,29 @@ class TestVerify:
         got = run(capsys, ["verify", "--config", path, "--step", "1e308"])
         assert got == (cli.EXIT_RANGE, "", "range error: stencil of half-width inf does not "
                                            "fit at (0.0, -0.25)\n")
+
+    def test_non_finite_oracle_value_is_range_error(self, tmp_path, capsys):
+        # B = exp(t)^200 overflows the oracle's differences at this step: the
+        # rows at t = 0.25 would hold K_N = +-inf marked ok
+        cfg = seed_scene(marching={"kind": "expressions", "A": "t", "B": "exp(t)^200"},
+                         domain={"s": [0.0, 6.0], "t": [-0.25, 0.25], "ns": 3, "nt": 3})
+        out = tmp_path / "verify.csv"
+        got = run(capsys, ["verify", "--config", write_config(tmp_path, cfg), "--step=0.5",
+                           "--out", str(out)])
+        assert got == (cli.EXIT_RANGE, "", "range error: oracle K_N is not finite at "
+                                           "(s, t) = (0.0, 0.25) with step 0.5\n")
+        assert not out.exists()
+
+    def test_verify_leaves_numpy_ma_unimported(self, tmp_path):
+        # np.median's NaN check imports numpy.ma: +1.2 MB of resident memory
+        path = write_config(tmp_path, seed_scene())
+        src = Path(cli.__file__).resolve().parents[1]
+        code = (f"import sys; sys.path.insert(0, {str(src)!r}); from pencil4 import cli; "
+                f"assert cli.main(['verify', '--config', {path!r}]) == 0; "
+                "sys.exit('numpy.ma' in sys.modules)")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
     def test_exit_nonzero_on_tolerance_failure(self, tmp_path, capsys):
         cfg = seed_scene(
@@ -1153,10 +1184,7 @@ class TestBlockFormatting:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_BLOCK_POINTS", block)  # blocks narrower and wider than ns
             assert "".join(cli._csv(header, fields, status, direct=direct)) == expected
-            # these grids hold too few values for the kernel unless the
-            # small-call route is off; small chunks split its calls
-            mp.setattr(tx, "SMALL", 0)
-            mp.setattr(tx, "CHUNK", chunk)
+            mp.setattr(tx, "CHUNK", chunk)  # small chunks split the kernel's calls
             assert "".join(cli._csv(header, fields, status, direct=direct)) == expected
 
     def test_module_block_size_on_uneven_grids(self):
@@ -1195,17 +1223,17 @@ class TestBlockFormatting:
         assert sum(line.endswith(",regularity:spine") for line in blocks["eval"].split("\n")) \
             == int(grid.split("x")[0])
 
-    @pytest.mark.parametrize("small", [tx.SMALL, 0])
-    def test_export_matches_per_row_template(self, tmp_path, monkeypatch, small):
+    @pytest.mark.parametrize("s0", [0, 1000])
+    def test_export_matches_per_row_template(self, tmp_path, monkeypatch, s0):
         """A drop-axis projection's vertices are bit copies of x1..x3 and take
-        their cells; an orthographic one's are formatted value by value."""
-        monkeypatch.setattr(tx, "SMALL", small)  # 0: every cell through the kernel
+        their cells; an orthographic one's are formatted value by value. The
+        arc from s0 = 1000 gives ``s`` cells a four-digit integer part."""
         monkeypatch.setattr(cli, "_BLOCK_POINTS", 20)
         cells, formatted = tx.cells, {}
         ortho = {"kind": "orthographic",
                  "basis": [[0.6, 0.8, 0, 0], [0, 0, 0.6, 0.8], [-0.8, 0.6, 0, 0]]}
         for name, projection in [("drop", {"kind": "drop_axis", "axis": 4}), ("ortho", ortho)]:
-            cfg = seed_scene(domain={"s": [0.0, 6.0], "t": [-0.25, 0.25], "ns": 9, "nt": 7},
+            cfg = seed_scene(domain={"s": [s0, s0 + 6], "t": [-0.25, 0.25], "ns": 9, "nt": 7},
                              output={"format": "obj", "projection": projection})
             path = write_config(tmp_path, cfg, f"{name}.json")
             scene = cli.load_scene(path)
@@ -1241,9 +1269,10 @@ class TestBlockFormatting:
 
     @pytest.mark.parametrize("grid", ["7x5", "300x3"])
     def test_per_axis_columns_formatted_once_per_command(self, tmp_path, monkeypatch, grid):
-        """``s`` and ``t`` are formatted once per command; per block, the
-        fields named ``direct`` value by value, the others once per distinct
-        bit pattern, and a bit copy of an earlier field not at all."""
+        """One table per command holds each distinct bit pattern of ``s``,
+        ``t`` and the fields not named ``direct``; per block, the ``direct``
+        fields are formatted value by value, and a bit copy of an earlier
+        field not at all."""
         cfg = singular_ray_scene()
         cfg["output"] = {"format": "obj"}
         path = write_config(tmp_path, cfg)
@@ -1260,14 +1289,11 @@ class TestBlockFormatting:
                     if np.shape(f) == (nt, ns)}
             copies = {j for j in bits if any(np.array_equal(bits[i], bits[j])
                                              for i in bits if i < j)}
-            rows = max(1, cli._BLOCK_POINTS // ns)
-            count = ns + nt
-            for r in range(0, nt, rows):
-                own = {j: b[r:r + rows] for j, b in bits.items() if j not in copies}
-                count += sum(b.size for j, b in own.items() if j in direct)
-                repeating = [b for j, b in own.items() if j not in direct]
-                count += len(np.unique(np.stack(repeating))) if repeating else 0
-            expected.append(count)
+            own = [j for j in bits if j not in copies]
+            tabled = [np.asarray(f).view(np.int64).ravel() for f in fields[:2]]
+            tabled += [bits[j].ravel() for j in own if j not in direct]
+            expected.append(len(np.unique(np.concatenate(tabled)))
+                            + sum(bits[j].size for j in own if j in direct))
             copied.append(sorted(copies))
             return blocks(fields, *args, direct=direct, **kwargs)
 
@@ -1282,6 +1308,31 @@ class TestBlockFormatting:
             assert sum(formatted) == expected[0]
             if command == "export":  # the drop-axis projection copies x1, x2, x3
                 assert set(copied[0]) >= {7, 8, 9}
+
+    def test_one_table_per_call_and_direct_fields_per_block(self, monkeypatch):
+        """One ``_blocks`` call sorts and formats ``s``, ``t`` and the
+        repeating fields once, before its first block; each block formats
+        only its rows of the ``direct`` fields."""
+        ns, nt = 50, 60
+        rng = np.random.default_rng(3)
+        repeating = rng.choice([0.5, -0.0, 0.0, 1 / 3], (nt, ns))
+        fields = [np.linspace(0.0, 1.0, ns), np.linspace(0.0, 2.0, nt)[:, None],
+                  rng.normal(size=(nt, ns)), repeating, repeating.copy()]
+        cells, unique, calls = tx.cells, np.unique, []
+        monkeypatch.setattr(tx, "cells", lambda v: calls.append(("cells", v.size)) or cells(v))
+        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(("unique",)) or
+                            unique(*a, **k))
+        monkeypatch.setattr(cli, "_BLOCK_POINTS", 1000)  # blocks of 20 rows
+        blocks = cli._blocks(fields, direct=(2,))
+        next(blocks)
+        table = len(unique(np.concatenate([f.view(np.int64).ravel() for f in fields[:2]]
+                                          + [repeating.view(np.int64).ravel()])))
+        assert calls == [("unique",), ("cells", table), ("cells", 20 * ns)]
+        assert len(list(blocks)) == 2
+        assert calls[3:] == [("cells", 20 * ns)] * 2
+        # nothing to tabulate: one field, formatted value by value
+        assert "".join(cli._csv(["x"], fields[2:3], direct=(0,))) \
+            == reference_csv(["x"], fields[2:3])
 
 
 class TestTracedMemory:

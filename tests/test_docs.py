@@ -13,7 +13,6 @@ import pytest
 import pencil4
 from pencil4 import cli
 from pencil4 import oracle as orc
-from pencil4 import text as tx
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = [importlib.import_module(f"pencil4.{info.name}")
@@ -57,14 +56,13 @@ def test_exported_names_resolve(module):
 
 
 @pytest.mark.parametrize("pattern, value", [
-    (r"fewer than ([\d,]+) values", tx.SMALL),
     (r"blocks of whole\s+t-rows \(about ([\d,]+) points\)", cli._BLOCK_POINTS),
     (r"each block\s+of ([\d,]+) faces", cli._BLOCK_POINTS),
     (r"slice of up to ([\d,]+) points", orc.SLICE),
     (r"`oracle\.SLICE` \(([\d,]+)\)", orc.SLICE),
     (r"at ([\d,]+) points per slice;", orc.SLICE),
     (r"so ([\d,]+) is the largest slice\s+size", orc.SLICE),
-], ids=["SMALL", "block", "faces", "SLICE-tour", "SLICE", "SLICE-peak", "SLICE-largest"])
+], ids=["block", "faces", "SLICE-tour", "SLICE", "SLICE-peak", "SLICE-largest"])
 def test_readme_figures_are_the_module_constants(pattern, value):
     figures = re.findall(pattern, README.read_text(encoding="utf-8"))
     assert figures and [int(f.replace(",", "")) for f in figures] == [value] * len(figures)

@@ -1,9 +1,11 @@
 """The failure contract of the command line, as a property: a scene with
 one to three leaves replaced by hostile values (numbers at the edges of the
 double range, expressions with domain faults, values of the wrong JSON type)
-never ends in exit 1 or a traceback.  A failure is one stderr line and no
-stdout, ``verify``'s exit 6 keeps its report, a success prints nothing on
-stderr, and no row marked ``ok`` holds NaN or infinity."""
+never ends in exit 1 or a traceback, and neither do hostile option values,
+given as ``--flag=value`` or as two tokens.  A failure is one stderr line and
+no stdout, ``verify``'s exit 6 keeps its report, a success prints nothing on
+stderr, and no row marked ``ok`` holds NaN or infinity, on stdout or in the
+``--out`` file."""
 
 import copy
 import importlib.util
@@ -73,9 +75,12 @@ def hostile_runs(draw):
         node[path[-1]] = copy.deepcopy(value)
     command = draw(st.sampled_from(COMMANDS))
     numbers = st.sampled_from([str(v) for v in HOSTILE if type(v) in (int, float)])
-    flags = [f"{flag}={draw(numbers)}" for flag in OPTIONS.get(command, ())
-             if draw(st.booleans())]
-    return cfg, command, flags
+    flags = []
+    for flag in OPTIONS.get(command, ()):
+        if draw(st.booleans()):  # as --flag=value or as two tokens
+            value = draw(numbers)
+            flags += [f"{flag}={value}"] if draw(st.booleans()) else [flag, value]
+    return cfg, command, flags, command == "export" or draw(st.booleans())
 
 
 def _ok_rows_are_finite(text: str) -> bool:
@@ -92,23 +97,32 @@ _RULED_PAST_MAX = {"curve": {"kind": "w_curve", "a": 0.6, "b": 0.8, "c": 1.0, "d
 @given(hostile_runs())
 # linspace's i * step overflows at the last t
 @example((seed_scene({"kind": "ruled"}, {"s": [0.0, 6.0], "t": [-MAX_DOUBLE, 0.25],
-                                         "ns": 5, "nt": 4}), "eval", []))
+                                         "ns": 5, "nt": 4}), "eval", [], False))
 # the oracle's stencil reaches past the largest double
-@example((_RULED_PAST_MAX, "verify", []))
+@example((_RULED_PAST_MAX, "verify", [], False))
 # 2 W2 overflows in the mean curvature
 @example((seed_scene({"kind": "ruled"}, {"s": [0.0, 6.0], "t": [0.0, 1e154], "ns": 5, "nt": 4}),
-          "curvature", []))
+          "curvature", [], False))
+# argparse reads "-1e-3" as an option, not a number: a usage error
+@example((seed_scene(), "verify", ["--step", "-1e-3"], False))
+# the oracle's differences at this step overflow at t = 0.25: K_N = +-inf
+@example((seed_scene({"kind": "expressions", "A": "t", "B": "exp(t)^200"},
+                     {"s": [0.0, 6.0], "t": [-0.25, 0.25], "ns": 3, "nt": 3}),
+          "verify", ["--step=0.5"], True))
 def test_hostile_scene_keeps_the_failure_contract(run):
-    cfg, command, flags = run
+    cfg, command, flags, to_file = run
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "scene.json"
         path.write_text(json.dumps(cfg), encoding="utf-8")
         argv = [command, "--config", str(path), *flags,
-                *["--out", str(Path(tmp) / "x")] * (command == "export")]
+                *["--out", str(Path(tmp) / "x.csv")] * to_file]
         out, err = io.StringIO(), io.StringIO()
         with warnings.catch_warnings(), redirect_stdout(out), redirect_stderr(err):
             warnings.simplefilter("error")
-            code = cli.main(argv)
+            try:
+                code = cli.main(argv)
+            except SystemExit as usage:  # argparse's exit
+                code = usage.code
         out, err = out.getvalue(), err.getvalue()
         written = "".join(p.read_text(encoding="utf-8") for p in Path(tmp).glob("x*.csv"))
     assert code != cli.EXIT_UNEXPECTED, err

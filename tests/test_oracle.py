@@ -524,6 +524,15 @@ class TestCompare:
         assert rep.passed
         assert rep.sign == -1.0
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 40, 41])
+    def test_ratio_is_the_median_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        closed, oracle = rng.normal(size=n) * 1e3, rng.uniform(0.5, 2.0, size=n)
+        if n == 8:
+            closed[3] = np.nan  # the median of a NaN is NaN
+        rep = orc.compare("K", closed, oracle, [(0.0, 0.0)] * n, [0.0] * n)
+        assert rep.ratio.hex() == float(np.median(closed / oracle)).hex()
+
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_oracle_value_fails(self, bad):
         # |closed - oracle| = inf is not within tol |oracle| = inf

@@ -13,11 +13,8 @@ from pencil4 import text as tx
 
 
 def texts(values) -> list[str]:
-    """The text of each cell of ``tx.cells``, with the kernel taking every
-    value it can decide (the small-set route off)."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(tx, "SMALL", 0)
-        cells = tx.cells(np.asarray(values, dtype=np.float64))
+    """The text of each cell of ``tx.cells``."""
+    cells = tx.cells(np.asarray(values, dtype=np.float64))
     return [bytes(row[row != 0]).decode("ascii") for row in cells.reshape(-1, tx.WIDTH)]
 
 
@@ -99,17 +96,15 @@ class TestRoutes:
         _, ok = tx._kernel(x)
         assert ok.tolist() == [False] * 8 + [True] * 2
 
-    def test_small_sets_take_percent(self, monkeypatch):
+    def test_calls_take_the_kernel_in_chunks(self, monkeypatch):
         calls = []
         kernel = tx._kernel
         monkeypatch.setattr(tx, "_kernel", lambda x: calls.append(len(x)) or kernel(x))
-        tx.cells(np.arange(tx.SMALL - 1, dtype=np.float64))
-        assert calls == []
-        tx.cells(np.zeros(tx.SMALL))  # every value counts: cells does not de-duplicate
-        assert calls == [tx.SMALL]
+        tx.cells(np.zeros(3))  # every value counts: cells does not de-duplicate
+        assert calls == [3]
         calls.clear()
-        tx.cells(np.arange(tx.CHUNK + tx.SMALL, dtype=np.float64))
-        assert calls == [tx.CHUNK, tx.SMALL]
+        tx.cells(np.arange(tx.CHUNK + 7, dtype=np.float64))
+        assert calls == [tx.CHUNK, 7]
 
     def test_cells_keep_the_shape_and_share_distinct_bit_patterns(self):
         values = np.array([[0.0, -0.0, 1.5], [1.5, math.nan, -math.nan]])
