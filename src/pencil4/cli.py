@@ -18,10 +18,11 @@ of s, t and most fields once per command, the point coordinates value by
 value per block of whole t-rows, and a bit copy of an earlier field not at
 all.  A block is one uint8 matrix per line template, a row per grid point
 with separators and status markers as fixed bytes, and its text is its
-non-zero bytes.  Every command computes all that can fail first and then
-writes its text: to stdout in one write, or block by block to its --out
-files, opened only then.  A command that fails before its first row writes
-nothing.  Export's OBJ faces are blocks too, of ``text.integer_cells``.
+non-zero bytes, kept as bytes up to the output.  Every command computes all
+that can fail first and then writes its text: to stdout in one write, or
+block by block to its --out files, opened only then in binary mode.  A
+command that fails before its first row writes nothing.  Export's OBJ faces
+are blocks too, gathered from one table of vertex numbers.
 Grid points violating a regularity condition become rows with a status
 marker instead of aborting the sweep (verify excludes them from comparison;
 a regular point whose oracle value is not finite ends it in exit 8).  Any
@@ -108,13 +109,12 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-# Grid points per block of text.  Measured on the 120x120 grid benchmark
-# scenes (seed 0, in process, medians of 20 runs paired with 1024-point
-# blocks): 512-point blocks made eval and export 24-30% slower, 2048-point
-# blocks 3-7% faster.  A block's byte matrix, its cells and its text are
-# alive together: at 2048 points the traced peak of the 120x120 export rose
-# from 3.18 MB (set by the sweep) to 3.88 MB.
-_BLOCK_POINTS = 1024
+# Grid points per block of text, so that with ``text.CHUNK`` = 8,192 a block's
+# x1..x4 take one kernel call: the six grid benchmark operations took 6.0-6.4%
+# less time than with 1,024 and 4,096 (seeds 11 and 19, in process).  The export
+# drops its sweep before its first block and frees each written block before
+# the next, so its 120x120 traced peak stays in the sweep (3.17 MB).
+_BLOCK_POINTS = 2048
 _POSITIONS = (2, 3, 4, 5)  # x1..x4 after s and t: mostly distinct, never deduped
 _MARKERS = ("ok", *(f"regularity:{c}" for c in pc.CONDITIONS[1:]))
 _VERIFY_MARKERS = ("ok", *["regularity"] * (len(pc.CONDITIONS) - 1))
@@ -408,24 +408,37 @@ def _template(line: str, marker_width: int, width: int = tx.WIDTH):
     return np.frombuffer(bytes(row), np.uint8), holes
 
 
-def _filled(template, cells: dict, shape) -> np.ndarray:
-    """A block of ``shape`` points: rows of the template, each hole filled by
-    its cells (broadcast to ``shape``), as one (points, bytes) matrix."""
+def _filled(template, cells: dict, shape) -> bytes:
+    """The text of a block of ``shape`` points: rows of the template, each
+    hole filled by its cells (broadcast to ``shape``), in one uint8 matrix
+    whose non-zero bytes are the text, kept by one ``bytes.translate``."""
     row, holes = template
     block = np.empty((*shape, len(row)), np.uint8)
     block[...] = row
     for name, at in holes:
         block[..., at:at + cells[name].shape[-1]] = cells[name]
-    return block.reshape(-1, len(row))
+    return block.tobytes().translate(None, b"\0")
+
+
+def _distinct(parts):
+    """``np.unique(np.concatenate(parts), return_inverse=True)`` of 1-D int64
+    arrays with fewer copies alive; its sort order and mask die on return."""
+    bits = np.concatenate([np.empty(0, np.int64), *parts])
+    order = np.argsort(bits)
+    bits = bits[order]
+    new = np.ones(len(bits), bool)
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return bits[new], inverse
 
 
 def _blocks(fields, status=None, markers=_MARKERS, lines=None, direct=()):
     """The text of broadcastable (rows, columns) float fields, per block of
-    whole rows, as one (points, bytes) uint8 matrix per line template of
-    ``lines`` (default: the CSV row), points in row-major order.  Each matrix
-    row is its template with ``{j}`` filled by the ``%.17g`` text of field j
-    and ``{status}`` by the point's marker; NUL bytes pad the holes, so a
-    matrix's text is its non-zero bytes.  One table per call holds the cells
+    whole rows, as ASCII bytes per line template of ``lines`` (default: the
+    CSV row), points in row-major order.  Each line is its template with
+    ``{j}`` filled by the ``%.17g`` text of field j and ``{status}`` by the
+    point's marker (``_filled``).  One table per call holds the cells
     of each distinct bit pattern (-0.0 is not 0.0) of s (columns,) along its
     columns, t (rows, 1) along its rows (a zero stride) and the fields not in
     ``direct``.  Blocks gather them, and format their rows of the ``direct``
@@ -442,8 +455,7 @@ def _blocks(fields, status=None, markers=_MARKERS, lines=None, direct=()):
     own = [j for j in grid if j not in copies]
     tabled = {**{j: fields[j][:1] for j in along_s}, **{j: fields[j][:, :1] for j in along_t},
               **{j: fields[j] for j in own if j not in direct}}
-    flat = [f.view(np.int64).ravel() for f in tabled.values()] or [np.empty(0, np.int64)]
-    patterns, inverse = np.unique(np.concatenate(flat), return_inverse=True)
+    patterns, inverse = _distinct([f.view(np.int64).ravel() for f in tabled.values()])
     table = tx.cells(patterns.view(np.float64))
     parts = np.split(inverse, np.cumsum([f.size for f in tabled.values()]))
     index = {j: i.reshape(f.shape) for (j, f), i in zip(tabled.items(), parts)}
@@ -467,37 +479,33 @@ def _blocks(fields, status=None, markers=_MARKERS, lines=None, direct=()):
         yield [_filled(template, cells, shape) for template in templates]
 
 
-def _lines(block: np.ndarray) -> str:
-    """The text of a block: its non-zero bytes."""
-    return block[block != 0].tobytes().decode("ascii")
-
-
 def _csv(header: list[str], fields, status=None, markers=_MARKERS, direct=()):
-    """CSV text, lazily: the header line, then the lines of each block."""
-    yield ",".join(header) + "\n"
-    for (block,) in _blocks(fields, status, markers, direct=direct):
-        yield _lines(block)
+    """CSV text as bytes, lazily: the header line, then the lines of each block."""
+    yield (",".join(header) + "\n").encode("ascii")
+    yield from itertools.chain.from_iterable(_blocks(fields, status, markers, direct=direct))
 
 
 def _write(paths, parts) -> None:
-    """Write text to the files ``paths``, opened only now: each item of
-    ``parts`` holds the next text of the first files, in order."""
+    """Write bytes to the files ``paths``, opened only now in binary mode, so
+    no newline is translated: each item of ``parts`` holds the next bytes of
+    the first files, in order, and is dropped before the next is asked for."""
     with contextlib.ExitStack() as stack:
-        files = [stack.enter_context(open(p, "w", encoding="utf-8")) for p in paths]
+        files = [stack.enter_context(open(p, "wb")) for p in paths]
         for texts in parts:
             for f, text in zip(files, texts):
                 f.write(text)
+            texts = text = None
 
 
 def _emit(lines, out: str | None) -> None:
-    """Write text to the file ``out`` block by block, else to stdout in one
-    write: block-wise writes into a captured stdout (``io.StringIO``) raised
-    the peak RSS of ``bench/run.py --workload grid --seed 3`` by 6% (2 cores,
-    Python 3.11.7)."""
+    """Write bytes to the file ``out`` block by block, else to stdout as text
+    in one write of the blocks decoded one by one.  Block-wise writes into a
+    captured stdout (``io.StringIO``) raised the grid benchmark's peak RSS by
+    6%, and decoding the joined bytes at once by 4-5% (seeds 3 and 7)."""
     if out:
         _write([out], zip(lines))
     else:
-        sys.stdout.write("".join(lines))
+        sys.stdout.write("".join(map(bytes.decode, lines)))
 
 
 # The CSV commands compute everything that can fail, then return their lines
@@ -662,31 +670,32 @@ def run_export(scene: Scene, out_base: Path, projection: dict) -> list[Path]:
     they share with x1..x4 is formatted once.  Returns the written paths,
     the OBJ first."""
     sweep = scene.surface.sweep(*_grid(scene))
-    fields = [sweep.s, sweep.t[:, None], *np.moveaxis(sweep.points, -1, 0),
+    points, status = sweep.points, sweep.status
+    fields = [sweep.s, sweep.t[:, None], *np.moveaxis(points, -1, 0),
               cu.invariants_from_forms(sweep.forms).K]
+    del sweep  # its forms and frames: freed before the first block of text
     paths, lines = [out_base.with_suffix(".csv")], [_csv_line(len(fields), True)]
     obj = scene.output_format == "obj"
     if obj:
-        projected = project_points(sweep.points.reshape(-1, 4), projection)
-        fields += list(projected.T.reshape(3, *sweep.status.shape))
+        projected = project_points(points.reshape(-1, 4), projection)
+        fields += list(projected.T.reshape(3, *status.shape))
         paths.append(out_base.with_suffix(".obj"))
         lines.append("v {7} {8} {9}\n")  # the projected x, y, z
 
     def faces():  # to the OBJ file, the second one, after the vertices
-        ok = sweep.status == pc.OK
+        ok = status == pc.OK
         it, i_s = np.nonzero(ok[:-1, :-1] & ok[:-1, 1:] & ok[1:, 1:] & ok[1:, :-1])
-        corners = np.add.outer(it * scene.ns + i_s + 1, [0, 1, scene.ns + 1, scene.ns])
+        corners = np.add.outer(it * scene.ns + i_s, [0, 1, scene.ns + 1, scene.ns])
+        numbers = tx.integer_cells(np.arange(1, status.size + 1))  # each vertex's once
         template = _template("f {0} {1} {2} {3}\n", 0, width=8)  # indices <= MAX_GRID^2
         for start in range(0, len(corners), _BLOCK_POINTS):
-            quads = tx.integer_cells(corners[start:start + _BLOCK_POINTS])
-            yield "", _lines(_filled(template, dict(enumerate(np.moveaxis(quads, 1, 0))),
-                                     quads.shape[:1]))
+            quads = numbers[corners[start:start + _BLOCK_POINTS]]
+            yield b"", _filled(template, dict(enumerate(np.moveaxis(quads, 1, 0))),
+                               quads.shape[:1])
 
     # the projected vertices are x1..x4 or their bit copies, and mostly distinct
-    text = ((_lines(block) for block in blocks)  # one text alive at a time
-            for blocks in _blocks(fields, sweep.status, lines=lines,
-                                  direct=(*_POSITIONS, 7, 8, 9)))
-    _write(paths, itertools.chain([("s,t,x1,x2,x3,x4,K,status\n",)], text,
+    text = _blocks(fields, status, lines=lines, direct=(*_POSITIONS, 7, 8, 9))
+    _write(paths, itertools.chain([(b"s,t,x1,x2,x3,x4,K,status\n",)], text,
                                   faces() if obj else ()))
     return paths[::-1]
 
@@ -772,7 +781,7 @@ def main(argv: list[str] | None = None) -> int:
                 return EXIT_VERIFY_FAILED
         elif args.command == "flat-design":
             text, _ = run_flat_design(scene, args.step)
-            _emit([text], args.out)
+            _emit([text.encode("utf-8")], args.out)
         elif args.command == "export":
             if not args.out:
                 raise ConfigError("export needs --out BASEPATH")

@@ -6,18 +6,19 @@ No Python string is made per value: a whole text is
 ``cells[cells != 0].tobytes()``.  ``integer_cells`` does the same for the
 ``%d`` text of integers below 10^8, in cells of 8 bytes.
 
-Most values take a numpy kernel of integer arithmetic, after Loitsch
+Most values take a numpy kernel of exact arithmetic, after Loitsch
 (*Printing floating-point numbers quickly and accurately with integers*,
 PLDI 2010) and Adams (*Ryu revisited: printf floating point conversion*,
 OOPSLA 2019):
 
 * *Digits.*  A finite x is m 2^e with m < 2^53.  With k = floor(log10 |x|),
-  the 17 digits are x 10^p rounded to an integer, p = 16 - k.  The kernel
+  the 17 digits are |x| 10^p rounded to an integer, p = 16 - k.  The kernel
   takes only the positional form of ``%.17g`` (-4 <= k <= 16), so
-  0 <= p <= 20 and 10^p = 5^p 2^p with 5^p < 2^47: the 64-bit table entry
-  of 10^p is exact, and so is the 128-bit product m 5^p, taken in 32-bit
-  limbs.  Its integer part D holds the digits and its fraction decides the
-  rounding exactly; the error bound of a truncated table is zero here.
+  0 <= p <= 20 and 10^p is an exact double.  k comes from a table over the
+  binary exponent and one compare.  Dekker's two-product (Numer. Math. 18,
+  1971) writes |x| 10^p exactly as hi + err; hi >= 2^53 is an integer, so the
+  integer part D and the fraction, which decides the rounding, are exact.
+  A misestimated k puts D outside [10^16, 10^17).
 * *Text.*  D splits into 1 + 8 + 8 digits.  Each 8 become ASCII bytes of one
   little-endian ``uint64`` word by SWAR (three multiply-shift steps on
   32-, 16- and 8-bit lanes).  Trailing zeros of the fraction are masked
@@ -35,27 +36,16 @@ from __future__ import annotations
 import numpy as np
 
 WIDTH = 24  # the longest %.17g text: -1.2345678901234567e-308
-# Values per kernel call.  Its temporaries, ~120 bytes per value, stay
-# below the traced peak of a 120x120 export; 2,048-value chunks took 85-87 ms
-# for eval on both 120x120 grid benchmark scenes instead of 68-72 ms, and
-# 8,192 76-79 ms.
-CHUNK = 4096
+# Values per kernel call, so that a 2,048-point block's x1..x4 take one call.
+# Its temporaries, ~120 bytes per value, stay below the traced peak of a
+# 120x120 export.  Sizes measured with ``cli._BLOCK_POINTS``.
+CHUNK = 8192
 
 _U = np.uint64
-_HALF = _U(1 << 63)
 _ALL = _U(2**64 - 1)
 _E16, _E8 = _U(10**16), _U(10**8)
 _ZEROS = _U(0x3030303030303030)  # "00000000"
-_M32 = _U(0xFFFFFFFF)
 _K_MIN, _K_MAX = -4, 16  # the positional form of %.17g
-
-
-def _pow10_table():
-    """10^p = T[p] 2^Q[p] exactly, T[p] in [2^63, 2^64), for p = 16 - k."""
-    fives = [5**p for p in range(17 - _K_MIN)]  # 10^p = 5^p 2^p, 16 - _K_MAX = 0
-    shifts = [64 - f.bit_length() for f in fives]
-    return (np.array([f << sh for f, sh in zip(fives, shifts)], np.uint64),
-            np.array([p - sh for p, sh in enumerate(shifts)], np.int64))
 
 
 def _layout_tables():
@@ -87,45 +77,46 @@ def _layout_tables():
             np.moveaxis(np.array(cell_masks, np.uint64), 0, -1).copy())
 
 
-_T, _Q = _pow10_table()
+def _halves(x):
+    """Veltkamp's split x = upper + lower, each half of at most 26 bits."""
+    c = x * (2.0**27 + 1)
+    upper = c - (c - x)
+    return upper, x - upper
+
+
+# Tables over j = k - _K_MIN + 1 = k + 5, k in _K_MIN - 1 .. _K_MAX + 1.  _J_OF:
+# per biased exponent, the j of floor(log10) of the binade's least value in
+# the positional binades 2^-14 .. 2^56, else the j of 1.0, which takes their
+# place.  _TENS: 10^(k+1).  _POW10: 10^max(16 - k, 0), exact, and its halves.
+_E = np.arange(2048) - 1023
+_J_OF = np.where((_E >= -14) & (_E <= 56), np.floor(_E * np.log10(2)), 0).astype(int) + 5
+_TENS = 10.0 ** np.arange(_K_MIN, _K_MAX + 2)
+_POW10 = np.array([float(10 ** max(16 - k, 0)) for k in range(_K_MIN - 1, _K_MAX + 2)])
+_POW10_HI, _POW10_LO = _halves(_POW10)
 _SHIFTS, _BEFORE_POINT, _CELL_MASKS = _layout_tables()
-
-
-def _product(m: np.ndarray, t: np.ndarray):
-    """The high and low 64-bit words of m t, from 32-bit limbs."""
-    m0, m1, t0, t1 = m & _M32, m >> _U(32), t & _M32, t >> _U(32)
-    low, mid, cross, hi = m0 * t0, m0 * t1, m1 * t0, m1 * t1
-    hi += mid >> _U(32)
-    hi += cross >> _U(32)
-    mid &= _M32
-    mid += cross & _M32
-    mid += low >> _U(32)
-    hi += mid >> _U(32)
-    low &= _M32
-    low |= mid << _U(32)
-    return hi, low
 
 
 def _decimal(bits: np.ndarray, x: np.ndarray):
     """The 17 significant digits D of each x as an integer, its decimal
     exponent k (|x| = D 10^(k - 16) after rounding) and whether the kernel
     decided both: x in the positional range, k estimated right, no tie."""
-    biased = ((bits >> _U(52)) & _U(0x7FF)).astype(np.int64)
+    biased = (bits >> _U(52)) & _U(0x7FF)
     # 1e-4 <= |x| < 1e17 lies in the binades 2^-14 .. 2^56
-    ok = (biased >= 1023 - 14) & (biased <= 1023 + 56)
-    k = np.floor(np.log10(np.where(ok, np.abs(x), 1.0))).astype(np.int64)
+    ok = (biased >= _U(1023 - 14)) & (biased <= _U(1023 + 56))
+    ax = np.where(ok, np.abs(x), 1.0)
+    j = _J_OF[biased]
+    j += ax >= _TENS[j]
+    k = j + (_K_MIN - 1)
     ok &= (k >= _K_MIN) & (k <= _K_MAX)
-    p = np.clip(16 - k, 0, len(_T) - 1)
-    # |x| 10^p = m T 2^-s, and 59 <= s <= 63 for a right k
-    s = 1075 - biased - _Q[p]
-    ok &= (s >= 59) & (s <= 63)
-    s = np.clip(s, 59, 63).astype(np.uint64)
-    hi, lo = _product((bits & _U((1 << 52) - 1)) | _U(1 << 52), _T[p])
-    up = _U(64) - s
-    d = (hi << up) | (lo >> s)  # the integer part
-    lo <<= up  # the fraction, exactly, in units of 2^-64
-    ok &= (d >= _E16) & (d < _E16 * _U(10)) & (lo != _HALF)
-    d += lo > _HALF
+    # |x| 10^p = hi + err exactly (Dekker), hi the rounded product
+    hi = ax * _POW10[j]
+    (a1, a2), b1, b2 = _halves(ax), _POW10_HI[j], _POW10_LO[j]
+    err = a1 * b1 - hi + a1 * b2 + a2 * b1 + a2 * b2  # each partial sum is exact
+    floor = np.floor(err)
+    d = (hi.astype(np.int64) + floor.astype(np.int64)).astype(np.uint64)  # the integer part
+    err -= floor  # the fraction, rounded in order: above or below 0.5 is exact, 0.5 goes to %
+    ok &= (d >= _E16) & (d < _E16 * _U(10)) & (err != 0.5)
+    d += err > 0.5
     carry = d == _E16 * _U(10)  # 99..9.5 rounds up to the next power of ten
     d[carry] = _E16
     k += carry

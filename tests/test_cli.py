@@ -88,6 +88,40 @@ class TestConfig:
             code, _, _ = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
             assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("command, cfg, extra, message", [
+        ("eval", {**seed_scene(), "output": []}, [], "output must be an object"),
+        ("eval", seed_scene(output={"format": "ply"}), [],
+         "output.format must be 'csv' or 'obj'"),
+        ("export", seed_scene(output={"projection": "stereo"}), [],
+         "output.projection must be an object"),
+        ("export", seed_scene(output={"format": "obj",
+                                      "projection": {"kind": "drop_axis", "axis": 5}}), [],
+         "projection.axis must be 1..4"),
+        ("export", seed_scene(output={"format": "obj", "projection": {"kind": "fisheye"}}), [],
+         "unknown projection kind 'fisheye'"),
+        ("eval", seed_scene(), ["--grid", "12by12"],
+         "--grid must look like 50x50, got '12by12'"),
+        ("eval", [seed_scene()], [], "config root must be an object"),
+        ("eval", {**analytic_scene(), "curve": {**analytic_scene()["curve"],
+                                                "components": ["cos(s)", "sin(s)", "0"]}}, [],
+         "curve.components must be a list of 4 expressions"),
+        ("curvature", {"curve": {"kind": "w_curve", "a": 1.0, "b": 0.0, "c": 1.0, "d": 1.0},
+                       "marching": {"kind": "flat_polar", "case": 1, "c1": 1.0, "c2": 0.0},
+                       "domain": {"s": [0.0, 6.0], "t": [1.0, 2.6], "ns": 4, "nt": 4}}, [],
+         "marching.case must be one of i, ii, iii, iv"),
+        ("curvature", {"curve": {"kind": "w_curve", "a": 1.0, "b": 0.0, "c": 1.0, "d": 1.0},
+                       "marching": {"kind": "flat_polar", "case": "v", "c1": 1.0, "c2": 0.0},
+                       "domain": {"s": [0.0, 6.0], "t": [1.0, 2.6], "ns": 4, "nt": 4}}, [],
+         "unknown flat design case 'v'"),
+    ], ids=["output", "format", "projection", "axis", "projection_kind", "grid_flag", "root",
+            "components", "case_type", "case_name"])
+    def test_config_fault_is_one_line(self, tmp_path, capsys, command, cfg, extra, message):
+        if command == "export":
+            extra = [*extra, "--out", str(tmp_path / "mesh")]
+        code, out, err = run(capsys, [command, "--config", write_config(tmp_path, cfg), *extra])
+        assert (code, out, err) == (cli.EXIT_CONFIG, "", f"config error: {message}\n")
+        assert list(tmp_path.glob("mesh*")) == []
+
     @pytest.mark.parametrize("section, value", [
         ("domain", 5), ("domain", "st"), ("domain", None), ("curve", "kind"), ("marching", 5),
     ], ids=["domain_int", "domain_str", "domain_null", "curve_str", "marching_int"])
@@ -631,6 +665,20 @@ class TestEval:
         assert statuses.count("regularity:spine") == 2  # the t = 0 row
         assert statuses.count("ok") == 4
 
+    def test_polar_marching_sweeps_every_point(self, tmp_path, capsys):
+        """``marching.kind = "polar"`` is A = r cos t, B = r sin t: it prints
+        the rows of those expressions, every point regular."""
+        domain = {"s": [0.0, 6.0], "t": [0.5, 1.5], "ns": 7, "nt": 5}
+        polar = write_config(tmp_path, seed_scene({"kind": "polar", "r": "1 + t"}, domain))
+        expressions = {"kind": "expressions", "A": "(1 + t)*cos(t)", "B": "(1 + t)*sin(t)"}
+        written = write_config(tmp_path, seed_scene(expressions, domain), "w.json")
+        for command in ("eval", "curvature"):
+            code, out, err = run(capsys, [command, "--config", polar])
+            assert (code, err) == (0, "")
+            rows = out.splitlines()[1:]
+            assert len(rows) == 7 * 5 and all(row.endswith(",ok") for row in rows)
+            assert run(capsys, [command, "--config", written]) == (0, out, "")
+
     def test_grid_override(self, tmp_path, capsys):
         cfg = seed_scene()
         code, out, _ = run(
@@ -980,6 +1028,25 @@ class TestExport:
         assert code == 0
         assert (tmp_path / "sphere.obj").exists()
 
+    def test_stereographic_pole_on_a_surface_point_is_range_error(self, tmp_path, capsys):
+        cfg = {
+            "marching": {"kind": "vranceanu", "r": "1 + 0*t",
+                          "a": 1 / math.sqrt(2), "b": 1 / math.sqrt(2)},
+            "domain": {"s": [0.0, 2.0], "t": [0.0, 0.4], "ns": 3, "nt": 3},
+            "output": {"format": "obj"},
+        }
+        scene = cli.load_scene(write_config(tmp_path, cfg))
+        pole = scene.surface.sweep(*cli._grid(scene)).points[1, 2]
+        cfg["output"]["projection"] = {"kind": "stereographic",
+                                       "pole": (pole / np.linalg.norm(pole)).tolist()}
+        base = tmp_path / "mesh"
+        code, out, err = run(
+            capsys, ["export", "--config", write_config(tmp_path, cfg), "--out", str(base)]
+        )
+        assert (code, out) == (cli.EXIT_RANGE, "")
+        assert err == "range error: a surface point coincides with the projection pole\n"
+        assert list(tmp_path.glob("mesh*")) == []
+
     def test_orthographic_projection(self, tmp_path, capsys):
         cfg = seed_scene(
             domain={"s": [0.0, 2.0], "t": [0.0, 0.2], "ns": 3, "nt": 3},
@@ -1094,6 +1161,25 @@ class TestDeterminism:
         assert cli.main([command, "--config", path, "--out", str(out2)]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("command", ["frenet", "eval", "curvature"])
+    def test_stdout_and_out_file_carry_the_same_bytes(self, tmp_path, capsys, command):
+        """Stdout is the text decoded once, a file its bytes: both paths
+        carry the same bytes over several blocks and irregular rows, and no
+        file holds a carriage return."""
+        path = write_config(tmp_path, singular_ray_scene())
+        grid = ["--grid", "700x5"]  # three blocks of whole rows
+        code, out, _ = run(capsys, [command, "--config", path, *grid])
+        assert code == 0 and ("regularity:spine" in out) == (command != "frenet")
+        csv = tmp_path / "out.csv"
+        assert cli.main([command, "--config", path, *grid, "--out", str(csv)]) == 0
+        assert out.encode() == csv.read_bytes()
+        base = tmp_path / "mesh"
+        assert cli.main(["export", "--config", path, "--out", str(base)]) == 0
+        assert cli.main(["verify", "--config", path, "--out", str(csv)]) == 0
+        capsys.readouterr()
+        for written in (csv, base.with_suffix(".csv")):
+            assert b"\r" not in written.read_bytes() and written.read_bytes().endswith(b"ok\n")
+
     def test_verify_csv_deterministic(self, tmp_path, capsys):
         cfg = seed_scene(
             marching={"kind": "ruled"},
@@ -1124,14 +1210,12 @@ def reference_csv(header, fields, status=None, markers=cli._MARKERS):
 
 def reference_blocks(fields, status=None, markers=cli._MARKERS, lines=None, direct=()):
     """``cli._blocks`` as one block: each line template filled per row by
-    ``str.format`` with ``%.17g`` strings, rows NUL-padded to one width."""
+    ``str.format`` with ``%.17g`` strings."""
     table = np.stack(np.broadcast_arrays(*fields), axis=-1).reshape(-1, len(fields))
     codes = [0] * len(table) if status is None else status.ravel().tolist()
     texts = [["%.17g" % v for v in row] for row in table.tolist()]
-    yield [np.array([line.format(*row, status=markers[code]).encode()
-                     for row, code in zip(texts, codes)], dtype="S").view(np.uint8)
-           .reshape(len(texts), -1)
-           for line in lines or [cli._csv_line(len(fields), status is not None)]]
+    yield ["".join(line.format(*row, status=markers[code]) for row, code in zip(texts, codes))
+           .encode() for line in lines or [cli._csv_line(len(fields), status is not None)]]
 
 
 def reference_obj(scene):
@@ -1180,12 +1264,12 @@ class TestBlockFormatting:
         status = data.draw(st.lists(st.integers(0, 2), min_size=ns * nt, max_size=ns * nt))
         status = np.array(status, dtype=np.int8).reshape(nt, ns) if with_status else None
         header = [f"c{i}" for i in range(len(fields))]
-        expected = reference_csv(header, fields, status)
+        expected = reference_csv(header, fields, status).encode()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(cli, "_BLOCK_POINTS", block)  # blocks narrower and wider than ns
-            assert "".join(cli._csv(header, fields, status, direct=direct)) == expected
+            assert b"".join(cli._csv(header, fields, status, direct=direct)) == expected
             mp.setattr(tx, "CHUNK", chunk)  # small chunks split the kernel's calls
-            assert "".join(cli._csv(header, fields, status, direct=direct)) == expected
+            assert b"".join(cli._csv(header, fields, status, direct=direct)) == expected
 
     def test_module_block_size_on_uneven_grids(self):
         rng = np.random.default_rng(7)
@@ -1193,8 +1277,8 @@ class TestBlockFormatting:
             fields = [np.linspace(0.0, 1.0, ns), np.linspace(-1.0, 1.0, nt)[:, None],
                       rng.choice(_POOL, (nt, ns)), np.repeat(rng.normal(size=(nt, 1)), ns, 1)]
             status = rng.integers(0, 3, (nt, ns)).astype(np.int8)
-            assert "".join(cli._csv(list("stuv"), fields, status)) \
-                == reference_csv(list("stuv"), fields, status)
+            assert b"".join(cli._csv(list("stuv"), fields, status)) \
+                == reference_csv(list("stuv"), fields, status).encode()
 
     @pytest.mark.parametrize("grid", ["7x5", "300x3"])
     def test_singular_ray_outputs_match_per_row_template(self, tmp_path, capsys, monkeypatch,
@@ -1318,39 +1402,40 @@ class TestBlockFormatting:
         repeating = rng.choice([0.5, -0.0, 0.0, 1 / 3], (nt, ns))
         fields = [np.linspace(0.0, 1.0, ns), np.linspace(0.0, 2.0, nt)[:, None],
                   rng.normal(size=(nt, ns)), repeating, repeating.copy()]
-        cells, unique, calls = tx.cells, np.unique, []
+        cells, argsort, calls = tx.cells, np.argsort, []
         monkeypatch.setattr(tx, "cells", lambda v: calls.append(("cells", v.size)) or cells(v))
-        monkeypatch.setattr(np, "unique", lambda *a, **k: calls.append(("unique",)) or
-                            unique(*a, **k))
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(("argsort",)) or
+                            argsort(*a, **k))
         monkeypatch.setattr(cli, "_BLOCK_POINTS", 1000)  # blocks of 20 rows
         blocks = cli._blocks(fields, direct=(2,))
         next(blocks)
-        table = len(unique(np.concatenate([f.view(np.int64).ravel() for f in fields[:2]]
-                                          + [repeating.view(np.int64).ravel()])))
-        assert calls == [("unique",), ("cells", table), ("cells", 20 * ns)]
+        table = len(np.unique(np.concatenate([f.view(np.int64).ravel() for f in fields[:2]]
+                                             + [repeating.view(np.int64).ravel()])))
+        assert calls == [("argsort",), ("cells", table), ("cells", 20 * ns)]
         assert len(list(blocks)) == 2
         assert calls[3:] == [("cells", 20 * ns)] * 2
         # nothing to tabulate: one field, formatted value by value
-        assert "".join(cli._csv(["x"], fields[2:3], direct=(0,))) \
-            == reference_csv(["x"], fields[2:3])
+        assert b"".join(cli._csv(["x"], fields[2:3], direct=(0,))) \
+            == reference_csv(["x"], fields[2:3]).encode()
 
 
 class TestTracedMemory:
     """Traced peaks of the 120x120 seed scene, the text written to a file.
-    Both peak in the sweep rather than in their 1024-point blocks of text:
-    eval at 3.166 MB, export at 3.178 MB.  Eval peaked at 5.02 MB
-    while it joined its whole text before writing it; export was 6.99 MB
-    before per-axis formatting and the block-wise OBJ lines, and reads
-    3.88 MB with 2048-point blocks."""
+    Eval peaks in its sweep, at 3.174 MB, and so does export, which drops
+    its sweep before its first 2048-point block and frees each written block
+    before the next (3.387 MB while its writer still held the previous one).
+    Curvature peaks in its formatting table, at 3.570 MB: 4.175 MB while
+    ``np.unique`` kept its copies of the table's bit patterns alive."""
 
-    @pytest.mark.parametrize("command, bound", [("eval", 3_400_000), ("export", 3_400_000)])
+    @pytest.mark.parametrize("command, bound", [("eval", 3_400_000), ("export", 3_400_000),
+                                                ("curvature", 3_700_000)])
     def test_peak(self, tmp_path, command, bound):
         cfg = seed_scene(domain={"s": [0.0, 6.0], "t": [-0.25, 0.25], "ns": 120, "nt": 120},
                          output={"format": "obj"})
         scene = cli.load_scene(write_config(tmp_path, cfg))
-        if command == "eval":
+        if command in ("eval", "curvature"):
             def job():
-                cli._emit(cli.run_eval(scene), tmp_path / "eval.csv")
+                cli._emit(getattr(cli, f"run_{command}")(scene), tmp_path / f"{command}.csv")
         else:
             def job():
                 cli.run_export(scene, tmp_path / "mesh", scene.projection)
