@@ -12,17 +12,11 @@ subcommands sweep it:
     pencil4 export      --config scene.json --out base [--projection SPEC]
 
 CSV output is deterministic: fixed 17-significant-digit formatting, rows
-t-major then s, no timestamps.  Values are printed as ``"%.17g" % x`` by
-``text.cells``, as fixed-width byte cells: each distinct value (bit pattern)
-of s, t and most fields once per command, the point coordinates value by
-value per block of whole t-rows, and a bit copy of an earlier field not at
-all.  A block is one uint8 matrix per line template, a row per grid point
-with separators and status markers as fixed bytes, and its text is its
-non-zero bytes, kept as bytes up to the output.  Every command computes all
-that can fail first and then writes its text: to stdout in one write, or
-block by block to its --out files, opened only then in binary mode.  A
-command that fails before its first row writes nothing.  Export's OBJ faces
-are blocks too, gathered from one table of vertex numbers.
+t-major then s, no timestamps.  Each command here chooses what it prints
+and where the bytes go; ``text`` makes the bytes.  Every command computes
+all that can fail first and then writes its text: to stdout in one write,
+or block by block to its --out files, opened only then in binary mode.  A
+command that fails before its first row writes nothing.
 Grid points violating a regularity condition become rows with a status
 marker instead of aborting the sweep (verify excludes them from comparison;
 a regular point whose oracle value is not finite ends it in exit 8).  Any
@@ -37,7 +31,6 @@ import functools
 import itertools
 import json
 import math
-import string
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -51,8 +44,8 @@ from . import families as fam
 from . import oracle as orc
 from . import pencil as pc
 from . import text as tx
-from .curve import (AnalyticCurve, CurveSpec, WCurve, _linspace, frenet_apparatus,
-                    frenet_frames, orthonormal_completion)
+from .curve import (AnalyticCurve, CurveSpec, WCurve, _linspace, frenet_frames,
+                    orthonormal_completion)
 from .errors import (ConfigError, ConstraintViolationError, DegenerateFrameError,
                      DomainError, EvalDomainError, ParseError, RankDeficiencyError,
                      RegularityViolationError, SingularProfileSystemError,
@@ -109,12 +102,6 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-# Grid points per block of text, so that with ``text.CHUNK`` = 8,192 a block's
-# x1..x4 take one kernel call: the six grid benchmark operations took 6.0-6.4%
-# less time than with 1,024 and 4,096 (seeds 11 and 19, in process).  The export
-# drops its sweep before its first block and frees each written block before
-# the next, so its 120x120 traced peak stays in the sweep (3.17 MB).
-_BLOCK_POINTS = 2048
 _POSITIONS = (2, 3, 4, 5)  # x1..x4 after s and t: mostly distinct, never deduped
 _MARKERS = ("ok", *(f"regularity:{c}" for c in pc.CONDITIONS[1:]))
 _VERIFY_MARKERS = ("ok", *["regularity"] * (len(pc.CONDITIONS) - 1))
@@ -391,98 +378,10 @@ def _grid(scene: Scene):
     return ss, ts
 
 
-def _csv_line(n_fields: int, status: bool) -> str:
-    """The line template of a CSV row: the fields, then the marker."""
-    return ",".join([*(f"{{{j}}}" for j in range(n_fields)), *["{status}"] * status]) + "\n"
-
-
-def _template(line: str, marker_width: int, width: int = tx.WIDTH):
-    """The constant bytes of a line template as one row of a block, and the
-    name and offset of each hole: ``{j}`` for field j, ``{status}``."""
-    row, holes = bytearray(), []
-    for literal, name, _, _ in string.Formatter().parse(line):
-        row += literal.encode("ascii")
-        if name is not None:
-            holes.append((name if name == "status" else int(name), len(row)))
-            row += bytes(marker_width if name == "status" else width)
-    return np.frombuffer(bytes(row), np.uint8), holes
-
-
-def _filled(template, cells: dict, shape) -> bytes:
-    """The text of a block of ``shape`` points: rows of the template, each
-    hole filled by its cells (broadcast to ``shape``), in one uint8 matrix
-    whose non-zero bytes are the text, kept by one ``bytes.translate``."""
-    row, holes = template
-    block = np.empty((*shape, len(row)), np.uint8)
-    block[...] = row
-    for name, at in holes:
-        block[..., at:at + cells[name].shape[-1]] = cells[name]
-    return block.tobytes().translate(None, b"\0")
-
-
-def _distinct(parts):
-    """``np.unique(np.concatenate(parts), return_inverse=True)`` of 1-D int64
-    arrays with fewer copies alive; its sort order and mask die on return."""
-    bits = np.concatenate([np.empty(0, np.int64), *parts])
-    order = np.argsort(bits)
-    bits = bits[order]
-    new = np.ones(len(bits), bool)
-    np.not_equal(bits[1:], bits[:-1], out=new[1:])
-    inverse = np.empty_like(order)
-    inverse[order] = np.cumsum(new) - 1
-    return bits[new], inverse
-
-
-def _blocks(fields, status=None, markers=_MARKERS, lines=None, direct=()):
-    """The text of broadcastable (rows, columns) float fields, per block of
-    whole rows, as ASCII bytes per line template of ``lines`` (default: the
-    CSV row), points in row-major order.  Each line is its template with
-    ``{j}`` filled by the ``%.17g`` text of field j and ``{status}`` by the
-    point's marker (``_filled``).  One table per call holds the cells
-    of each distinct bit pattern (-0.0 is not 0.0) of s (columns,) along its
-    columns, t (rows, 1) along its rows (a zero stride) and the fields not in
-    ``direct``.  Blocks gather them, and format their rows of the ``direct``
-    fields (mostly distinct: point coordinates).  A bit copy of an earlier
-    field takes its cells."""
-    fields = np.broadcast_arrays(*fields)
-    along_s = [j for j, f in enumerate(fields) if not f.strides[0]]
-    along_t = [j for j, f in enumerate(fields) if f.strides[0] and not f.strides[1]]
-    grid = [j for j, f in enumerate(fields) if f.strides[0] and f.strides[1]]
-    bits = {j: fields[j].view(np.int64) for j in grid}
-    first = {j: next(i for i in grid if i == j or bits[i][0, 0] == bits[j][0, 0]
-                     and np.array_equal(bits[i], bits[j])) for j in grid}
-    copies = {j: i for j, i in first.items() if i != j}  # field: the first it copies
-    own = [j for j in grid if j not in copies]
-    tabled = {**{j: fields[j][:1] for j in along_s}, **{j: fields[j][:, :1] for j in along_t},
-              **{j: fields[j] for j in own if j not in direct}}
-    patterns, inverse = _distinct([f.view(np.int64).ravel() for f in tabled.values()])
-    table = tx.cells(patterns.view(np.float64))
-    parts = np.split(inverse, np.cumsum([f.size for f in tabled.values()]))
-    index = {j: i.reshape(f.shape) for (j, f), i in zip(tabled.items(), parts)}
-    direct = [j for j in own if j in direct]
-    marks = np.array(markers, dtype="S")
-    marks = marks.view(np.uint8).reshape(len(markers), marks.itemsize)
-    templates = [_template(line, marks.shape[1])
-                 for line in lines or [_csv_line(len(fields), status is not None)]]
-    n_rows, n_columns = fields[0].shape
-    step = max(1, _BLOCK_POINTS // n_columns)
-    for start in range(0, n_rows, step):
-        rows = slice(start, start + step)
-        cells = {j: table[i if j in along_s else i[rows]] for j, i in index.items()}
-        if direct:
-            cells.update(zip(direct, np.moveaxis(tx.cells(
-                np.stack([fields[j][rows] for j in direct], axis=-1)), -2, 0)))
-        cells.update((j, cells[i]) for j, i in copies.items())
-        if status is not None:
-            cells["status"] = marks[status[rows]]
-        shape = fields[0][rows].shape
-        yield [_filled(template, cells, shape) for template in templates]
-
-
 def _csv(header: list[str], fields, status=None, markers=_MARKERS, direct=()):
     """CSV text as bytes, lazily: the header line, then the lines of each block."""
     yield (",".join(header) + "\n").encode("ascii")
-    yield from itertools.chain.from_iterable(_blocks(fields, status, markers, direct=direct))
+    yield from itertools.chain.from_iterable(tx.blocks(fields, status, markers, direct=direct))
 
 
 def _write(paths, parts) -> None:
@@ -604,7 +503,7 @@ def _ruled_adjudication(scene: Scene, ts: np.ndarray) -> list[str]:
     factor of ~2 while the shortcut normal curvature matches."""
     t0 = float(ts[int(np.argmin(np.abs(ts)))])
     s_mid = float(0.5 * (scene.s_range[0] + scene.s_range[1]))
-    k1, k2, k3 = frenet_apparatus(scene.surface.curve, s_mid).kappas[0].tolist()
+    k1, k2, k3 = frenet_frames(scene.surface.curve, np.array([s_mid])).kappas[0].tolist()
     rep = cu.report(scene.surface, s_mid, t0)
     ref_k = fam.ruled_reference_gaussian(k1, k2, k3, t0)
     ref_kn = fam.ruled_reference_normal_curvature(k1, k2, k3, t0)
@@ -674,7 +573,7 @@ def run_export(scene: Scene, out_base: Path, projection: dict) -> list[Path]:
     fields = [sweep.s, sweep.t[:, None], *np.moveaxis(points, -1, 0),
               cu.invariants_from_forms(sweep.forms).K]
     del sweep  # its forms and frames: freed before the first block of text
-    paths, lines = [out_base.with_suffix(".csv")], [_csv_line(len(fields), True)]
+    paths, lines = [out_base.with_suffix(".csv")], [tx.csv_line(len(fields), True)]
     obj = scene.output_format == "obj"
     if obj:
         projected = project_points(points.reshape(-1, 4), projection)
@@ -686,15 +585,10 @@ def run_export(scene: Scene, out_base: Path, projection: dict) -> list[Path]:
         ok = status == pc.OK
         it, i_s = np.nonzero(ok[:-1, :-1] & ok[:-1, 1:] & ok[1:, 1:] & ok[1:, :-1])
         corners = np.add.outer(it * scene.ns + i_s, [0, 1, scene.ns + 1, scene.ns])
-        numbers = tx.integer_cells(np.arange(1, status.size + 1))  # each vertex's once
-        template = _template("f {0} {1} {2} {3}\n", 0, width=8)  # indices <= MAX_GRID^2
-        for start in range(0, len(corners), _BLOCK_POINTS):
-            quads = numbers[corners[start:start + _BLOCK_POINTS]]
-            yield b"", _filled(template, dict(enumerate(np.moveaxis(quads, 1, 0))),
-                               quads.shape[:1])
+        yield from zip(itertools.repeat(b""), tx.faces(corners, status.size))
 
     # the projected vertices are x1..x4 or their bit copies, and mostly distinct
-    text = _blocks(fields, status, lines=lines, direct=(*_POSITIONS, 7, 8, 9))
+    text = tx.blocks(fields, status, _MARKERS, lines, direct=(*_POSITIONS, 7, 8, 9))
     _write(paths, itertools.chain([(b"s,t,x1,x2,x3,x4,K,status\n",)], text,
                                   faces() if obj else ()))
     return paths[::-1]

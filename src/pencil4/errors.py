@@ -77,12 +77,13 @@ class RegularityViolationError(Pencil4Error):
     """
 
     def __init__(self, condition: str, s: float | None = None, t: float | None = None):
-        at = "" if s is None else f" at (s, t) = ({s!r}, {t!r})"
+        at = "" if t is None else f" at t = {t!r}"
+        at = at if s is None else f" at (s, t) = ({s!r}, {t!r})"
         names = {
             "spine": "a^2 + b^2 > 0 failed",
             "marching": "A'(t)^2 + B'(t)^2 > 0 failed",
         }
-        super().__init__(f"regularity violation: {names.get(condition, condition)}{at}")
+        super().__init__(f"{names.get(condition, condition)}{at}")
         self.condition = condition
         self.s = s
         self.t = t

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import curvature as cu
 from . import expr as ex
-from .curve import CurveSpec, WCurve, _linspace, frenet_apparatus, frenet_frames
+from .curve import CurveSpec, WCurve, _linspace, frenet_frames
 from .errors import (
     ConstraintViolationError,
     DomainError,
@@ -99,7 +99,7 @@ def _frame_gauge_sign(curve: WCurve) -> float:
     actually uses, which flips with sign(a b c d (c^2 - d^2)) under the
     det = +1 convention."""
     w = np.array([curve.b * curve.d**2, 0.0, -curve.a * curve.c**2, 0.0])
-    dot = float(frenet_apparatus(curve, 0.0).frame[0, 3] @ w)
+    dot = float(frenet_frames(curve, np.array([0.0])).frame[0, 3] @ w)
     return 1.0 if dot >= 0.0 else -1.0
 
 
@@ -406,7 +406,7 @@ def w_curve_with_equal_curvatures(c: float, d: float) -> WCurve:
     b = math.sqrt(b_sq)
     a = math.sqrt(1.0 - b_sq * d * d) / c
     curve = WCurve(a, b, c, d)
-    _, k2, k3 = frenet_apparatus(curve, 0.0).kappas[0].tolist()
+    _, k2, k3 = frenet_frames(curve, np.array([0.0])).kappas[0].tolist()
     residual = abs(k2 - k3)
     if residual > 1e-12:
         raise ConstraintViolationError(

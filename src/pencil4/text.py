@@ -1,10 +1,15 @@
-"""Exact ``%.17g`` text of float64 arrays, as fixed-width byte cells.
+"""Exact ``%.17g`` text of float64 arrays, as fixed-width byte cells, and
+the CSV and OBJ lines made of them.
 
 ``cells(values)`` gives the ``"%.17g" % x`` text of each value as a row of
 ``WIDTH`` bytes, padded with NUL bytes; it formats every value it is given.
 No Python string is made per value: a whole text is
 ``cells[cells != 0].tobytes()``.  ``integer_cells`` does the same for the
 ``%d`` text of integers below 10^8, in cells of 8 bytes.
+
+``blocks`` and ``faces`` fill CSV and OBJ line templates with cells: a block
+is a uint8 matrix per template, a row per line with separators and markers
+as fixed bytes, whose text is its non-zero bytes, kept as bytes throughout.
 
 Most values take a numpy kernel of exact arithmetic, after Loitsch
 (*Printing floating-point numbers quickly and accurately with integers*,
@@ -33,13 +38,20 @@ rounding), zeros, subnormals, NaN and infinities, an exact tie (which
 
 from __future__ import annotations
 
+import string
+
 import numpy as np
 
 WIDTH = 24  # the longest %.17g text: -1.2345678901234567e-308
-# Values per kernel call, so that a 2,048-point block's x1..x4 take one call.
-# Its temporaries, ~120 bytes per value, stay below the traced peak of a
-# 120x120 export.  Sizes measured with ``cli._BLOCK_POINTS``.
+# Values per kernel call and grid points per block of text, so that a block's
+# x1..x4 take one call, whose temporaries, ~120 bytes per value, stay below
+# the traced peak of a 120x120 export.  The six grid benchmark operations took
+# 6.0-6.4% less time than with blocks of 1,024 and 4,096 points (seeds 11 and
+# 19, in process).  The export drops its sweep before its first block and
+# frees each written block before the next, so its 120x120 traced peak stays
+# in the sweep (3.17 MB).
 CHUNK = 8192
+BLOCK_POINTS = 2048
 
 _U = np.uint64
 _ALL = _U(2**64 - 1)
@@ -224,3 +236,95 @@ def integer_cells(values: np.ndarray) -> np.ndarray:
     zeros = sum((v < _U(10**p)).astype(np.uint64) for p in range(1, 8))
     words = (_digits8(v) | _ZEROS) >> (zeros * _U(8))
     return words.astype("<u8").view(np.uint8).reshape(*v.shape, 8)
+
+
+def csv_line(n_fields: int, status: bool) -> str:
+    """The line template of a CSV row: the fields, then the marker."""
+    return ",".join([*(f"{{{j}}}" for j in range(n_fields)), *["{status}"] * status]) + "\n"
+
+
+def _template(line: str, marker_width: int, width: int = WIDTH):
+    """The constant bytes of a line template as one row of a block, and the
+    name and offset of each hole: ``{j}`` for field j, ``{status}``."""
+    row, holes = bytearray(), []
+    for literal, name, _, _ in string.Formatter().parse(line):
+        row += literal.encode("ascii")
+        if name is not None:
+            holes.append((name if name == "status" else int(name), len(row)))
+            row += bytes(marker_width if name == "status" else width)
+    return np.frombuffer(bytes(row), np.uint8), holes
+
+
+def _filled(template, hole_cells: dict, shape) -> bytes:
+    """The text of a block of ``shape`` points: rows of the template, each
+    hole filled by its cells (broadcast to ``shape``), in one uint8 matrix
+    whose non-zero bytes are the text, kept by one ``bytes.translate``."""
+    row, holes = template
+    block = np.broadcast_to(row, (*shape, len(row))).copy()
+    for name, at in holes:
+        block[..., at:at + hole_cells[name].shape[-1]] = hole_cells[name]
+    return block.tobytes().translate(None, b"\0")
+
+
+def _distinct(parts):
+    """``np.unique(np.concatenate(parts), return_inverse=True)`` of 1-D int64
+    arrays with fewer copies alive; its sort order and mask die on return."""
+    bits = np.concatenate([np.empty(0, np.int64), *parts])
+    order = np.argsort(bits)
+    bits = bits[order]
+    new = np.ones(len(bits), bool)
+    np.not_equal(bits[1:], bits[:-1], out=new[1:])
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new) - 1
+    return bits[new], inverse
+
+
+def blocks(fields, status=None, markers=(), lines=None, direct=()):
+    """The text of float fields on a (rows, columns) grid, per block of whole
+    rows, as ASCII bytes per line template of ``lines`` (default: the CSV
+    row), points in row-major order: ``{j}`` holds the ``%.17g`` text of
+    field j, ``{status}`` the marker of the point's status code.  A field
+    has the grid's shape, one row (s) or one column (t) of it.  One table
+    per call holds the cells of each distinct bit pattern (-0.0 is not 0.0)
+    of the fields, indexed at their own shapes, except for grid-shaped ones
+    in ``direct`` (mostly distinct: point coordinates), which each block
+    formats, and bit copies of an earlier field, which take its cells.  A
+    block reads the rows of an index or field that has more than one."""
+    fields = [np.atleast_2d(f) for f in fields]
+    n_rows, n_columns = np.broadcast_shapes(*(f.shape for f in fields))
+    grid = [j for j, f in enumerate(fields) if f.shape == (n_rows, n_columns)]
+    bits = {j: fields[j].view(np.int64) for j in grid}
+    first = {j: next(i for i in grid if i == j or bits[i][0, 0] == bits[j][0, 0]
+                     and np.array_equal(bits[i], bits[j])) for j in grid}
+    copies = {j: i for j, i in first.items() if i != j}  # field: the first it copies
+    direct = [j for j in grid if j in direct and j not in copies]
+    tabled = {j: f for j, f in enumerate(fields) if j not in copies and j not in direct}
+    patterns, inverse = _distinct([f.view(np.int64).ravel() for f in tabled.values()])
+    table = cells(patterns.view(np.float64))
+    parts = np.split(inverse, np.cumsum([f.size for f in tabled.values()]))
+    index = {j: i.reshape(f.shape) for (j, f), i in zip(tabled.items(), parts)}
+    marks = np.array(markers, dtype="S")[:, None].view(np.uint8)  # a row per marker
+    templates = [_template(line, marks.shape[1])
+                 for line in lines or [csv_line(len(fields), status is not None)]]
+    step = max(1, BLOCK_POINTS // n_columns)
+    for start in range(0, n_rows, step):
+        rows = slice(start, start + step)
+        hole_cells = {j: table[i[rows] if len(i) > 1 else i] for j, i in index.items()}
+        if direct:
+            hole_cells.update(zip(direct, cells(np.stack([fields[j][rows] for j in direct]))))
+        hole_cells.update((j, hole_cells[i]) for j, i in copies.items())
+        if status is not None:
+            hole_cells["status"] = marks[status[rows]]
+        shape = (min(step, n_rows - start), n_columns)
+        yield [_filled(template, hole_cells, shape) for template in templates]
+
+
+def faces(corners: np.ndarray, n_vertices: int):
+    """The OBJ lines ``f a b c d`` of quads with the 0-based vertex indices
+    ``corners``, as bytes per block of ``BLOCK_POINTS``, gathered from one
+    table of the cells of the numbers 1..n_vertices (below 10^8)."""
+    numbers = integer_cells(np.arange(1, n_vertices + 1))
+    template = _template("f {0} {1} {2} {3}\n", 0, width=8)
+    for start in range(0, len(corners), BLOCK_POINTS):
+        quads = numbers[corners[start:start + BLOCK_POINTS]]
+        yield _filled(template, dict(enumerate(np.moveaxis(quads, 1, 0))), quads.shape[:1])

@@ -1,6 +1,8 @@
 """Tests for the command-line front end."""
 
+import contextlib
 import importlib.util
+import io
 import json
 import math
 import shutil
@@ -553,6 +555,38 @@ class TestConfig:
         assert code == cli.EXIT_REGULARITY and err.startswith("regularity violation: ")
         assert out == "" and not target.exists()
 
+    def test_stalled_marching_scale_names_its_t(self, tmp_path, capsys):
+        cfg = seed_scene(marching={"kind": "expressions", "A": "t^2", "B": "t^3"},
+                         domain={"s": [0.0, 6.0], "t": [0.0, 1.0], "ns": 5, "nt": 4})
+        code, out, err = run(capsys, ["eval", "--config", write_config(tmp_path, cfg)])
+        assert (code, out) == (cli.EXIT_REGULARITY, "")
+        assert err == "regularity violation: A'(t)^2 + B'(t)^2 > 0 failed at t = 0.0\n"
+
+    @pytest.mark.parametrize("command, cfg, code, message", [
+        ("eval", seed_scene(domain={"s": [0.0], "t": [-0.25, 0.25], "ns": 5, "nt": 4}),
+         cli.EXIT_CONFIG, "config error: domain.s must be a [lo, hi] pair"),
+        ("eval", {**seed_scene(marching={"kind": "vranceanu", "a": 0.8, "b": 0.6, "r": "1"}),
+                  "curve": {"kind": "w_curve", "a": 0.6, "b": 0.8, "c": 1.0, "d": 1.0}},
+         cli.EXIT_CONFIG, "config error: marching.vranceanu requires curve w_curve"),
+        ("export", seed_scene(output={"format": "obj", "projection": {
+            "kind": "stereographic", "pole": [0, 0, 0, 2]}}),
+         cli.EXIT_CONFIG, "config error: stereographic pole must be a unit 4-vector"),
+        ("verify", {**seed_scene(marching={
+            "kind": "expressions", "A": "1 + 0.1*sin(3.141592653589793*t)",
+            "B": "0.1*sin(3.141592653589793*t)"},
+            domain={"s": [0.0, 6.0], "t": [0.0, 1.0], "ns": 2, "nt": 2}),
+            "curve": {"kind": "w_curve", "a": 0.6, "b": 0.8, "c": 1.0, "d": 1.0}},
+         cli.EXIT_REGULARITY, "regularity violation: a^2 + b^2 > 0 failed"),
+    ], ids=["one_number_range", "vranceanu_curve_mismatch", "non_unit_pole",
+            "no_regular_point"])
+    def test_error_path_writes_one_line_and_no_file(self, tmp_path, capsys, command, cfg,
+                                                    code, message):
+        path = write_config(tmp_path, cfg)
+        got, out, err = run(capsys, [command, "--config", path, "--out", str(tmp_path / "out")])
+        assert (got, out) == (code, "")
+        assert err.startswith(message) and err.count("\n") == 1 and err.endswith("\n")
+        assert [p.name for p in tmp_path.iterdir()] == ["scene.json"]
+
     def test_unexpected_exception_is_one_line_exit_1(self, tmp_path, capsys, monkeypatch):
         def broken(scene):
             raise RuntimeError("boom\n  in a second line")
@@ -587,6 +621,7 @@ def test_every_library_error_has_a_documented_exit(tmp_path, capsys, monkeypatch
     code, out, err = run(capsys, ["eval", "--config", str(tmp_path / "scene.json")])
     assert code in LABELS and f"\n  {code}  " in cli._EXIT_CODES
     assert (out, err) == ("", f"{LABELS[code]}: {error}\n")
+    assert err.count(LABELS[code]) == 1
 
 
 class TestFrenet:
@@ -1209,13 +1244,13 @@ def reference_csv(header, fields, status=None, markers=cli._MARKERS):
 
 
 def reference_blocks(fields, status=None, markers=cli._MARKERS, lines=None, direct=()):
-    """``cli._blocks`` as one block: each line template filled per row by
+    """``text.blocks`` as one block: each line template filled per row by
     ``str.format`` with ``%.17g`` strings."""
     table = np.stack(np.broadcast_arrays(*fields), axis=-1).reshape(-1, len(fields))
     codes = [0] * len(table) if status is None else status.ravel().tolist()
     texts = [["%.17g" % v for v in row] for row in table.tolist()]
     yield ["".join(line.format(*row, status=markers[code]) for row, code in zip(texts, codes))
-           .encode() for line in lines or [cli._csv_line(len(fields), status is not None)]]
+           .encode() for line in lines or [tx.csv_line(len(fields), status is not None)]]
 
 
 def reference_obj(scene):
@@ -1266,14 +1301,14 @@ class TestBlockFormatting:
         header = [f"c{i}" for i in range(len(fields))]
         expected = reference_csv(header, fields, status).encode()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(cli, "_BLOCK_POINTS", block)  # blocks narrower and wider than ns
+            mp.setattr(tx, "BLOCK_POINTS", block)  # blocks narrower and wider than ns
             assert b"".join(cli._csv(header, fields, status, direct=direct)) == expected
             mp.setattr(tx, "CHUNK", chunk)  # small chunks split the kernel's calls
             assert b"".join(cli._csv(header, fields, status, direct=direct)) == expected
 
     def test_module_block_size_on_uneven_grids(self):
         rng = np.random.default_rng(7)
-        for ns, nt in ((cli._BLOCK_POINTS + 44, 3), (120, 5)):  # ns beyond a block; nt odd
+        for ns, nt in ((tx.BLOCK_POINTS + 44, 3), (120, 5)):  # ns beyond a block; nt odd
             fields = [np.linspace(0.0, 1.0, ns), np.linspace(-1.0, 1.0, nt)[:, None],
                       rng.choice(_POOL, (nt, ns)), np.repeat(rng.normal(size=(nt, 1)), ns, 1)]
             status = rng.integers(0, 3, (nt, ns)).astype(np.int8)
@@ -1301,7 +1336,7 @@ class TestBlockFormatting:
             return got
 
         blocks = outputs("blocks")
-        monkeypatch.setattr(cli, "_blocks", reference_blocks)
+        monkeypatch.setattr(tx, "blocks", reference_blocks)
         assert blocks == outputs("rows")
         assert blocks["export.obj"] == reference_obj(cli.load_scene(path, grid))
         assert sum(line.endswith(",regularity:spine") for line in blocks["eval"].split("\n")) \
@@ -1312,7 +1347,7 @@ class TestBlockFormatting:
         """A drop-axis projection's vertices are bit copies of x1..x3 and take
         their cells; an orthographic one's are formatted value by value. The
         arc from s0 = 1000 gives ``s`` cells a four-digit integer part."""
-        monkeypatch.setattr(cli, "_BLOCK_POINTS", 20)
+        monkeypatch.setattr(tx, "BLOCK_POINTS", 20)
         cells, formatted = tx.cells, {}
         ortho = {"kind": "orthographic",
                  "basis": [[0.6, 0.8, 0, 0], [0, 0, 0.6, 0.8], [-0.8, 0.6, 0, 0]]}
@@ -1348,7 +1383,7 @@ class TestBlockFormatting:
             return got
 
         blocks = outputs()
-        monkeypatch.setattr(cli, "_blocks", reference_blocks)
+        monkeypatch.setattr(tx, "blocks", reference_blocks)
         assert blocks == outputs()
 
     @pytest.mark.parametrize("grid", ["7x5", "300x3"])
@@ -1361,7 +1396,7 @@ class TestBlockFormatting:
         cfg["output"] = {"format": "obj"}
         path = write_config(tmp_path, cfg)
         ns, nt = map(int, grid.split("x"))
-        cells, blocks = tx.cells, cli._blocks
+        cells, blocks = tx.cells, tx.blocks
         formatted, expected, copied = [], [], []
 
         def counting_cells(values):
@@ -1382,7 +1417,7 @@ class TestBlockFormatting:
             return blocks(fields, *args, direct=direct, **kwargs)
 
         monkeypatch.setattr(tx, "cells", counting_cells)
-        monkeypatch.setattr(cli, "_blocks", expecting_blocks)
+        monkeypatch.setattr(tx, "blocks", expecting_blocks)
         for command in ("eval", "curvature", "export"):
             formatted.clear()
             expected.clear()
@@ -1394,7 +1429,7 @@ class TestBlockFormatting:
                 assert set(copied[0]) >= {7, 8, 9}
 
     def test_one_table_per_call_and_direct_fields_per_block(self, monkeypatch):
-        """One ``_blocks`` call sorts and formats ``s``, ``t`` and the
+        """One ``text.blocks`` call sorts and formats ``s``, ``t`` and the
         repeating fields once, before its first block; each block formats
         only its rows of the ``direct`` fields."""
         ns, nt = 50, 60
@@ -1406,8 +1441,8 @@ class TestBlockFormatting:
         monkeypatch.setattr(tx, "cells", lambda v: calls.append(("cells", v.size)) or cells(v))
         monkeypatch.setattr(np, "argsort", lambda *a, **k: calls.append(("argsort",)) or
                             argsort(*a, **k))
-        monkeypatch.setattr(cli, "_BLOCK_POINTS", 1000)  # blocks of 20 rows
-        blocks = cli._blocks(fields, direct=(2,))
+        monkeypatch.setattr(tx, "BLOCK_POINTS", 1000)  # blocks of 20 rows
+        blocks = tx.blocks(fields, direct=(2,))
         next(blocks)
         table = len(np.unique(np.concatenate([f.view(np.int64).ravel() for f in fields[:2]]
                                              + [repeating.view(np.int64).ravel()])))
@@ -1425,25 +1460,44 @@ class TestTracedMemory:
     its sweep before its first 2048-point block and frees each written block
     before the next (3.387 MB while its writer still held the previous one).
     Curvature peaks in its formatting table, at 3.570 MB: 4.175 MB while
-    ``np.unique`` kept its copies of the table's bit patterns alive."""
+    ``np.unique`` kept its copies of the table's bit patterns alive.  To
+    stdout, captured in an ``io.StringIO`` as the benchmark captures it,
+    eval peaks at 3.590 MB and curvature at 4.491 MB: the decoded block
+    texts are joined for the one write."""
+
+    @staticmethod
+    def scene(tmp_path):
+        cfg = seed_scene(domain={"s": [0.0, 6.0], "t": [-0.25, 0.25], "ns": 120, "nt": 120},
+                         output={"format": "obj"})
+        return cli.load_scene(write_config(tmp_path, cfg))
+
+    @staticmethod
+    def peak(job):
+        job()  # imports and first-call caches are not part of the peak
+        tracemalloc.start()
+        try:
+            job()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("command, bound", [("eval", 3_400_000), ("export", 3_400_000),
                                                 ("curvature", 3_700_000)])
     def test_peak(self, tmp_path, command, bound):
-        cfg = seed_scene(domain={"s": [0.0, 6.0], "t": [-0.25, 0.25], "ns": 120, "nt": 120},
-                         output={"format": "obj"})
-        scene = cli.load_scene(write_config(tmp_path, cfg))
+        scene = self.scene(tmp_path)
         if command in ("eval", "curvature"):
             def job():
                 cli._emit(getattr(cli, f"run_{command}")(scene), tmp_path / f"{command}.csv")
         else:
             def job():
                 cli.run_export(scene, tmp_path / "mesh", scene.projection)
-        job()  # imports and first-call caches are not part of the peak
-        tracemalloc.start()
-        try:
-            job()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound
+        assert self.peak(job) <= bound
+
+    @pytest.mark.parametrize("command, bound", [("eval", 3_700_000), ("curvature", 4_600_000)])
+    def test_stdout_peak(self, tmp_path, command, bound):
+        scene = self.scene(tmp_path)
+
+        def job():
+            with contextlib.redirect_stdout(io.StringIO()):
+                cli._emit(getattr(cli, f"run_{command}")(scene), None)
+        assert self.peak(job) <= bound

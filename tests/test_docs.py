@@ -13,6 +13,7 @@ import pytest
 import pencil4
 from pencil4 import cli
 from pencil4 import oracle as orc
+from pencil4 import text as tx
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 MODULES = [importlib.import_module(f"pencil4.{info.name}")
@@ -56,8 +57,8 @@ def test_exported_names_resolve(module):
 
 
 @pytest.mark.parametrize("pattern, value", [
-    (r"blocks of whole\s+t-rows \(about ([\d,]+) points\)", cli._BLOCK_POINTS),
-    (r"each block\s+of ([\d,]+) faces", cli._BLOCK_POINTS),
+    (r"blocks of whole\s+t-rows \(about ([\d,]+) points\)", tx.BLOCK_POINTS),
+    (r"each block\s+of ([\d,]+) faces", tx.BLOCK_POINTS),
     (r"slice of up to ([\d,]+) points", orc.SLICE),
     (r"`oracle\.SLICE` \(([\d,]+)\)", orc.SLICE),
     (r"at ([\d,]+) points per slice;", orc.SLICE),
